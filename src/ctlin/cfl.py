@@ -424,8 +424,9 @@ def sanitize_div_rem(m: Module, ss) -> int:
     many sites changed.
     """
     n = 0
+    where = m.instr_index()
     for iid in sorted(ss.divrem):
-        hit = m.find_instr(iid)
+        hit = where.get(iid)
         if hit is None:
             continue
         _, _, ins = hit

@@ -1,9 +1,11 @@
 """Command line front end: harden, verify, stats.
 
 Exit codes are part of the contract: 0 success, 2 unusable input
-(parse or validation), 3 hardening pipeline failure, 4 verification
-found a difference.  Reports are JSON with sorted keys and carry no
-timestamps, so identical work produces identical bytes.
+(parse or validation, an unreadable or malformed suite, verify flags
+under which no check could show anything), 3 hardening pipeline
+failure, 4 verification found a difference.  Reports are JSON with
+sorted keys and carry no timestamps, so identical work produces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from .cfl import LinearizeError
 from .dfl import DflError
-from .interp import DEFAULT_BUDGET
+from .interp import DEFAULT_BUDGET, SuiteError
 from .ir import ParseError, parse_module, print_module, validate
 from .normalize import NormalizeError
 from .pipeline import (PipelineConfig, PipelineError, harden_module,
@@ -83,6 +85,9 @@ def cmd_harden(args) -> int:
         natural=not args.skip_natural_striding)
     try:
         m, rep = harden_module(m, cfg)
+    except SuiteError as e:
+        print("%s: %s" % (args.suite, e), file=sys.stderr)
+        return EXIT_INPUT
     except _STAGE_ERRORS as e:
         print("hardening failed: %s" % e, file=sys.stderr)
         return EXIT_PIPELINE
@@ -97,7 +102,22 @@ def cmd_harden(args) -> int:
     return EXIT_OK
 
 
+def _vacuous_flags(args) -> str | None:
+    """Why the verify flags cannot show anything, or None."""
+    if any(lv <= 0 for lv in args.lam or ()):
+        return "--lambda must be positive"
+    if args.pairs < 1:
+        return "--pairs must be at least 1"
+    if args.space < 2:
+        return "--space must hold at least two secret values"
+    return None
+
+
 def cmd_verify(args) -> int:
+    bad = _vacuous_flags(args)
+    if bad:
+        print("error: %s" % bad, file=sys.stderr)
+        return EXIT_INPUT
     orig = _load(args.original)
     hard = _load(args.hardened)
     if orig is None or hard is None:

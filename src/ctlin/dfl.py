@@ -59,8 +59,9 @@ def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
     """
     m.dflmeta.clear()
     mid = 0
+    where = m.instr_index()
     for iid in sorted(accesses):
-        loc = m.find_instr(iid)
+        loc = where.get(iid)
         if loc is None:
             raise DflError("sensitive access %d not in module" % iid)
         f, _, ins = loc

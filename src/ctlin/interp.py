@@ -5,6 +5,32 @@ Comparisons are signed; div/rem are unsigned.  Shift amounts wrap at
 the operand width.  Addresses are 64-bit; address 0 is never mapped, so
 the linearization passes can use it as the decoy pointer.
 
+Execution runs on a decoded form of the module (`Code`), built once and
+shared by every run of a batch.  Decoding splits each block into runs
+of handlers that end at calls, with the terminator as a small tagged
+tuple; the parallel copy of the phis, one per predecessor label, is the
+first handler of the run entered over that edge.  Calls nest no deeper
+than MAX_CALL_DEPTH frames; past it a run aborts with stack_overflow.
+Handlers are closures over what the instruction fixes: register
+names, constants and symbol addresses (held in a per-function constant
+pool, so every operand is a register lookup), widths, masks, compare
+bits, access sizes, metadata plans and the builtin to run.  A handler
+takes (machine, registers, aux), where aux is the frame's parallel flag
+per register that a variant keeps.
+
+The variant is the `Decoder` the code was built with:
+
+- `Decoder`, the plain machine: values, memory, events and traces.
+- `DecoyDecoder`, the decoy shadow: aux marks registers holding decoy
+  values, and stores, ct_stores and returns that let one escape are
+  recorded as decoy violations (`Machine(m, decoy_checks=True)`).
+- `taint.TaintDecoder`, the taint profiler: aux marks secret-dependent
+  registers, and the handlers report sensitive program points.
+
+Steps are counted and the instruction trace extended once per run of
+handlers; a run that would cross the step budget, or that aborts part
+way, is replayed or cut back so traces match a step-by-step machine.
+
 Memory events are quantized: every access contributes (kind, addr//lam)
 tuples, where lam is the observation granularity.  Events come from
 plain load/store, the ct_* data-flow wrappers (one event per touched
@@ -25,8 +51,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .ir import (BUILTIN_FUNCS, Const, Instr, Module, Reg, Sym,
-                 is_reserved_name, size_of)
+from .cfl import ct_select, encode_taken
+from .ir import (BINOPS, BUILTIN_FUNCS, Const, Module, Reg, Sym,
+                 _result_type, field_offset, is_reserved_name, size_of)
 
 MAGIC = 0xD1F1D1F1C0C0C0C0
 
@@ -38,6 +65,9 @@ HEAP_BASE = 0x4000000
 GUARD = 64
 
 DEFAULT_BUDGET = 10_000_000
+# IR call depth at which a run aborts with stack_overflow; each IR frame
+# takes two Python frames, so this stays well inside the default limit
+MAX_CALL_DEPTH = 256
 
 M64 = (1 << 64) - 1
 
@@ -61,6 +91,10 @@ class ExecInput:
             ",".join(str(v) for v in self.secrets))
 
 
+class SuiteError(ValueError):
+    """A profiling suite that cannot be read as inputs."""
+
+
 def parse_suite(text: str) -> list:
     """One input per line: `pub: v,v ; sec: s,s` with decimal or hex."""
     out = []
@@ -74,9 +108,13 @@ def parse_suite(text: str) -> list:
             if not part:
                 return []
             if not part.startswith(tag + ":"):
-                raise ValueError("suite line missing '%s:': %r" % (tag, raw))
+                raise SuiteError("suite line missing '%s:': %r" % (tag, raw))
             body = part[len(tag) + 1:].strip()
-            return [int(v, 0) for v in body.split(",")] if body else []
+            try:
+                return [int(v, 0) for v in body.split(",")] if body else []
+            except ValueError:
+                raise SuiteError("suite line has a bad value: %r"
+                                 % raw) from None
         out.append(ExecInput(vals(pub_part, "pub"), vals(sec_part, "sec")))
     return out
 
@@ -176,94 +214,821 @@ def _to_signed(v: int, bits: int) -> int:
     return v - (1 << bits) if v >= (1 << (bits - 1)) else v
 
 
-@dataclass
-class _Frame:
-    fn: object
-    regs: dict
-    dfl_stack: list = field(default_factory=list)  # wrapped allocs, alloc order
-    plain_stack: list = field(default_factory=list)
-    shadow: dict = field(default_factory=dict)     # reg -> decoy flag
+def _mask(ty) -> int:
+    if ty.kind == "addr":
+        return M64
+    return (1 << ty.bits) - 1
 
 
-class Machine:
-    """One run of a module.  Create fresh per interpretation."""
+def _site_keys(m: Module) -> list:
+    keys = set()
+    for ins in m.instructions():
+        if ins.op == "call" and ins.callee in ("dfl_alloc_stack",
+                                               "dfl_alloc_heap"):
+            k = "s" if ins.callee == "dfl_alloc_stack" else "h"
+            keys.add("%s:%d" % (k, ins.args[0].value))
+    for rec in m.dflmeta.values():
+        for e in rec.entries:
+            if e.site_kind() in ("s", "h"):
+                keys.add(e.site)
+    return sorted(keys)
 
-    def __init__(self, m: Module, lam: int = 64, budget: int = DEFAULT_BUDGET,
-                 decoy_checks: bool = False):
+
+def _lay_out(m: Module, site_keys, mem: Memory):
+    """Allocate site list cells, then globals; (site cells, global addrs).
+
+    Placement is deterministic, so decoding resolves symbol addresses
+    once with a scratch Memory and every machine lays out the same way.
+    """
+    cells = {}
+    for key in site_keys:
+        cells[key] = mem.alloc("cell", 16, site=key).base
+    addrs = {}
+    for g in m.globals.values():
+        a = mem.alloc("g", size_of(g.ty), site="g:@" + g.name)
+        if g.init:
+            a.data[:len(g.init)] = g.init
+        addrs[g.name] = a.base
+    return cells, addrs
+
+
+# ---------------------------------------------------------------------------
+# decoded form
+
+_BR, _CONDBR, _RET, _TRAP = range(4)
+
+
+class DFunc:
+    """A decoded function: parameters, constant pool and blocks.
+
+    blocks[0] is the entry; the last block traps, and stands for every
+    label that names no block.  Terminators and call handlers name
+    blocks and callees by index and name, so decoded code holds no
+    reference cycle and is freed as soon as its batch drops it.
+    """
+
+    __slots__ = ("name", "params", "masks", "secret", "pool", "blocks")
+
+    def __init__(self, fn):
+        self.name = fn.name
+        self.params = tuple(p.name for p in fn.params)
+        self.masks = tuple(_mask(p.ty) for p in fn.params)
+        self.secret = tuple(p.secret for p in fn.params)
+        self.pool = {}       # operand key -> value, copied into each frame
+        self.blocks = ()
+
+
+class DBlock:
+    """segs: runs (iids, n, handlers, ends), each ending at a call or at
+    the terminator; handler j covers the iids before ends[j].  A block
+    with phis has no segs of its own: phis maps each predecessor label
+    to the runs entered from it, the first of which starts with that
+    edge's parallel copy, and phi_miss holds the runs for an edge no phi
+    names.  term: (_BR, block index) | (_CONDBR, cond key, true index,
+    false index) | (_RET, key) | (_TRAP, detail)."""
+
+    __slots__ = ("label", "phis", "phi_miss", "segs", "term")
+
+    def __init__(self, label):
+        self.label = label
+        self.phis = None
+        self.phi_miss = None
+        self.segs = ()
+        self.term = (_TRAP, "block fell through")
+
+
+def _icall_target(mach, fp, nargs) -> DFunc:
+    callee = mach.code.by_addr.get(fp)
+    if callee is None:
+        raise AbortError("bad_icall", "0x%x" % fp)
+    if nargs != len(callee.params):
+        raise AbortError("bad_icall", "arity")
+    return callee
+
+
+def _run(iids, hs, ends=None):
+    """(iids, n, handlers, ends) of a run of handlers; by default handler
+    j covers iid j, and a terminator without a handler comes last."""
+    if ends is None:
+        ends = range(1, len(hs) + 1)
+    return tuple(iids), len(iids), tuple(hs), tuple(ends)
+
+
+def _then_flag(h, d, flag):
+    """h, then aux[d] = flag."""
+    def hf(mach, regs, aux):
+        h(mach, regs, aux)
+        aux[d] = flag
+    return hf
+
+
+def _trap(detail):
+    def h(mach, regs, aux):
+        raise AbortError("trap", detail)
+    return h
+
+
+class Code:
+    """A module decoded once for one variant; owned by the batch of runs
+    that shares it.  Holds no state of any run."""
+
+    def __init__(self, m: Module, decoder: "Decoder | None" = None):
         self.m = m
-        self.lam = lam
-        self.budget = budget
-        self.decoy_checks = decoy_checks
-        self.mem = Memory()
-        self.trace = Trace(lam=lam)
-        self.steps = 0
+        self.decoder = decoder = decoder or Decoder()
         self.scheme = m.harden.scheme if m.harden else 5
+        self.site_keys = _site_keys(m)
+        self.site_cells, self.global_addr = _lay_out(m, self.site_keys,
+                                                     Memory())
+        self.funcs = {name: DFunc(fn) for name, fn in m.funcs.items()}
+        self.func_addr = {name: FUNC_BASE + 16 * i
+                          for i, name in enumerate(m.funcs)}
+        self.by_addr = {a: self.funcs[name]
+                        for name, a in self.func_addr.items()}
+        decoder.decode(self)
 
-        self.func_addr = {}
-        self.addr_func = {}
-        for i, name in enumerate(m.funcs):
-            a = FUNC_BASE + 16 * i
-            self.func_addr[name] = a
-            self.addr_func[a] = name
 
-        self.site_cells = {}
-        for key in self._list_sites():
-            a = self.mem.alloc("cell", 16, site=key)
-            self.site_cells[key] = a.base
+class Decoder:
+    """Decodes the plain machine: values, memory and traces only."""
 
-        self.global_addr = {}
-        for g in m.globals.values():
-            a = self.mem.alloc("g", size_of(g.ty), site="g:@" + g.name)
-            if g.init:
-                a.data[:len(g.init)] = g.init
-            self.global_addr[g.name] = a.base
+    decoys = False      # ct_stores read the decoy flag of their value;
+                        # without it they read the key "", held by no frame
 
-        self._types = {}      # fn name -> reg -> Type (for icmp widths)
-        self._taken_regs = {}  # fn name -> iid -> taken reg name
-        self._ret_shadow = False
-        if decoy_checks:
-            self._prepare_takenmap()
+    def decode(self, code: Code):
+        self.code = code
+        self.m = code.m
+        self.prepare()
+        for name, fn in self.m.funcs.items():
+            self.decode_function(fn, code.funcs[name])
+        self.code = None     # the code keeps its decoder, not the reverse
 
-    # -- setup helpers ----------------------------------------------------
+    def prepare(self):
+        """Module-wide tables a variant needs before decoding."""
 
-    def _list_sites(self):
-        keys = set()
-        for ins in self.m.instructions():
-            if ins.op == "call" and ins.callee in ("dfl_alloc_stack",
-                                                   "dfl_alloc_heap"):
-                k = "s" if ins.callee == "dfl_alloc_stack" else "h"
-                keys.add("%s:%d" % (k, ins.args[0].value))
-        for rec in self.m.dflmeta.values():
-            for e in rec.entries:
-                if e.site_kind() in ("s", "h"):
-                    keys.add(e.site)
-        return sorted(keys)
+    # -- per function ------------------------------------------------------
 
-    def _prepare_takenmap(self):
-        names = {}
+    def decode_function(self, fn, df: DFunc):
+        self.pool = df.pool
+        self.types = self._reg_types(fn)
+        index = {label: i for i, label in enumerate(fn.blocks)}
+        nowhere = DBlock("")
+        nowhere.term = (_TRAP, "branch to unknown label")
+        blocks = []
+        for b in fn.blocks.values():
+            db = DBlock(b.label)
+            self.decode_block(fn, b, db, index)
+            blocks.append(db)
+        df.blocks = tuple(blocks) + (nowhere,)
+
+    def _reg_types(self, fn) -> dict:
+        env = {p.name: p.ty for p in fn.params}
+        for ins in fn.instructions():
+            if ins.name is not None:
+                env[ins.name] = _result_type(self.m, ins, env)
+        return env
+
+    def key(self, o) -> str:
+        """Frame dictionary key of an operand; constants and known symbols
+        enter the pool.  An unknown symbol stays out, so reading it traps
+        like an unset register."""
+        if isinstance(o, Reg):
+            return o.name
+        if isinstance(o, Const):
+            k = "#%d" % (o.value & M64)
+            self.pool[k] = o.value & M64
+            return k
+        if isinstance(o, Sym):
+            k = "@" + o.name
+            code = self.code
+            if o.name in code.global_addr:
+                self.pool[k] = code.global_addr[o.name]
+            elif o.name in code.func_addr:
+                self.pool[k] = code.func_addr[o.name]
+            return k
+        raise TypeError(o)
+
+    def decode_block(self, fn, b, db: DBlock, index):
+        segs = []
+        iids, hs = [], []
+        for ins in b.instrs:
+            if ins.op == "phi":
+                continue
+            iids.append(ins.iid)
+            if ins.is_terminator():
+                h = self.terminal(fn, b, ins)
+                if h is not None:
+                    hs.append(h)
+                db.term = self._term(ins, index)
+                break
+            hs.append(self.op(fn, ins))
+            if ins.op == "icall" or (ins.op == "call"
+                                     and ins.callee in self.m.funcs):
+                segs.append(_run(iids, hs))
+                iids, hs = [], []
+        if iids:
+            segs.append(_run(iids, hs))
+        db.segs = tuple(segs)
+        phis = [i for i in b.instrs if i.op == "phi"]
+        if phis:
+            db.phis = {lbl: self._phi_edge(fn, b, phis, lbl, db.segs)
+                       for ph in phis for lbl, _ in ph.incoming}
+            db.phi_miss = self._phi_edge(fn, b, phis, None, db.segs)
+
+    def _term(self, ins, index):
+        nowhere = len(index)
+        if ins.op == "br":
+            return (_BR, index.get(ins.labels[0], nowhere))
+        if ins.op == "condbr":
+            return (_CONDBR, self.key(ins.args[0]),
+                    index.get(ins.labels[0], nowhere),
+                    index.get(ins.labels[1], nowhere))
+        return (_RET, self.key(ins.args[0]))
+
+    def _phi_edge(self, fn, b, phis, pred, segs):
+        """The runs entered from pred: the parallel copy, as the first
+        handler of the block's first run.
+
+        The copy stops at the first phi with no incoming value for pred,
+        which traps once it has been stepped; nothing runs after it.
+        """
+        copies = []
+        for ph in phis:
+            src = next((v for lbl, v in ph.incoming if lbl == pred), None)
+            if src is None:
+                break
+            copies.append((ph, self.key(src)))
+        trap = len(copies) < len(phis)
+        act = self.phi_copy(fn, b, copies, trap)
+        iids = tuple(ph.iid for ph in phis[:len(copies) + 1])
+        if trap or not segs:
+            return (_run(iids, [act], [len(iids)]),)
+        first_iids, _, first_hs, first_ends = segs[0]
+        return (_run(iids + first_iids, (act,) + first_hs,
+                     [len(iids)] + [len(iids) + e for e in first_ends]),
+                ) + segs[1:]
+
+    def phi_copy(self, fn, b, copies, trap):
+        names = tuple(ph.name for ph, _ in copies)
+        srcs = tuple(k for _, k in copies)
+        masks = tuple(_mask(ph.ty) for ph, _ in copies)
+        if len(copies) == 1 and not trap:
+            (d,), (s,), (mk,) = names, srcs, masks
+
+            def act(mach, regs, aux):
+                regs[d] = regs[s] & mk
+            return act
+
+        def act(mach, regs, aux):
+            vals = [regs[s] for s in srcs]
+            for d, v, mk in zip(names, vals, masks):
+                regs[d] = v & mk
+            if trap:
+                raise AbortError("trap", "phi without incoming edge")
+        return act
+
+    def terminal(self, fn, b, ins):
+        """Variant work at a terminator, run once it has been stepped."""
+        return None
+
+    def entry_aux(self, df: DFunc):
+        """aux of a run's entry frame."""
+        return {}
+
+    # -- per instruction ---------------------------------------------------
+
+    def op(self, fn, ins):
+        if ins.op in BINOPS:
+            return self._binop(ins)
+        if ins.op == "call":
+            if ins.callee in self.m.funcs:
+                callee = self.code.funcs[ins.callee]
+                if len(ins.args) != len(callee.params):
+                    return _trap("arity mismatch calling @" + ins.callee)
+                return self.call(fn, ins, callee)
+            if ins.callee not in BUILTIN_FUNCS:
+                return _trap("call to undefined @" + ins.callee)
+            return getattr(self, "_bi_" + ins.callee)(fn, ins)
+        h = getattr(self, "_op_" + ins.op, None)
+        if h is None:
+            return _trap("cannot execute op " + ins.op)
+        return h(fn, ins)
+
+    def _binop(self, ins):
+        op, d, w = ins.op, ins.name, ins.ty.bits
+        a, b = self.key(ins.args[0]), self.key(ins.args[1])
+        mask = (1 << w) - 1
+        if op == "add":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] + regs[b]) & mask
+        elif op == "sub":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] - regs[b]) & mask
+        elif op == "mul":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] * regs[b]) & mask
+        elif op == "and":
+            def h(mach, regs, aux):
+                regs[d] = regs[a] & regs[b] & mask
+        elif op == "or":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] | regs[b]) & mask
+        elif op == "xor":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] ^ regs[b]) & mask
+        elif op == "shl":
+            # (b & mask) % w == b % w: every width is a power of two
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] << (regs[b] % w)) & mask
+        elif op == "lshr":
+            def h(mach, regs, aux):
+                regs[d] = (regs[a] & mask) >> (regs[b] % w)
+        else:
+            div = op == "div"
+
+            def h(mach, regs, aux):
+                y = regs[b] & mask
+                if not y:
+                    raise AbortError("div_zero")
+                x = regs[a] & mask
+                regs[d] = x // y if div else x % y
+        return h
+
+    def _icmp_bits(self, ins) -> int:
+        for a in ins.args:
+            if isinstance(a, Reg):
+                t = self.types.get(a.name)
+                if t is not None and t.kind == "int":
+                    return t.bits
+                if t is not None and t.kind == "addr":
+                    return 64
+            if isinstance(a, Sym):
+                return 64
+        return 64
+
+    def _op_icmp(self, fn, ins):
+        w = self._icmp_bits(ins)
+        mask, sign = (1 << w) - 1, 1 << (w - 1)
+        d = ins.name
+        a, b = self.key(ins.args[0]), self.key(ins.args[1])
+        pred = ins.pred
+        if pred in ("gt", "ge"):
+            a, b, pred = b, a, "lt" if pred == "gt" else "le"
+        # x ^ sign orders w-bit values as their signed readings do
+        if pred == "lt":
+            def h(mach, regs, aux):
+                regs[d] = 1 if ((regs[a] & mask) ^ sign) \
+                    < ((regs[b] & mask) ^ sign) else 0
+        elif pred == "le":
+            def h(mach, regs, aux):
+                regs[d] = 1 if ((regs[a] & mask) ^ sign) \
+                    <= ((regs[b] & mask) ^ sign) else 0
+        elif pred == "eq":
+            def h(mach, regs, aux):
+                regs[d] = 1 if regs[a] & mask == regs[b] & mask else 0
+        elif pred == "ne":
+            def h(mach, regs, aux):
+                regs[d] = 1 if regs[a] & mask != regs[b] & mask else 0
+        else:
+            return _trap("unknown icmp predicate %s" % pred)
+        return h
+
+    def _op_select(self, fn, ins):
+        d = ins.name
+        c, x, y = (self.key(a) for a in ins.args[:3])
+
+        def h(mach, regs, aux):
+            regs[d] = regs[x] if regs[c] & 1 else regs[y]
+        return h
+
+    def _op_load(self, fn, ins):
+        d, iid, size = ins.name, ins.iid, size_of(ins.ty)
+        pk = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            p = regs[pk]
+            regs[d] = mach.mem.read(p, size)
+            mach.trace.events.append(("r", p // mach.lam))
+            mach._log_access(iid, p, size)
+        return h
+
+    def _op_store(self, fn, ins):
+        iid, size = ins.iid, size_of(ins.ty)
+        vk, pk = self.key(ins.args[0]), self.key(ins.args[1])
+
+        def h(mach, regs, aux):
+            v = regs[vk]
+            p = regs[pk]
+            mach.mem.write(p, size, v)
+            mach.trace.events.append(("w", p // mach.lam))
+            mach._log_access(iid, p, size)
+        return h
+
+    def _op_gep(self, fn, ins):
+        d, bk = ins.name, self.key(ins.args[0])
+        idxs = ins.args[1:]
+        terms = []            # (index key, scale)
+        off = 0
+        if idxs:
+            terms.append((self.key(idxs[0]), size_of(ins.ty)))
+        cur = ins.ty
+        for idx in idxs[1:]:
+            if cur.kind == "array":
+                terms.append((self.key(idx), size_of(cur.elem)))
+                cur = cur.elem
+            elif cur.kind == "agg":
+                if not isinstance(idx, Const):
+                    return _trap("gep field index must be constant")
+                off += field_offset(cur, idx.value)
+                cur = cur.fields[idx.value][1]
+            else:
+                return _trap("gep into scalar")
+        if len(terms) == 1 and not off:
+            (ik, scale), = terms
+
+            def h(mach, regs, aux):
+                i = regs[ik]
+                if i >> 63:
+                    i -= 1 << 64
+                regs[d] = (regs[bk] + i * scale) & M64
+            return h
+        terms = tuple(terms)
+
+        def h(mach, regs, aux):
+            p = regs[bk] + off
+            for ik, scale in terms:
+                p += _to_signed(regs[ik], 64) * scale
+            regs[d] = p & M64
+        return h
+
+    def _op_alloca(self, fn, ins):
+        d, size, site = ins.name, size_of(ins.ty), "s:%d" % ins.iid
+
+        def h(mach, regs, aux):
+            a = mach.mem.alloc("s", size, site=site)
+            mach.frames[-1].plain_stack.append(a)
+            regs[d] = a.base
+        return h
+
+    def _op_heapalloc(self, fn, ins):
+        d, size, site = ins.name, size_of(ins.ty), "h:%d" % ins.iid
+
+        def h(mach, regs, aux):
+            a = mach.mem.alloc("h", size + 8, skew=8, site=site)
+            mach._write(a.base, 8, size)          # size field
+            regs[d] = a.base + 8
+        return h
+
+    def _op_heapfree(self, fn, ins):
+        pk = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            p = regs[pk]
+            if p == 0:
+                return
+            a = mach.mem.find(p - 8)
+            if a is None or a.seg != "h" or p != a.base + 8:
+                raise AbortError("bad_free", "0x%x" % p)
+            if not a.live:
+                raise AbortError("double_free", "0x%x" % p)
+            mach.mem.release(a)
+        return h
+
+    def _op_secret(self, fn, ins):
+        d, k, mask = ins.name, ins.args[0].value, _mask(ins.ty)
+
+        def h(mach, regs, aux):
+            if k >= len(mach.secrets):
+                raise ValueError("secret index %d out of range" % k)
+            regs[d] = mach.secrets[k] & mask
+        return h
+
+    # -- calls ---------------------------------------------------------------
+
+    def enter(self, ins):
+        """(machine, aux, argument keys, callee) -> the callee frame's aux."""
+        return lambda mach, aux, argk, callee: {}
+
+    def leave(self, ins):
+        """(machine, aux, result register or None) after a call returns,
+        or None when the variant has nothing to do there."""
+        return None
+
+    def call(self, fn, ins, callee: DFunc):
+        """Handler of a direct call; it finds the callee by name at run
+        time, so recursion leaves no cycle in the decoded code."""
+        d, name = ins.name, callee.name
+        argk = tuple(self.key(a) for a in ins.args)
+        masks = callee.masks
+        enter, leave = self.enter(ins), self.leave(ins)
+
+        def h(mach, regs, aux):
+            callee = mach.code.funcs[name]
+            r = mach._call(callee,
+                           [regs[k] & mk for k, mk in zip(argk, masks)],
+                           enter(mach, aux, argk, callee))
+            if d is not None:
+                regs[d] = r
+            if leave is not None:
+                leave(mach, aux, d)
+        return h
+
+    def _op_icall(self, fn, ins):
+        d, fk = ins.name, self.key(ins.args[0])
+        argk = tuple(self.key(a) for a in ins.args[1:])
+        enter, leave = self.enter(ins), self.leave(ins)
+
+        def h(mach, regs, aux):
+            fp = regs[fk]
+            args = [regs[k] for k in argk]
+            callee = _icall_target(mach, fp, len(args))
+            r = mach._call(callee,
+                           [v & mk for v, mk in zip(args, callee.masks)],
+                           enter(mach, aux, argk, callee))
+            if d is not None:
+                regs[d] = r
+            if leave is not None:
+                leave(mach, aux, d)
+        return h
+
+    # -- builtins ------------------------------------------------------------
+
+    def _bi_trap(self, fn, ins):
+        # a guarded failsafe passes its taken predicate; decoys sail past
+        if not ins.args:
+            return _trap("failsafe")
+        tk = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            if regs[tk] & 1:
+                raise AbortError("trap", "failsafe")
+        return h
+
+    def _bi_ct_select(self, fn, ins):
+        d, scheme = ins.name, self.code.scheme
+        tk, ak, bk = (self.key(a) for a in ins.args[:3])
+
+        def h(mach, regs, aux):
+            t = regs[tk] & 1
+            regs[d] = ct_select(scheme, encode_taken(scheme, t),
+                                regs[ak], regs[bk])
+        return h
+
+    def _bi_dfl_alloc_stack(self, fn, ins):
+        return self._dfl_alloc(ins, "s")
+
+    def _bi_dfl_alloc_heap(self, fn, ins):
+        return self._dfl_alloc(ins, "h")
+
+    def _dfl_alloc(self, ins, seg):
+        d, size = ins.name, ins.args[1].value
+        key = "%s:%d" % (seg, ins.args[0].value)
+        cell = self.code.site_cells.get(key)
+        if cell is None:
+            return _trap("allocation site %s has no list" % key)
+
+        def h(mach, regs, aux):
+            regs[d] = mach._dfl_alloc(seg, key, size, cell)
+        return h
+
+    def _bi_dfl_free(self, fn, ins):
+        pk = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            mach._dfl_free(regs[pk])
+        return h
+
+    def _meta(self, ins):
+        mid = ins.args[-1].value
+        return mid, self.m.dflmeta.get(mid)
+
+    def _bi_ct_load(self, fn, ins):
+        mid, rec = self._meta(ins)
+        if rec is None:
+            return _trap("unknown dfl metadata %d" % mid)
+        d, pk = ins.name, self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            regs[d] = mach._ct_load(mid, rec, regs[pk])
+        return h
+
+    def _bi_ct_store(self, fn, ins):
+        mid, rec = self._meta(ins)
+        if rec is None:
+            return _trap("unknown dfl metadata %d" % mid)
+        iid, pk, vk = ins.iid, self.key(ins.args[0]), self.key(ins.args[1])
+        fk = vk if self.decoys else ""
+
+        def h(mach, regs, aux):
+            p = regs[pk]
+            mach._ct_store(mid, rec, p, regs[vk], iid, aux.get(fk, False))
+        return h
+
+    def _bi_ct_load_nat(self, fn, ins):
+        mid, rec = self._meta(ins)
+        if rec is None:
+            return _trap("unknown dfl metadata %d" % mid)
+        d = ins.name
+        sk, rk = self.key(ins.args[0]), self.key(ins.args[1])
+
+        def h(mach, regs, aux):
+            p_sel = regs[sk]
+            regs[d] = mach._ct_load_nat(mid, rec, p_sel, regs[rk])
+        return h
+
+    def _bi_ct_store_nat(self, fn, ins):
+        mid, rec = self._meta(ins)
+        if rec is None:
+            return _trap("unknown dfl metadata %d" % mid)
+        iid = ins.iid
+        sk, rk, vk = (self.key(a) for a in ins.args[:3])
+        fk = vk if self.decoys else ""
+
+        def h(mach, regs, aux):
+            p_sel = regs[sk]
+            p_raw = regs[rk]
+            mach._ct_store_nat(mid, rec, p_sel, p_raw, regs[vk], iid,
+                               aux.get(fk, False))
+        return h
+
+
+class DecoyDecoder(Decoder):
+    """Decodes the decoy shadow: aux[r] is true when r holds a value
+    computed on a decoy path, from decoy inputs or under a false taken
+    predicate (the takenmap).  Bookkeeping stores to cfl.*/dfl.* cells
+    are decoy-neutral by construction and never flagged."""
+
+    decoys = True
+
+    def prepare(self):
+        self.taken = {}     # fn name -> {iid: taken register name}
         for fname, tm in self.m.takenmap.items():
             fn = self.m.funcs.get(fname)
             if fn is None:
                 continue
-            by_iid = {}
-            for ins in fn.instructions():
-                by_iid[ins.iid] = ins
-            names[fname] = {
-                iid: by_iid[tid].name
-                for iid, tid in tm.items()
-                if tid in by_iid and by_iid[tid].name
-            }
-        self._taken_regs = names
+            by_iid = {ins.iid: ins for ins in fn.instructions()}
+            self.taken[fname] = {
+                iid: by_iid[tid].name for iid, tid in tm.items()
+                if tid in by_iid and by_iid[tid].name}
 
-    def _reg_types(self, fn):
-        if fn.name not in self._types:
-            from .ir import _result_type
-            env = {p.name: p.ty for p in fn.params}
-            for ins in fn.instructions():
-                if ins.name is not None:
-                    env[ins.name] = _result_type(self.m, ins, env)
-            self._types[fn.name] = env
-        return self._types[fn.name]
+    def entry_aux(self, df: DFunc):
+        return dict.fromkeys(df.params, False)
+
+    def _taken(self, fn, ins) -> str:
+        """Taken register guarding ins, or "", which no frame holds, so
+        `not regs.get(t, 1) & 1` reads as false for unguarded code."""
+        return self.taken.get(fn.name, {}).get(ins.iid) or ""
+
+    def _inputs(self, fn, ins):
+        """(two operand keys, or None past two; the operand keys; taken
+        register): ins computes a decoy value when a register among its
+        operands holds one, or when its taken predicate is false."""
+        keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
+        pair = (keys + ("", ""))[:2] if len(keys) <= 2 else None
+        return pair, keys, self._taken(fn, ins)
+
+    def op(self, fn, ins):
+        h = super().op(fn, ins)
+        if ins.op == "secret" or (ins.op == "call" and ins.callee in (
+                "ct_load", "ct_load_nat")):
+            return _then_flag(h, ins.name, False)
+        if ins.op not in BINOPS and ins.op not in (
+                "icmp", "gep", "load", "alloca", "heapalloc"):
+            return h
+        d = ins.name
+        pair, keys, t = self._inputs(fn, ins)
+        if pair is None:
+            def hd(mach, regs, aux):
+                sh = any(map(aux.get, keys)) or not regs.get(t, 1) & 1
+                h(mach, regs, aux)
+                aux[d] = sh
+            return hd
+        k0, k1 = pair
+
+        def hd(mach, regs, aux):
+            sh = aux.get(k0, False) or aux.get(k1, False) \
+                or not regs.get(t, 1) & 1
+            h(mach, regs, aux)
+            aux[d] = sh
+        return hd
+
+    def _op_select(self, fn, ins):
+        d = ins.name
+        c, x, y = (self.key(a) for a in ins.args[:3])
+        t = self._taken(fn, ins)
+
+        def h(mach, regs, aux):
+            pick = x if regs[c] & 1 else y
+            regs[d] = regs[pick]
+            aux[d] = aux.get(pick, False) or aux.get(c, False) \
+                or not regs.get(t, 1) & 1
+        return h
+
+    def _op_store(self, fn, ins):
+        p = ins.args[1]
+        if isinstance(p, Sym) and is_reserved_name(p.name):
+            return super()._op_store(fn, ins)
+        (k0, k1), _, t = self._inputs(fn, ins)
+        fname, iid, size = fn.name, ins.iid, size_of(ins.ty)
+        vk, pk = self.key(ins.args[0]), self.key(p)
+
+        def h(mach, regs, aux):
+            sh = aux.get(k0, False) or aux.get(k1, False) \
+                or not regs.get(t, 1) & 1
+            v = regs[vk]
+            p = regs[pk]
+            if sh:
+                mach.trace.decoy_violations.append(("store", fname, iid))
+            mach.mem.write(p, size, v)
+            mach.trace.events.append(("w", p // mach.lam))
+            mach._log_access(iid, p, size)
+        return h
+
+    def enter(self, ins):
+        return lambda mach, aux, argk, callee: dict.fromkeys(callee.params,
+                                                             False)
+
+    def leave(self, ins):
+        # an indirect call's result keeps no shadow of its own: a decoy
+        # return through it is not tracked
+        if ins.op == "icall" or ins.name is None:
+            return None
+
+        def leave(mach, aux, d):
+            aux[d] = mach._ret_shadow
+        return leave
+
+    def _bi_ct_select(self, fn, ins):
+        h, d = super()._bi_ct_select(fn, ins), ins.name
+        tk, ak, bk = (self.key(a) for a in ins.args[:3])
+
+        def hd(mach, regs, aux):
+            h(mach, regs, aux)
+            aux[d] = aux.get(ak if regs[tk] & 1 else bk, False)
+        return hd
+
+    def phi_copy(self, fn, b, copies, trap):
+        names = tuple(ph.name for ph, _ in copies)
+        srcs = tuple(k for _, k in copies)
+        masks = tuple(_mask(ph.ty) for ph, _ in copies)
+        takens = tuple(self._taken(fn, ph) for ph, _ in copies)
+
+        def act(mach, regs, aux):
+            vals = [regs[s] for s in srcs]
+            shs = [aux.get(s, False) for s in srcs]
+            for d, v, mk, sh, t in zip(names, vals, masks, shs, takens):
+                regs[d] = v & mk
+                aux[d] = sh or not regs.get(t, 1) & 1
+            if trap:
+                raise AbortError("trap", "phi without incoming edge")
+        return act
+
+    def terminal(self, fn, b, ins):
+        if ins.op != "ret":
+            return None
+        k = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            mach._ret_shadow = aux.get(k, False)
+        return h
+
+
+# ---------------------------------------------------------------------------
+# running
+
+class _Frame:
+    __slots__ = ("dfl_stack", "plain_stack")
+
+    def __init__(self):
+        self.dfl_stack = []    # wrapped allocs, alloc order
+        self.plain_stack = []
+
+
+class Machine:
+    """One run of a module.  Create fresh per interpretation.
+
+    `code` is the module decoded by the batch this run belongs to; when
+    absent the module is decoded for this run alone, as the decoy
+    shadow variant with `decoy_checks`.
+    """
+
+    def __init__(self, m: Module, lam: int = 64, budget: int = DEFAULT_BUDGET,
+                 decoy_checks: bool = False, code: Code | None = None):
+        if code is None:
+            code = Code(m, DecoyDecoder() if decoy_checks else Decoder())
+        elif code.m is not m:
+            raise ValueError("code was decoded from another module")
+        elif decoy_checks and not isinstance(code.decoder, DecoyDecoder):
+            raise ValueError("decoy_checks needs code from DecoyDecoder")
+        self.m = m
+        self.code = code
+        self.lam = lam
+        self.budget = budget
+        self.mem = Memory()
+        self.trace = Trace(lam=lam)
+        self.steps = 0
+        self.frames = []
+        self.site_cells, self.global_addr = _lay_out(m, code.site_keys,
+                                                     self.mem)
+        self._ret_shadow = False
 
     # -- events -----------------------------------------------------------
 
@@ -301,298 +1066,98 @@ class Machine:
                     raise ValueError("public args too short for @%s" % entry)
                 args.append(inp.public[pi] & _mask(p.ty))
                 pi += 1
+        df = self.code.funcs[entry]
         try:
-            self.trace.output = self._call(fn, args)
-            if self.decoy_checks and self._ret_shadow:
+            self.trace.output = self._call(df, args,
+                                           self.code.decoder.entry_aux(df))
+            if self._ret_shadow:
                 self.trace.decoy_violations.append(("ret", entry, None))
         except AbortError as e:
             self.trace.abort = e.code
         return self.trace
 
-    def _call(self, fn, args):
-        self._enter_hook(fn)
-        frame = _Frame(fn, {p.name: a for p, a in zip(fn.params, args)})
-        if self.decoy_checks:
-            for p in fn.params:
-                frame.shadow[p.name] = False
-        block = fn.entry
-        prev_label = None
-
-        while True:
-            # phi parallel copy
-            phis = block.phis()
-            if phis:
-                olds = dict(frame.regs)
-                oldsh = dict(frame.shadow)
-                for ph in phis:
-                    self._step(ph)
-                    val = None
-                    src = None
-                    for lbl, v in ph.incoming:
-                        if lbl == prev_label:
-                            src = v
-                            val = self._eval_in(v, olds)
-                            break
-                    if src is None:
-                        raise AbortError("trap", "phi without incoming edge")
-                    frame.regs[ph.name] = val & _mask(ph.ty)
-                    if self.decoy_checks:
-                        frame.shadow[ph.name] = self._shadow_of(
-                            src, oldsh, ph.iid, fn, frame)
-                    self._phi_hook(ph, prev_label, src, block.label,
-                                   ph is phis[0], frame, fn)
-
-            for ins in block.body():
-                self._step(ins)
-                if ins.op == "br":
-                    prev_label = block.label
-                    block = fn.blocks[ins.labels[0]]
-                    break
-                if ins.op == "condbr":
-                    c = self._eval(ins.args[0], frame)
-                    prev_label = block.label
-                    nxt = ins.labels[0] if c & 1 else ins.labels[1]
-                    self._branch_hook(ins, block.label, nxt, frame, fn)
-                    block = fn.blocks[nxt]
-                    break
-                if ins.op == "ret":
-                    ret = self._eval(ins.args[0], frame)
-                    if self.decoy_checks:
-                        self._ret_shadow = self._shadow_operand(
-                            ins.args[0], frame)
-                    self._ret_hook(ins, frame, fn)
-                    self._pop_frame(frame)
+    def _call(self, fn: DFunc, args, aux):
+        if len(self.frames) >= MAX_CALL_DEPTH:
+            raise AbortError("stack_overflow", "@" + fn.name)
+        regs = fn.pool.copy()
+        regs.update(zip(fn.params, args))
+        frame = _Frame()
+        self.frames.append(frame)
+        extend = self.trace.instrs.extend
+        budget = self.budget
+        blocks = fn.blocks
+        block = blocks[0]
+        prev = None
+        running = None   # the run being executed, if any
+        try:
+            while True:
+                segs = block.segs if block.phis is None \
+                    else block.phis.get(prev, block.phi_miss)
+                for seg in segs:
+                    iids, n, hs, _ = seg
+                    steps = self.steps + n
+                    if steps > budget:
+                        self._step_through(seg, regs, aux)
+                        continue
+                    self.steps = steps
+                    extend(iids)
+                    running = seg
+                    for h in hs:
+                        h(self, regs, aux)
+                    running = None
+                term = block.term
+                tag = term[0]
+                if tag == _CONDBR:
+                    prev = block.label
+                    block = blocks[term[2] if regs[term[1]] & 1 else term[3]]
+                elif tag == _BR:
+                    prev = block.label
+                    block = blocks[term[1]]
+                elif tag == _RET:
+                    ret = regs[term[1]]
+                    self._pop_frame()
                     return ret
-                self._exec(ins, frame, fn)
-            else:
-                raise AbortError("trap", "block fell through")
+                else:
+                    raise AbortError("trap", term[1])
+        except KeyError as e:
+            if running is not None:
+                self._unstep(running, h)
+            raise AbortError("trap", "read of unset %s" % e.args[0]) \
+                from None
+        except AbortError:
+            if running is not None:
+                self._unstep(running, h)
+            raise
 
-    # subclass hooks; the base machine observes nothing extra
-    def _enter_hook(self, fn):
-        pass
+    def _unstep(self, seg, h):
+        """Drop the iids a run stepped past its handler h that aborted."""
+        _, n, hs, ends = seg
+        left = n - ends[hs.index(h)]
+        if left:
+            self.steps -= left
+            del self.trace.instrs[-left:]
 
-    def _phi_hook(self, ph, src_label, src_operand, block_label, first,
-                  frame, fn):
-        pass
+    def _step_through(self, seg, regs, aux):
+        """A run that crosses the budget, one step at a time."""
+        iids, n, hs, ends = seg
+        done = 0
+        for h, end in zip(hs + (None,), ends + (n,)):
+            while done < end:
+                self.steps += 1
+                if self.steps > self.budget:
+                    raise AbortError("budget")
+                self.trace.instrs.append(iids[done])
+                done += 1
+            if h is not None:
+                h(self, regs, aux)
 
-    def _branch_hook(self, ins, from_label, to_label, frame, fn):
-        pass
-
-    def _ret_hook(self, ins, frame, fn):
-        pass
-
-    def _post_exec_hook(self, ins, frame, fn):
-        pass
-
-    def _pop_frame(self, frame: _Frame):
+    def _pop_frame(self):
+        frame = self.frames.pop()
         for a in reversed(frame.dfl_stack):
             self._unlink(a)
             self.mem.release(a)
         for a in frame.plain_stack:
             self.mem.release(a)
-
-    def _step(self, ins: Instr):
-        self.steps += 1
-        if self.steps > self.budget:
-            raise AbortError("budget")
-        self.trace.instrs.append(ins.iid)
-
-    def _eval(self, o, frame):
-        return self._eval_in(o, frame.regs)
-
-    def _eval_in(self, o, regs):
-        if isinstance(o, Reg):
-            try:
-                return regs[o.name]
-            except KeyError:
-                raise AbortError("trap", "read of unset %%%s" % o.name)
-        if isinstance(o, Const):
-            return o.value & M64
-        if isinstance(o, Sym):
-            if o.name in self.global_addr:
-                return self.global_addr[o.name]
-            if o.name in self.func_addr:
-                return self.func_addr[o.name]
-            raise AbortError("trap", "unknown symbol @" + o.name)
-        raise TypeError(o)
-
-    # -- decoy shadow tracking -------------------------------------------
-
-    def _shadow_operand(self, o, frame) -> bool:
-        return isinstance(o, Reg) and frame.shadow.get(o.name, False)
-
-    def _shadow_of(self, src, shadows, iid, fn, frame) -> bool:
-        base = isinstance(src, Reg) and shadows.get(src.name, False)
-        return base or self._under_decoy(fn, iid, frame)
-
-    def _under_decoy(self, fn, iid, frame) -> bool:
-        tm = self._taken_regs.get(fn.name)
-        if not tm or iid not in tm:
-            return False
-        return (frame.regs.get(tm[iid], 1) & 1) == 0
-
-    # -- instruction execution -------------------------------------------
-
-    def _exec(self, ins: Instr, frame: _Frame, fn):
-        op = ins.op
-        shadow = False
-        if self.decoy_checks:
-            shadow = any(self._shadow_operand(a, frame) for a in ins.args) \
-                or self._under_decoy(fn, ins.iid, frame)
-
-        if op in ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
-                  "div", "rem"):
-            w = ins.ty.bits
-            mask = (1 << w) - 1
-            a = self._eval(ins.args[0], frame) & mask
-            b = self._eval(ins.args[1], frame) & mask
-            if op == "add":
-                r = a + b
-            elif op == "sub":
-                r = a - b
-            elif op == "mul":
-                r = a * b
-            elif op == "and":
-                r = a & b
-            elif op == "or":
-                r = a | b
-            elif op == "xor":
-                r = a ^ b
-            elif op == "shl":
-                r = a << (b % w)
-            elif op == "lshr":
-                r = a >> (b % w)
-            else:
-                if b == 0:
-                    raise AbortError("div_zero")
-                r = a // b if op == "div" else a % b
-            frame.regs[ins.name] = r & mask
-
-        elif op == "icmp":
-            w = self._icmp_bits(ins, fn)
-            a = _to_signed(self._eval(ins.args[0], frame), w)
-            b = _to_signed(self._eval(ins.args[1], frame), w)
-            r = {"lt": a < b, "le": a <= b, "eq": a == b,
-                 "ne": a != b, "gt": a > b, "ge": a >= b}[ins.pred]
-            frame.regs[ins.name] = int(r)
-
-        elif op == "select":
-            c = self._eval(ins.args[0], frame) & 1
-            v = self._eval(ins.args[1 if c else 2], frame)
-            frame.regs[ins.name] = v
-            if self.decoy_checks:
-                shadow = self._shadow_operand(ins.args[1 if c else 2], frame) \
-                    or self._shadow_operand(ins.args[0], frame) \
-                    or self._under_decoy(fn, ins.iid, frame)
-
-        elif op == "load":
-            p = self._eval(ins.args[0], frame)
-            size = size_of(ins.ty)
-            v = self._read(p, size)
-            frame.regs[ins.name] = v
-            self._log_access(ins.iid, p, size)
-
-        elif op == "store":
-            v = self._eval(ins.args[0], frame)
-            p = self._eval(ins.args[1], frame)
-            size = size_of(ins.ty)
-            # bookkeeping stores to cfl.*/dfl.* cells are decoy-neutral by
-            # construction; flagging them would drown real findings
-            internal = isinstance(ins.args[1], Sym) \
-                and is_reserved_name(ins.args[1].name)
-            if self.decoy_checks and shadow and not internal:
-                self.trace.decoy_violations.append(("store", fn.name, ins.iid))
-            self._write(p, size, v)
-            self._log_access(ins.iid, p, size)
-
-        elif op == "gep":
-            base = self._eval(ins.args[0], frame)
-            off = 0
-            idxs = ins.args[1:]
-            if idxs:
-                off += _to_signed(self._eval(idxs[0], frame), 64) \
-                    * size_of(ins.ty)
-            cur = ins.ty
-            for idx in idxs[1:]:
-                if cur.kind == "array":
-                    off += _to_signed(self._eval(idx, frame), 64) \
-                        * size_of(cur.elem)
-                    cur = cur.elem
-                elif cur.kind == "agg":
-                    from .ir import field_offset
-                    k = idx.value
-                    off += field_offset(cur, k)
-                    cur = cur.fields[k][1]
-                else:
-                    raise AbortError("trap", "gep into scalar")
-            frame.regs[ins.name] = (base + off) & M64
-
-        elif op == "alloca":
-            a = self.mem.alloc("s", size_of(ins.ty), site="s:%d" % ins.iid)
-            frame.plain_stack.append(a)
-            frame.regs[ins.name] = a.base
-
-        elif op == "heapalloc":
-            size = size_of(ins.ty)
-            a = self.mem.alloc("h", size + 8, skew=8, site="h:%d" % ins.iid)
-            self._write(a.base, 8, size)          # size field
-            frame.regs[ins.name] = a.base + 8
-
-        elif op == "heapfree":
-            p = self._eval(ins.args[0], frame)
-            if p == 0:
-                return
-            a = self.mem.find(p - 8)
-            if a is None or a.seg != "h" or p != a.base + 8:
-                raise AbortError("bad_free", "0x%x" % p)
-            if not a.live:
-                raise AbortError("double_free", "0x%x" % p)
-            self.mem.release(a)
-
-        elif op == "call":
-            self._do_call(ins, frame, fn, shadow)
-
-        elif op == "icall":
-            fp = self._eval(ins.args[0], frame)
-            name = self.addr_func.get(fp)
-            if name is None:
-                raise AbortError("bad_icall", "0x%x" % fp)
-            callee = self.m.funcs[name]
-            args = [self._eval(a, frame) for a in ins.args[1:]]
-            if len(args) != len(callee.params):
-                raise AbortError("bad_icall", "arity")
-            r = self._call(callee, [v & _mask(p.ty) for v, p in
-                                    zip(args, callee.params)])
-            if ins.name:
-                frame.regs[ins.name] = r
-
-        elif op == "secret":
-            k = ins.args[0].value
-            if k >= len(self.secrets):
-                raise ValueError("secret index %d out of range" % k)
-            frame.regs[ins.name] = self.secrets[k] & _mask(ins.ty)
-            shadow = False
-
-        else:
-            raise AbortError("trap", "cannot execute op " + op)
-
-        if self.decoy_checks and ins.name is not None \
-                and op not in ("call", "icall"):
-            frame.shadow[ins.name] = shadow
-        self._post_exec_hook(ins, frame, fn)
-
-    def _icmp_bits(self, ins, fn) -> int:
-        env = self._reg_types(fn)
-        for a in ins.args:
-            if isinstance(a, Reg):
-                t = env.get(a.name)
-                if t is not None and t.kind == "int":
-                    return t.bits
-                if t is not None and t.kind == "addr":
-                    return 64
-            if isinstance(a, Sym):
-                return 64
-        return 64
 
     def _log_access(self, iid, addr, size):
         a = self.mem.find(addr)
@@ -600,58 +1165,9 @@ class Machine:
             off = addr - a.payload
             self.trace.access_log.setdefault(iid, set()).add((a.site, off))
 
-    # -- calls and builtins ----------------------------------------------
-
-    def _do_call(self, ins, frame, fn, shadow):
-        name = ins.callee
-        if name in self.m.funcs:
-            callee = self.m.funcs[name]
-            if len(ins.args) != len(callee.params):
-                raise AbortError("trap", "arity mismatch calling @" + name)
-            args = [self._eval(a, frame) & _mask(p.ty)
-                    for a, p in zip(ins.args, callee.params)]
-            r = self._call(callee, args)
-            if ins.name:
-                frame.regs[ins.name] = r if r is not None else 0
-                if self.decoy_checks:
-                    frame.shadow[ins.name] = self._ret_shadow
-            return
-        if name not in BUILTIN_FUNCS:
-            raise AbortError("trap", "call to undefined @" + name)
-        getattr(self, "_bi_" + name)(ins, frame, shadow)
-
-    def _bi_trap(self, ins, frame, shadow):
-        # a guarded failsafe passes its taken predicate; decoys sail past
-        if ins.args and not (self._eval(ins.args[0], frame) & 1):
-            return
-        raise AbortError("trap", "failsafe")
-
-    def _bi_ct_select(self, ins, frame, shadow):
-        from .cfl import ct_select, encode_taken
-        t = self._eval(ins.args[0], frame) & 1
-        a = self._eval(ins.args[1], frame)
-        b = self._eval(ins.args[2], frame)
-        frame.regs[ins.name] = ct_select(self.scheme,
-                                         encode_taken(self.scheme, t), a, b)
-        if self.decoy_checks:
-            picked = ins.args[1] if t else ins.args[2]
-            frame.shadow[ins.name] = self._shadow_operand(picked, frame)
-
     # ---- dfl allocation -------------------------------------------------
 
-    def _bi_dfl_alloc_stack(self, ins, frame, shadow):
-        self._dfl_alloc(ins, frame, "s")
-
-    def _bi_dfl_alloc_heap(self, ins, frame, shadow):
-        self._dfl_alloc(ins, frame, "h")
-
-    def _dfl_alloc(self, ins, frame, seg):
-        site_tok = ins.args[0].value
-        size = ins.args[1].value
-        key = "%s:%d" % (seg, site_tok)
-        cell = self.site_cells.get(key)
-        if cell is None:
-            raise AbortError("trap", "allocation site %s has no list" % key)
+    def _dfl_alloc(self, seg, key, size, cell):
         a = self.mem.alloc(seg, size + 32, skew=32, site=key)
         base = a.base
         tail = self._read(cell + 8, 8)
@@ -665,8 +1181,8 @@ class Machine:
             self._write(cell + 0, 8, base)
         self._write(cell + 8, 8, base)
         if seg == "s":
-            frame.dfl_stack.append(a)
-        frame.regs[ins.name] = base + 32
+            self.frames[-1].dfl_stack.append(a)
+        return base + 32
 
     def _unlink(self, a: _Alloc):
         base = a.base
@@ -682,8 +1198,7 @@ class Machine:
         else:
             self._write(cell + 8, 8, prv)
 
-    def _bi_dfl_free(self, ins, frame, shadow):
-        p = self._eval(ins.args[0], frame)
+    def _dfl_free(self, p):
         if p == 0:
             return
         a = self.mem.find(p - 8)
@@ -704,13 +1219,6 @@ class Machine:
 
     # ---- dfl access wrappers -------------------------------------------
 
-    def _meta(self, ins):
-        mid = ins.args[-1].value
-        rec = self.m.dflmeta.get(mid)
-        if rec is None:
-            raise AbortError("trap", "unknown dfl metadata %d" % mid)
-        return mid, rec
-
     def _instances(self, entry):
         """Yield payload base of each live instance, emitting walk events."""
         kind, ref = entry.site_ref()
@@ -726,9 +1234,7 @@ class Machine:
             yield cur + 32
             cur = self._read(cur + 0, 8)
 
-    def _bi_ct_load(self, ins, frame, shadow):
-        mid, rec = self._meta(ins)
-        p = self._eval(ins.args[0], frame)
+    def _ct_load(self, mid, rec, p):
         lam, size = rec.lam, rec.size
         result = 0
         matches = 0
@@ -751,14 +1257,9 @@ class Machine:
             raise AbortError("dfl_overlap", "p matched %d times" % matches)
         if p != 0 and matches == 0:
             self.trace.violations.append(("miss", mid, p))
-        frame.regs[ins.name] = result
-        if self.decoy_checks:
-            frame.shadow[ins.name] = False
+        return result
 
-    def _bi_ct_store(self, ins, frame, shadow):
-        mid, rec = self._meta(ins)
-        p = self._eval(ins.args[0], frame)
-        v = self._eval(ins.args[1], frame)
+    def _ct_store(self, mid, rec, p, v, iid, decoy_value):
         lam, size = rec.lam, rec.size
         matches = 0
         for entry in rec.entries:
@@ -773,10 +1274,9 @@ class Machine:
                     self._ev("r", s)
                     cur = s + q
                     if cur == p and p != 0 and p + size <= end:
-                        if self.decoy_checks and self._shadow_operand(
-                                ins.args[1], frame):
+                        if decoy_value:
                             self.trace.decoy_violations.append(
-                                ("ct_store", mid, ins.iid))
+                                ("ct_store", mid, iid))
                         self.mem.write(p, size, v)
                         matches += 1
                         self._log_access(rec.access, p, size)
@@ -810,10 +1310,7 @@ class Machine:
         j = (p_raw - start) // rec.lam
         return start + j * rec.lam, end
 
-    def _bi_ct_load_nat(self, ins, frame, shadow):
-        mid, rec = self._meta(ins)
-        p_sel = self._eval(ins.args[0], frame)
-        p_raw = self._eval(ins.args[1], frame)
+    def _ct_load_nat(self, mid, rec, p_sel, p_raw):
         s, end = self._nat_window(rec, p_raw, p_sel)
         self.trace.touches[mid] = self.trace.touches.get(mid, 0) + 1
         self._ev("r", s)
@@ -821,30 +1318,18 @@ class Machine:
         if p_sel == p_raw and p_sel != 0 and p_raw + rec.size <= end:
             v = self.mem.read(p_raw, rec.size)
             self._log_access(rec.access, p_raw, rec.size)
-        frame.regs[ins.name] = v
-        if self.decoy_checks:
-            frame.shadow[ins.name] = False
+        return v
 
-    def _bi_ct_store_nat(self, ins, frame, shadow):
-        mid, rec = self._meta(ins)
-        p_sel = self._eval(ins.args[0], frame)
-        p_raw = self._eval(ins.args[1], frame)
-        v = self._eval(ins.args[2], frame)
+    def _ct_store_nat(self, mid, rec, p_sel, p_raw, v, iid, decoy_value):
         s, end = self._nat_window(rec, p_raw, p_sel)
         self.trace.touches[mid] = self.trace.touches.get(mid, 0) + 1
         self._ev("r", s)
         if p_sel == p_raw and p_sel != 0 and p_raw + rec.size <= end:
-            if self.decoy_checks and self._shadow_operand(ins.args[2], frame):
-                self.trace.decoy_violations.append(("ct_store", mid, ins.iid))
+            if decoy_value:
+                self.trace.decoy_violations.append(("ct_store", mid, iid))
             self.mem.write(p_raw, rec.size, v)
             self._log_access(rec.access, p_raw, rec.size)
         self._ev("w", s)
-
-
-def _mask(ty) -> int:
-    if ty.kind == "addr":
-        return M64
-    return (1 << ty.bits) - 1
 
 
 def interpret(m: Module, inp: ExecInput, lam: int = 64,
@@ -856,14 +1341,15 @@ def interpret(m: Module, inp: ExecInput, lam: int = 64,
 
 
 def final_state(m: Module, inp: ExecInput, entry: str = "main",
-                budget: int = DEFAULT_BUDGET):
+                budget: int = DEFAULT_BUDGET, code: Code | None = None):
     """(trace, global payload bytes, live heap payloads in alloc order).
 
     Reserved bookkeeping globals (cfl.*/dfl.*) are excluded; wrapped heap
     objects are reported without their in-band headers so original and
-    hardened modules are comparable.
+    hardened modules are comparable.  `code` is m decoded by the caller's
+    batch, as in `Machine`.
     """
-    mach = Machine(m, lam=64, budget=budget)
+    mach = Machine(m, lam=64, budget=budget, code=code)
     trace = mach.run(inp, entry=entry)
     gbytes = {}
     for name in m.globals:

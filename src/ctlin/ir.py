@@ -246,13 +246,13 @@ class Module:
         for f in self.funcs.values():
             yield from f.instructions()
 
-    def find_instr(self, iid: int):
-        for f in self.funcs.values():
-            for b in f.blocks.values():
-                for i in b.instrs:
-                    if i.iid == iid:
-                        return f, b, i
-        return None
+    def instr_index(self) -> dict:
+        """Map iid -> (function, block, instruction), built in one pass.
+
+        Stays valid while no instruction moves to another block.
+        """
+        return {i.iid: (f, b, i) for f in self.funcs.values()
+                for b in f.blocks.values() for i in b.instrs}
 
     def renumber(self) -> dict:
         """Reassign instruction ids in lexical order; returns old -> new.
@@ -302,6 +302,7 @@ class ParseError(Exception):
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _INT = re.compile(r"-?(0x[0-9a-fA-F]+|\d+)")
+_HEX = re.compile(r"[0-9a-fA-F]*")
 
 
 class _Cursor:
@@ -546,7 +547,9 @@ def parse_module(text: str) -> Module:
             if cur.accept("="):
                 cur.skip_ws()
                 hexs = raw[cur.pos:].strip()
-                if not re.fullmatch(r"([0-9a-fA-F]{2})+", hexs):
+                # whole byte pairs; a repeated group here would make the
+                # regex engine keep state per pair of a 64 KiB table
+                if not hexs or len(hexs) % 2 or not _HEX.fullmatch(hexs):
                     cur.error("bad initializer bytes")
                 init = bytes.fromhex(hexs)
                 if len(init) > size_of(ty):

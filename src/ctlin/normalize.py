@@ -53,6 +53,7 @@ class Region:
 class RegionTree:
     roots: dict = field(default_factory=dict)   # fn -> linear root region
     by_id: dict = field(default_factory=dict)   # rid -> Region
+    latches: dict = field(default_factory=dict)  # (fn, latch) -> loop Region
 
     def loop_at(self, fn: str, header: str) -> Region | None:
         return self.by_id.get((fn, "loop", header))
@@ -61,10 +62,7 @@ class RegionTree:
         return self.by_id.get((fn, "branch", entry))
 
     def loop_of_latch(self, fn: str, latch: str) -> Region | None:
-        for r in self.by_id.values():
-            if r.kind == "loop" and r.fn == fn and r.latch == latch:
-                return r
-        return None
+        return self.latches.get((fn, latch))
 
     def innermost(self, fn: str, label: str) -> Region:
         best = self.roots[fn]
@@ -309,6 +307,8 @@ def normalize_regions(m: Module) -> RegionTree:
         tree.roots[fn.name] = root
         for r in regions:
             tree.by_id[r.rid] = r
+            if r.kind == "loop":
+                tree.latches.setdefault((r.fn, r.latch), r)
     return tree
 
 

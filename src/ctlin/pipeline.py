@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cfl, dfl, pta
-from .interp import DEFAULT_BUDGET, parse_suite
+from .interp import DEFAULT_BUDGET, SuiteError, parse_suite
 from .ir import Module, validate
 from .normalize import normalize_regions, promote_indirect_calls, unify_exits
 from .taint import close_sensitivity, default_suite, taint_profile
@@ -41,8 +41,12 @@ class PipelineConfig:
 
 def _suite(m: Module, cfg: PipelineConfig) -> list:
     if cfg.suite_path:
-        with open(cfg.suite_path) as f:
-            suite = parse_suite(f.read())
+        try:
+            with open(cfg.suite_path) as f:
+                text = f.read()
+        except OSError as e:
+            raise SuiteError("cannot read suite: %s" % e) from None
+        suite = parse_suite(text)
         if not suite:
             raise PipelineError("suite %s holds no inputs" % cfg.suite_path)
         return suite
@@ -51,8 +55,9 @@ def _suite(m: Module, cfg: PipelineConfig) -> list:
 
 def _sensitive_functions(m: Module, ss) -> set:
     fns = {rid[0] for rid in ss.regions} | set(ss.functions)
+    where = m.instr_index()
     for iid in set(ss.accesses) | set(ss.divrem):
-        loc = m.find_instr(iid)
+        loc = where.get(iid)
         if loc is not None:
             fns.add(loc[0].name)
     return fns

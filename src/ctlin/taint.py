@@ -21,7 +21,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .interp import DEFAULT_BUDGET, ExecInput, Machine
+from .interp import (DEFAULT_BUDGET, AbortError, Code, Decoder, ExecInput,
+                     Machine, _then_flag)
 from .ir import BINOPS, Module, Reg, size_of
 from .normalize import RegionTree, normalize_regions
 
@@ -63,181 +64,198 @@ class SensitiveSet:
     bounds: dict = field(default_factory=dict)   # (fn, header) -> k
 
 
+class TaintDecoder(Decoder):
+    """Decodes the taint variant: aux[r] is true when r depends on a
+    secret.  The handlers add what they find to the machine's report."""
+
+    def __init__(self, rt: RegionTree):
+        self.rt = rt
+
+    def prepare(self):
+        # (fn, join label) -> keys of the branch conditions merging there
+        self.joins = defaultdict(list)
+        for r in self.rt.by_id.values():
+            if r.kind != "branch" or r.exit is None:
+                continue
+            cond = self.m.funcs[r.fn].blocks[r.entry].terminator.args[0]
+            if isinstance(cond, Reg):      # constants carry no taint
+                self.joins[(r.fn, r.exit)].append(cond.name)
+
+    def entry_aux(self, df):
+        return dict(zip(df.params, df.secret))
+
+    # -- flow rules --------------------------------------------------------
+
+    def phi_copy(self, fn, b, copies, trap):
+        copy = super().phi_copy(fn, b, copies, False)
+        names = tuple(ph.name for ph, _ in copies)
+        srcs = tuple(k for _, k in copies)
+        conds = tuple(self.joins.get((fn.name, b.label), ()))
+
+        def act(mach, regs, t):
+            # phis copy in parallel; every phi reads pre-copy taints,
+            # join conditions read the taints as the copy goes
+            snap = [t.get(s, False) for s in srcs]
+            copy(mach, regs, t)
+            for d, r in zip(names, snap):
+                for c in conds:
+                    r = r or t.get(c, False)
+                t[d] = r
+            if trap:
+                raise AbortError("trap", "phi without incoming edge")
+        return act
+
+    def terminal(self, fn, b, ins):
+        if ins.op == "br":
+            return None
+        k = self.key(ins.args[0])
+        if ins.op == "ret":
+            def h(mach, regs, t):
+                mach._ret_taint = t.get(k, False)
+            return h
+        iid = ins.iid
+        loop = self.rt.loop_of_latch(fn.name, b.label)
+        if loop is None:
+            def h(mach, regs, t):
+                if t.get(k, False):
+                    mach.report.branches.add(iid)
+            return h
+        key = (fn.name, loop.entry)
+        on_true, on_false = (lbl == loop.entry for lbl in ins.labels)
+        defs = tuple(sorted({i.name for lbl in loop.blocks
+                             for i in fn.blocks[lbl].instrs
+                             if i.name is not None}))
+
+        def h(mach, regs, t):
+            back = on_true if regs[k] & 1 else on_false
+            flags = mach.tflags[-1]
+            flags[key] = flags.get(key, False) or t.get(k, False)
+            trips = mach.trips[-1]
+            if back:
+                trips[key] = trips.get(key, 1) + 1
+                return
+            n = trips.pop(key, 1)
+            bounds = mach.report.loop_bounds
+            bounds[key] = max(bounds.get(key, 1), n)
+            if flags.pop(key, False):
+                mach.report.loops.add(key)
+                for name in defs:
+                    t[name] = True
+        return h
+
+    def op(self, fn, ins):
+        h = super().op(fn, ins)
+        op, d = ins.op, ins.name
+        if op == "icall" or d is None:
+            return h
+        if op == "call":
+            # a module function's result takes the taint of its return;
+            # builtins return public values
+            return h if ins.callee in self.m.funcs else \
+                _then_flag(h, d, False)
+        if op in BINOPS or op == "icmp":
+            a, b = self.key(ins.args[0]), self.key(ins.args[1])
+            iid = ins.iid if op in ("div", "rem") else None
+
+            def ht(mach, regs, t):
+                h(mach, regs, t)
+                r = t.get(a, False) or t.get(b, False)
+                if r and iid is not None:
+                    mach.report.divrem.add(iid)
+                t[d] = r
+            return ht
+        if op == "gep":
+            keys = tuple(self.key(a) for a in ins.args
+                         if isinstance(a, Reg))
+
+            def ht(mach, regs, t):
+                h(mach, regs, t)
+                t[d] = any(map(t.get, keys))
+            return ht
+        if op in ("secret", "alloca", "heapalloc"):
+            return _then_flag(h, d, op == "secret")
+        return h
+
+    def _op_select(self, fn, ins):
+        h, d = super()._op_select(fn, ins), ins.name
+        c, x, y = (self.key(a) for a in ins.args[:3])
+
+        def ht(mach, regs, t):
+            h(mach, regs, t)
+            t[d] = t.get(c, False) or t.get(x if regs[c] & 1 else y, False)
+        return ht
+
+    def _op_load(self, fn, ins):
+        h, d, iid = super()._op_load(fn, ins), ins.name, ins.iid
+        pk, size = self.key(ins.args[0]), size_of(ins.ty)
+
+        def ht(mach, regs, t):
+            h(mach, regs, t)
+            p = regs[pk]
+            tp = t.get(pk, False)
+            if tp:
+                mach.report.reads.add(iid)
+                mach.report.addr_tainted.add(iid)
+            t[d] = tp or any(a in mach.mtaint for a in range(p, p + size))
+        return ht
+
+    def _op_store(self, fn, ins):
+        h, iid, size = super()._op_store(fn, ins), ins.iid, size_of(ins.ty)
+        vk, pk = self.key(ins.args[0]), self.key(ins.args[1])
+
+        def ht(mach, regs, t):
+            h(mach, regs, t)
+            tv = t.get(vk, False)
+            tp = t.get(pk, False)
+            if tv or tp:
+                mach.report.writes.add(iid)
+            if tp:
+                mach.report.addr_tainted.add(iid)
+            p = regs[pk]
+            span = range(p, p + size)
+            if tv or tp:
+                mach.mtaint.update(span)
+            else:
+                mach.mtaint.difference_update(span)
+        return ht
+
+    # -- frame discipline --------------------------------------------------
+
+    def enter(self, ins):
+        def enter(mach, t, argk, callee):
+            mach.trips.append({})
+            mach.tflags.append({})
+            return {p: t.get(k, False) or s
+                    for p, k, s in zip(callee.params, argk, callee.secret)}
+        return enter
+
+    def leave(self, ins):
+        def leave(mach, t, d):
+            mach.trips.pop()
+            mach.tflags.pop()
+            if d is not None:
+                t[d] = mach._ret_taint
+        return leave
+
+
 class TaintMachine(Machine):
     """Interpreter with a parallel boolean shadow for every value.
 
     One machine profiles one input; the report accumulates across runs.
+    `code` is the module decoded with `TaintDecoder` once per suite.
     """
 
     def __init__(self, m: Module, rt: RegionTree, report: TaintReport,
-                 budget: int = DEFAULT_BUDGET):
-        super().__init__(m, lam=1, budget=budget)
+                 budget: int = DEFAULT_BUDGET, code: Code | None = None):
+        if code is None:
+            code = Code(m, TaintDecoder(rt))
+        super().__init__(m, lam=1, budget=budget, code=code)
         self.rt = rt
         self.report = report
-        self.tstack = []        # reg taint dict per frame
-        self.trips = []         # (fn, header) -> live trip count, per frame
-        self.tflags = []        # (fn, header) -> latch cond ever tainted
-        self.pending = []       # argument taints for the imminent call
+        self.trips = [{}]       # (fn, header) -> live trip count, per frame
+        self.tflags = [{}]      # (fn, header) -> latch cond ever tainted
         self.mtaint = set()     # tainted byte addresses
         self._ret_taint = False
-        self._snap = {}
-        self._joins = self._join_conds()
-        self._defs_cache = {}
-
-    def _join_conds(self):
-        # (fn, join label) -> branch condition operands merging there
-        joins = defaultdict(list)
-        for r in self.rt.by_id.values():
-            if r.kind != "branch" or r.exit is None:
-                continue
-            term = self.m.funcs[r.fn].blocks[r.entry].terminator
-            joins[(r.fn, r.exit)].append(term.args[0])
-        return dict(joins)
-
-    def _taint_op(self, o, t) -> bool:
-        if isinstance(o, Reg):
-            return t.get(o.name, False)
-        return False
-
-    def _loop_defs(self, fn, loop):
-        key = (fn.name, loop.entry)
-        if key not in self._defs_cache:
-            self._defs_cache[key] = {
-                i.name
-                for lbl in loop.blocks
-                for i in fn.blocks[lbl].instrs
-                if i.name is not None
-            }
-        return self._defs_cache[key]
-
-    # -- frame discipline --------------------------------------------------
-
-    def _call(self, fn, args):
-        if self.pending:
-            base = self.pending.pop()
-        else:
-            base = [p.secret for p in fn.params]
-        self.tstack.append({p.name: bool(b) or p.secret
-                            for p, b in zip(fn.params, base)})
-        self.trips.append({})
-        self.tflags.append({})
-        try:
-            return super()._call(fn, args)
-        finally:
-            self.tstack.pop()
-            self.trips.pop()
-            self.tflags.pop()
-
-    def _do_call(self, ins, frame, fn, shadow):
-        t = self.tstack[-1]
-        if ins.callee in self.m.funcs:
-            callee = self.m.funcs[ins.callee]
-            if len(ins.args) == len(callee.params):
-                self.pending.append([self._taint_op(a, t) for a in ins.args])
-            super()._do_call(ins, frame, fn, shadow)
-            if ins.name:
-                t[ins.name] = self._ret_taint
-        else:
-            super()._do_call(ins, frame, fn, shadow)
-            if ins.name:
-                t[ins.name] = False
-
-    def _exec(self, ins, frame, fn):
-        if ins.op == "icall":
-            t = self.tstack[-1]
-            self.pending.append([self._taint_op(a, t) for a in ins.args[1:]])
-            super()._exec(ins, frame, fn)
-            if ins.name:
-                t[ins.name] = self._ret_taint
-            return
-        super()._exec(ins, frame, fn)
-
-    def _ret_hook(self, ins, frame, fn):
-        self._ret_taint = self._taint_op(ins.args[0], self.tstack[-1])
-
-    # -- flow rules --------------------------------------------------------
-
-    def _phi_hook(self, ph, src_label, src, block_label, first, frame, fn):
-        t = self.tstack[-1]
-        if first:
-            # phis copy in parallel; later phis must read pre-copy taints
-            self._snap = dict(t)
-        r = self._taint_op(src, self._snap)
-        for cond in self._joins.get((fn.name, block_label), ()):
-            r = r or self._taint_op(cond, t)
-        t[ph.name] = r
-
-    def _branch_hook(self, ins, from_label, to_label, frame, fn):
-        t = self.tstack[-1]
-        ct = self._taint_op(ins.args[0], t)
-        loop = self.rt.loop_of_latch(fn.name, from_label)
-        if loop is None:
-            if ct:
-                self.report.branches.add(ins.iid)
-            return
-        key = (fn.name, loop.entry)
-        flags = self.tflags[-1]
-        flags[key] = flags.get(key, False) or ct
-        if to_label == loop.entry:
-            self.trips[-1][key] = self.trips[-1].get(key, 1) + 1
-            return
-        n = self.trips[-1].pop(key, 1)
-        bounds = self.report.loop_bounds
-        bounds[key] = max(bounds.get(key, 1), n)
-        if flags.pop(key, False):
-            self.report.loops.add(key)
-            for name in self._loop_defs(fn, loop):
-                t[name] = True
-
-    def _post_exec_hook(self, ins, frame, fn):
-        op = ins.op
-        if op in ("call", "icall"):
-            return
-        t = self.tstack[-1]
-
-        def top(o):
-            return self._taint_op(o, t)
-
-        if op in BINOPS:
-            r = top(ins.args[0]) or top(ins.args[1])
-            if op in ("div", "rem") and r:
-                self.report.divrem.add(ins.iid)
-            t[ins.name] = r
-        elif op == "icmp":
-            t[ins.name] = top(ins.args[0]) or top(ins.args[1])
-        elif op == "select":
-            c = self._eval(ins.args[0], frame) & 1
-            t[ins.name] = top(ins.args[0]) or top(ins.args[1 if c else 2])
-        elif op == "load":
-            p = self._eval(ins.args[0], frame)
-            size = size_of(ins.ty)
-            tp = top(ins.args[0])
-            if tp:
-                self.report.reads.add(ins.iid)
-                self.report.addr_tainted.add(ins.iid)
-            t[ins.name] = tp or any(a in self.mtaint
-                                    for a in range(p, p + size))
-        elif op == "store":
-            tv = top(ins.args[0])
-            tp = top(ins.args[1])
-            if tv or tp:
-                self.report.writes.add(ins.iid)
-            if tp:
-                self.report.addr_tainted.add(ins.iid)
-            p = self._eval(ins.args[1], frame)
-            span = range(p, p + size_of(ins.ty))
-            if tv or tp:
-                self.mtaint.update(span)
-            else:
-                self.mtaint.difference_update(span)
-        elif op == "gep":
-            t[ins.name] = any(top(a) for a in ins.args)
-        elif op == "secret":
-            t[ins.name] = True
-        elif op in ("alloca", "heapalloc"):
-            t[ins.name] = False
-        elif ins.name is not None:
-            t[ins.name] = any(top(a) for a in ins.args)
 
 
 def input_shape(m: Module, entry: str = "main"):
@@ -284,8 +302,9 @@ def taint_profile(m: Module, suite, entry: str = "main",
     """
     rt = normalize_regions(m)
     report = TaintReport()
+    code = Code(m, TaintDecoder(rt))
     for inp in suite:
-        tm = TaintMachine(m, rt, report, budget=budget)
+        tm = TaintMachine(m, rt, report, budget=budget, code=code)
         tr = tm.run(inp, entry)
         if tr.abort is not None:
             raise ProfileError("abort %r while profiling %s"

@@ -6,6 +6,9 @@ neither may the sequence of lambda-quantized memory window events.
 Each check runs the module over a batch of secret vectors and compares
 traces against the first one; any split is a finding, not a statistic.
 
+Each check decodes the module once (`interp.Code`) and runs its whole
+batch on that decoded form.
+
 Verification quantum may be coarser than the hardening quantum, since
 identical fine-grained traces stay identical under any multiple.  The
 reverse direction is refused rather than approximated.
@@ -22,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .interp import DEFAULT_BUDGET, ExecInput, Machine, final_state, \
-    interpret
+from .interp import (DEFAULT_BUDGET, Code, DecoyDecoder, ExecInput, Machine,
+                     final_state)
 from .taint import input_shape
 
 SECRET_SPACE = 1 << 16
@@ -88,8 +91,8 @@ def _grown_bounds(m, mach) -> dict:
     return out
 
 
-def _run(m, pub, sec, entry, lam, budget, decoy_checks=False):
-    mach = Machine(m, lam=lam, budget=budget, decoy_checks=decoy_checks)
+def _run(code, pub, sec, entry, lam, budget):
+    mach = Machine(code.m, lam=lam, budget=budget, code=code)
     tr = mach.run(ExecInput(list(pub), list(sec)), entry=entry)
     return mach, tr
 
@@ -125,10 +128,11 @@ def _compare_traces(m, entry, lam, pairs, seed, space, budget, check, sig):
     for _ in range(4):
         grown = {}
         mismatch = None
+        code = Code(m)
         for pub in pubs:
             ref = ref_sec = None
             for sv in secs:
-                mach, tr = _run(m, pub, sv, entry, lam, budget)
+                mach, tr = _run(code, pub, sv, entry, lam, budget)
                 if tr.abort is not None:
                     return Verdict(check, False,
                                    "abort '%s' under secrets %s"
@@ -207,10 +211,13 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
     for _ in range(samples):
         inputs.append(([rng.randrange(space) for _ in range(npub)],
                        [rng.randrange(space) for _ in range(nsec)]))
+    orig_code, hard_code = Code(orig), Code(hard)
     for pub, sec in inputs:
         inp = ExecInput(list(pub), list(sec))
-        to, go, ho = final_state(orig, inp, entry=entry, budget=budget)
-        th, gh, hh = final_state(hard, inp, entry=entry, budget=budget)
+        to, go, ho = final_state(orig, inp, entry=entry, budget=budget,
+                                 code=orig_code)
+        th, gh, hh = final_state(hard, inp, entry=entry, budget=budget,
+                                 code=hard_code)
         where = "public %s secrets %s" % (pub, sec)
         if to.abort != th.abort:
             return Verdict("equivalence", False, "abort '%s' vs '%s' (%s)"
@@ -242,10 +249,11 @@ def check_decoy_invariants(m, entry: str = "main", pairs: int = 100,
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
     lam = m.harden.lam if m.harden else 64
+    code = Code(m, DecoyDecoder())
     n = 0
     for pub in pubs:
         for sv in secs:
-            _, tr = _run(m, pub, sv, entry, lam, budget, decoy_checks=True)
+            _, tr = _run(code, pub, sv, entry, lam, budget)
             where = "under secrets %s" % (sv,)
             if tr.decoy_violations:
                 return Verdict("decoy-invariants", False, "%r %s"

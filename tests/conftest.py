@@ -24,6 +24,17 @@ def load(name: str):
     return parse_module(corpus_src(name))
 
 
+# @f(n) recurses n deep and returns n
+RECURSIVE = (
+    "func @f(%n: i64) -> i64 {\n"
+    "entry:\n  %z = icmp eq %n, 0\n  condbr %z, done, rec\n"
+    "rec:\n  %m = sub i64 %n, 1\n  %r = call @f(%m)\n"
+    "  %s = add i64 %r, 1\n  br done\n"
+    "done:\n  %v = phi i64 [entry: 0, rec: %s]\n  ret %v\n}\n"
+    "func @main(%n: i64) -> i64 {\n"
+    "entry:\n  %r = call @f(%n)\n  ret %r\n}\n")
+
+
 _harden_cache = {}
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import corpus_path
+from conftest import RECURSIVE, corpus_path
 from ctlin.cli import (EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, EXIT_VERIFY,
                        main)
 from ctlin.ir import parse_module, validate
@@ -94,6 +94,22 @@ class TestErrors:
         assert rc == EXIT_INPUT
         assert "undefined" in err
 
+    def test_malformed_suite_is_an_input_error(self, tmp_path, capsys):
+        suite = tmp_path / "bad.suite"
+        suite.write_text("1,2 ; sec: 3\n")
+        rc, _, err = run(["harden", corpus_path("jit_trip"),
+                          "--suite", str(suite), "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert "pub:" in err
+
+    def test_profiling_abort_is_a_pipeline_error(self, tmp_path, capsys):
+        # every suite input recurses past the call depth limit
+        src = tmp_path / "deep.ir"
+        src.write_text(RECURSIVE)
+        rc, _, err = run(["harden", str(src), "--emit", "-"], capsys)
+        assert rc == EXIT_PIPELINE
+        assert "stack_overflow" in err
+
     def test_pipeline_error(self, tmp_path, capsys):
         suite = tmp_path / "empty.suite"
         suite.write_text("# nothing\n")
@@ -134,6 +150,18 @@ class TestVerifyCommand:
         assert "PASS obliviousness@1" in text
         assert "PASS obliviousness@4" in text
         assert "PASS obliviousness@64" in text
+
+    @pytest.mark.parametrize("flags", [["--lambda", "0"],
+                                       ["--lambda", "-64"],
+                                       ["--pairs", "0"], ["--pairs", "-1"],
+                                       ["--space", "1"]])
+    def test_vacuous_flags_are_input_errors(self, hardened_path, flags,
+                                            capsys):
+        rc, out, err = run(["verify", corpus_path("nested_branches"),
+                            hardened_path] + flags, capsys)
+        assert rc == EXIT_INPUT
+        assert "PASS" not in out
+        assert flags[0] in err
 
     def test_leaky_module_exits_nonzero(self, capsys):
         rc, out, _ = run(["verify", corpus_path("nested_branches"),

@@ -1,0 +1,139 @@
+"""Golden digests of emitted bytes, execution traces and taint reports.
+
+`tests/data/engine_golden.json` holds, for every corpus program at
+lambda 1, 4 and 64, SHA-256 digests of:
+
+- `bytes`: `print_module` of the hardened module at select schemes 1-5;
+- `traces`: everything a `Trace` carries plus `Machine.steps`, for the
+  first 16 inputs of the verify grid, on the original and the hardened
+  module, with decoy shadow tracking off and on;
+- `taint`: every `TaintReport` the pipeline's profiling produced.
+
+The digests were recorded with the per-step interpreter, before the
+decoded engine replaced it.  They are the behaviour contract of the
+engine: a mismatch is a behaviour change to find and explain, never a
+reason to regenerate the file.  Regenerate (`python
+tests/test_engine_golden.py --write`) only for a change that means to
+alter emitted bytes or traces, and say why in its description.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+
+from conftest import CORPUS, load  # noqa: E402
+from ctlin import pipeline  # noqa: E402
+from ctlin.interp import ExecInput, Machine  # noqa: E402
+from ctlin.ir import print_module  # noqa: E402
+from ctlin.pipeline import PipelineConfig, harden_module  # noqa: E402
+from ctlin.verify import public_batch, secret_batch  # noqa: E402
+
+GOLDEN = os.path.join(HERE, "data", "engine_golden.json")
+LAMS = (1, 4, 64)
+SCHEMES = (1, 2, 3, 4, 5)
+GRID_INPUTS = 16
+
+
+def _names():
+    return sorted(n[:-3] for n in os.listdir(CORPUS) if n.endswith(".ir"))
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _sorted_sets(d: dict) -> list:
+    return sorted([k, sorted(v)] for k, v in d.items())
+
+
+def _trace_record(mach, tr) -> list:
+    return [tr.instrs, tr.events, tr.lam, tr.output, tr.abort,
+            sorted(tr.touches.items()), _sorted_sets(tr.access_log),
+            tr.violations, tr.decoy_violations, mach.steps]
+
+
+def _grid(m) -> list:
+    out = []
+    for pub in public_batch(m):
+        for sv in secret_batch(m):
+            out.append(ExecInput(list(pub), list(sv)))
+            if len(out) == GRID_INPUTS:
+                return out
+    return out
+
+
+def _taint_record(report) -> list:
+    return [sorted(report.branches), sorted(report.loops),
+            sorted(report.reads), sorted(report.writes),
+            sorted(report.addr_tainted), sorted(report.divrem),
+            sorted(report.loop_bounds.items())]
+
+
+def digests(name: str, lam: int) -> dict:
+    reports = []
+    orig_profile = pipeline.taint_profile
+
+    def recording(*a, **kw):
+        rep = orig_profile(*a, **kw)
+        reports.append(_taint_record(rep))
+        return rep
+
+    pipeline.taint_profile = recording
+    try:
+        texts = []
+        hard = None
+        for scheme in SCHEMES:
+            hm, _ = harden_module(load(name),
+                                  PipelineConfig(lam=lam, scheme=scheme))
+            texts.append(print_module(hm))
+            if scheme == 5:
+                hard = hm
+    finally:
+        pipeline.taint_profile = orig_profile
+
+    orig = load(name)
+    runs = []
+    for m in (orig, hard):
+        for decoy in (False, True):
+            for inp in _grid(hard):
+                mach = Machine(m, lam=lam, decoy_checks=decoy)
+                tr = mach.run(inp)
+                runs.append(_trace_record(mach, tr))
+    return {"bytes": _sha(texts), "traces": _sha(runs),
+            "taint": _sha(reports)}
+
+
+def _keys():
+    return ["%s.l%d" % (n, lam) for n in _names() for lam in LAMS]
+
+
+def _load_golden() -> dict:
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("key", _keys())
+def test_engine_golden(key):
+    name, lam = key.rsplit(".l", 1)
+    assert digests(name, int(lam)) == _load_golden()[key]
+
+
+def test_golden_covers_corpus():
+    assert sorted(_load_golden()) == sorted(_keys())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_engine_golden.py --write")
+    out = {key: digests(key.rsplit(".l", 1)[0], int(key.rsplit(".l", 1)[1]))
+           for key in _keys()}
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as f:
+        json.dump(out, f, indent=1, sort_keys=True)
+        f.write("\n")

@@ -5,10 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hardened, load
-from ctlin.interp import (ExecInput, Trace, final_state,
-                          format_suite, interpret, parse_suite)
+import pytest
+
+from conftest import RECURSIVE, hardened, load
+from ctlin.interp import (MAX_CALL_DEPTH, ExecInput, Machine, SuiteError,
+                          Trace, final_state, format_suite, interpret,
+                          parse_suite)
 from ctlin.ir import parse_module
+from ctlin.normalize import normalize_regions, unify_exits
+from ctlin.taint import ProfileError, taint_profile
 
 M64 = (1 << 64) - 1
 
@@ -143,6 +148,44 @@ class TestControl:
             "spin:\n  br spin\n}\n")
         assert interpret(m, ExecInput([], []), budget=1000).abort == "budget"
 
+    def test_budget_abort_steps_exactly_the_budget(self):
+        m = parse_module(
+            "func @main() -> i64 {\nentry:\n  br spin\n"
+            "spin:\n  %x = add i64 1, 2\n  %y = add i64 %x, 3\n"
+            "  br spin\n}\n")
+        for budget in (1000, 1001, 1002):
+            mach = Machine(m, budget=budget)
+            tr = mach.run(ExecInput([], []))
+            assert tr.abort == "budget"
+            # the step that crosses the budget is counted, not traced
+            assert len(tr.instrs) == budget and mach.steps == budget + 1
+            assert tr.instrs[:4] == [0, 1, 2, 3]
+
+    def test_abort_mid_block_ends_trace_at_the_fault(self):
+        m = parse_module(
+            "func @main(%a: i64, %b: i64) -> i64 {\nentry:\n"
+            "  %x = add i64 %a, 1\n  %q = div i64 %x, %b\n"
+            "  %r = add i64 %q, 1\n  ret %r\n}\n")
+        mach = Machine(m)
+        tr = mach.run(ExecInput([5, 0], []))
+        assert tr.abort == "div_zero"
+        assert tr.instrs == [0, 1] and mach.steps == 2
+        tr = interpret(m, ExecInput([5, 2], []))
+        assert tr.instrs == [0, 1, 2, 3] and tr.output == 4
+
+    def test_phi_without_incoming_edge_traps_once_stepped(self):
+        m = parse_module(
+            "func @main(%a: i64) -> i64 {\nentry:\n  %c = icmp eq %a, 0\n"
+            "  condbr %c, l, r\nl:\n  br j\nr:\n  br j\n"
+            "j:\n  %p = phi i64 [l: 1, r: 2]\n  %q = phi i64 [l: 3]\n"
+            "  %s = add i64 %p, %q\n  ret %s\n}\n")
+        assert interpret(m, ExecInput([0], [])).output == 4
+        tr = interpret(m, ExecInput([1], []))
+        # entry, r, then both phis; the add never runs
+        assert tr.abort == "trap" and tr.instrs == [0, 1, 3, 4, 5]
+        tr = interpret(m, ExecInput([1], []), budget=4)
+        assert tr.abort == "budget" and tr.instrs == [0, 1, 3, 4]
+
     def test_trap_unconditional(self):
         m = parse_module("func @main() -> i64 {\nentry:\n"
                          "  call @trap()\n  ret 0\n}\n")
@@ -154,6 +197,28 @@ class TestControl:
                          "  call @trap(%t)\n  ret 0\n}\n")
         assert interpret(m, ExecInput([0], [])).abort is None
         assert interpret(m, ExecInput([1], [])).abort == "trap"
+
+
+class TestCallDepth:
+    def test_recursion_within_limit(self):
+        m = parse_module(RECURSIVE)
+        tr = interpret(m, ExecInput([100], []))
+        assert tr.abort is None and tr.output == 100
+
+    def test_deep_recursion_aborts(self):
+        m = parse_module(RECURSIVE)
+        tr = interpret(m, ExecInput([2000], []))
+        assert tr.abort == "stack_overflow"
+        assert tr.output is None
+        # the call that would open one frame too many was stepped
+        assert tr.instrs.count(tr.instrs[-1]) == MAX_CALL_DEPTH - 1
+
+    def test_profiling_deep_recursion_is_a_profile_error(self):
+        m = parse_module(RECURSIVE)
+        unify_exits(m)
+        normalize_regions(m)
+        with pytest.raises(ProfileError, match="stack_overflow"):
+            taint_profile(m, [ExecInput([2000], [])])
 
 
 class TestTrace:
@@ -199,6 +264,12 @@ class TestSuiteFormat:
         back = parse_suite(format_suite(suite))
         assert [(i.public, i.secrets) for i in back] == \
             [(i.public, i.secrets) for i in suite]
+
+    @pytest.mark.parametrize("line", ["1,2 ; sec: 3", "pub: x ; sec: 3",
+                                      "pub: 1 ; 3"])
+    def test_malformed_line(self, line):
+        with pytest.raises(SuiteError):
+            parse_suite(line + "\n")
 
     def test_comments_and_blanks(self):
         text = "# comment\n\npub: 1,2 ; sec: 3\n   \npub: ; sec:\n"

@@ -229,8 +229,9 @@ class TestRenumber:
         hm, _ = hardened("table_lookup")
         m2 = parse_module(print_module(hm))
         m2.renumber()
+        where = m2.instr_index()
         for rec in m2.dflmeta.values():
-            loc = m2.find_instr(rec.access)
+            loc = where.get(rec.access)
             assert loc is not None
             assert loc[2].callee in ("ct_load", "ct_store",
                                      "ct_load_nat", "ct_store_nat")
