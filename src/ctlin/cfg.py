@@ -27,34 +27,48 @@ class CFG:
             b = self.idom.get(b)
         return False
 
-    def postdominates(self, a: str, b: str) -> bool:
-        while b is not None:
-            if a == b:
-                return True
-            b = self.ipdom.get(b)
-        return False
 
-    def dom_tree_children(self) -> dict:
-        out = {b: [] for b in self.succs}
-        for b, d in self.idom.items():
-            if d is not None:
-                out[d].append(b)
-        return out
+def dfs(entry: str, succs: dict):
+    """Depth-first walk from entry, without recursion.
 
-
-def _rpo(entry: str, succs: dict) -> list:
-    seen = set()
+    Returns (reverse postorder, retreating edges): an edge n -> s
+    retreats when s is still on the walk's stack as n lists it.
+    Successors are visited in list order.
+    """
     order = []
+    retreating = []
+    active = {entry: True}      # node -> still on the stack
+    stack = [(entry, iter(succs.get(entry, ())))]
+    while stack:
+        n, it = stack[-1]
+        for s in it:
+            if s not in active:
+                active[s] = True
+                stack.append((s, iter(succs.get(s, ()))))
+                break
+            if active[s]:
+                retreating.append((n, s))
+        else:
+            stack.pop()
+            active[n] = False
+            order.append(n)
+    order.reverse()
+    return order, retreating
 
-    def dfs(n):
-        seen.add(n)
-        for s in succs.get(n, []):
-            if s not in seen:
-                dfs(s)
-        order.append(n)
 
-    dfs(entry)
-    return list(reversed(order))
+def reachable(edges: dict, roots) -> set:
+    """Nodes reached from roots over one or more edges (node -> targets).
+
+    A root is in the result only when a cycle leads back to it.
+    """
+    out = set()
+    work = list(roots)
+    while work:
+        for s in edges.get(work.pop(), ()):
+            if s not in out:
+                out.add(s)
+                work.append(s)
+    return out
 
 
 def _idoms(entry: str, nodes: list, preds: dict) -> dict:
@@ -99,8 +113,8 @@ def build_cfg(fn) -> CFG:
 
     entry = fn.entry.label
     g = CFG(entry=entry, succs=succs, preds=preds)
-    g.rpo = _rpo(entry, succs)
-    reachable = set(g.rpo)
+    g.rpo, retreating = dfs(entry, succs)
+    live = set(g.rpo)
     g.idom = _idoms(entry, g.rpo, preds)
 
     # postdominators: run the same solver on the reversed graph, rooted at
@@ -108,38 +122,19 @@ def build_cfg(fn) -> CFG:
     exits = [b for b in g.rpo if not succs.get(b)]
     vexit = "__exit__"
     rev_succs = {vexit: list(exits)}
-    for n in reachable:
-        rev_succs[n] = [p for p in preds[n] if p in reachable]
-    rev_preds = {n: [s for s in succs.get(n, []) if s in reachable] for n in reachable}
+    for n in live:
+        rev_succs[n] = [p for p in preds[n] if p in live]
+    rev_preds = {n: [s for s in succs.get(n, []) if s in live] for n in live}
     for e in exits:
         rev_preds[e] = rev_preds.get(e, []) + [vexit]
     rev_preds[vexit] = []
-    order = _rpo(vexit, rev_succs)
+    order, _ = dfs(vexit, rev_succs)
     ip = _idoms(vexit, order, rev_preds)
-    g.ipdom = {n: (None if ip.get(n) in (vexit, None) else ip[n]) for n in reachable}
+    g.ipdom = {n: (None if ip.get(n) in (vexit, None) else ip[n]) for n in live}
 
-    # reducibility: every retreating edge in a DFS must target a dominator
-    g.reducible = _is_reducible(entry, succs, g)
+    # reducibility: every retreating edge must target a dominator
+    g.reducible = all(g.dominates(s, n) for n, s in retreating)
     return g
-
-
-def _is_reducible(entry: str, succs: dict, g: CFG) -> bool:
-    state = {}  # 0 in progress, 1 done
-    ok = True
-
-    def dfs(n):
-        nonlocal ok
-        state[n] = 0
-        for s in succs.get(n, []):
-            if s not in state:
-                dfs(s)
-            elif state[s] == 0:  # retreating edge n -> s
-                if not g.dominates(s, n):
-                    ok = False
-        state[n] = 1
-
-    dfs(entry)
-    return ok
 
 
 def back_edges(fn, g: CFG) -> list:

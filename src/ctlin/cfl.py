@@ -77,10 +77,6 @@ def ct_select(scheme: int, t: int, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # shared rewriting helpers
 
-def _op(tp):
-    return tp
-
-
 def _replace_uses(fn: Function, old: str, new):
     for b in fn.blocks.values():
         for i in b.instrs:

@@ -16,6 +16,7 @@ address sequence and touch one window per execution.
 
 from __future__ import annotations
 
+from .cfg import reachable
 from .ir import (Const, DflAccessMetadata, DflEntry, Global, Module, Reg,
                  Sym, size_of)
 
@@ -95,28 +96,6 @@ def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
     return mid
 
 
-def _cyclic_functions(m: Module) -> set:
-    calls = {
-        f.name: {i.callee for i in f.instructions()
-                 if i.op == "call" and i.callee in m.funcs}
-        for f in m.funcs.values()
-    }
-    cyc = set()
-    for start, first in calls.items():
-        seen = set()
-        work = list(first)
-        while work:
-            g = work.pop()
-            if g == start:
-                cyc.add(start)
-                break
-            if g in seen:
-                continue
-            seen.add(g)
-            work.extend(calls[g])
-    return cyc
-
-
 def promote_stack_objects(m: Module) -> int:
     """Hoist planned stack slots of non-recursive frames to module scope.
 
@@ -133,10 +112,10 @@ def promote_stack_objects(m: Module) -> int:
                 wanted.add(int(e.site.split(":")[1]))
     if not wanted:
         return 0
-    recursive = _cyclic_functions(m)
+    cg = m.callees()
     moved = {}
     for f in m.funcs.values():
-        if f.name in recursive:
+        if f.name in reachable(cg, [f.name]):    # recursive frame
             continue
         for ins in f.instructions():
             if ins.op == "alloca" and ins.iid in wanted:

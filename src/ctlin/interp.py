@@ -807,7 +807,7 @@ class Decoder:
         d, pk = ins.name, self.key(ins.args[0])
 
         def h(mach, regs, aux):
-            regs[d] = mach._ct_load(mid, rec, regs[pk])
+            regs[d] = mach._ct_sweep(mid, rec, regs[pk])
         return h
 
     def _bi_ct_store(self, fn, ins):
@@ -818,8 +818,8 @@ class Decoder:
         fk = vk if self.decoys else ""
 
         def h(mach, regs, aux):
-            p = regs[pk]
-            mach._ct_store(mid, rec, p, regs[vk], iid, aux.get(fk, False))
+            mach._ct_sweep(mid, rec, regs[pk],
+                           (regs[vk], iid, aux.get(fk, False)))
         return h
 
     def _bi_ct_load_nat(self, fn, ins):
@@ -830,8 +830,7 @@ class Decoder:
         sk, rk = self.key(ins.args[0]), self.key(ins.args[1])
 
         def h(mach, regs, aux):
-            p_sel = regs[sk]
-            regs[d] = mach._ct_load_nat(mid, rec, p_sel, regs[rk])
+            regs[d] = mach._ct_nat(mid, rec, regs[sk], regs[rk])
         return h
 
     def _bi_ct_store_nat(self, fn, ins):
@@ -843,10 +842,8 @@ class Decoder:
         fk = vk if self.decoys else ""
 
         def h(mach, regs, aux):
-            p_sel = regs[sk]
-            p_raw = regs[rk]
-            mach._ct_store_nat(mid, rec, p_sel, p_raw, regs[vk], iid,
-                               aux.get(fk, False))
+            mach._ct_nat(mid, rec, regs[sk], regs[rk],
+                         (regs[vk], iid, aux.get(fk, False)))
         return h
 
 
@@ -947,9 +944,7 @@ class DecoyDecoder(Decoder):
                                                              False)
 
     def leave(self, ins):
-        # an indirect call's result keeps no shadow of its own: a decoy
-        # return through it is not tracked
-        if ins.op == "icall" or ins.name is None:
+        if ins.name is None:
             return None
 
         def leave(mach, aux, d):
@@ -1234,7 +1229,13 @@ class Machine:
             yield cur + 32
             cur = self._read(cur + 0, 8)
 
-    def _ct_load(self, mid, rec, p):
+    def _ct_sweep(self, mid, rec, p, store=None):
+        """Touch every window of the plan; the one holding p is the access.
+
+        A load reads there and returns the value.  A store passes
+        `store` = (value, iid, decoy flag of the value): it writes the
+        value there, and marks every window written after reading it.
+        """
         lam, size = rec.lam, rec.size
         result = 0
         matches = 0
@@ -1250,44 +1251,19 @@ class Machine:
                     self._ev("r", s)
                     cur = s + q
                     if cur == p and p != 0 and p + size <= end:
-                        result = self.mem.read(p, size)
+                        result = self._hit(mid, rec, p, store)
                         matches += 1
-                        self._log_access(rec.access, p, size)
+                    if store is not None:
+                        self._ev("w", s)
         if matches > 1:
             raise AbortError("dfl_overlap", "p matched %d times" % matches)
         if p != 0 and matches == 0:
             self.trace.violations.append(("miss", mid, p))
         return result
 
-    def _ct_store(self, mid, rec, p, v, iid, decoy_value):
-        lam, size = rec.lam, rec.size
-        matches = 0
-        for entry in rec.entries:
-            for payload in self._instances(entry):
-                start = payload + entry.off
-                end = start + entry.length
-                nwin = -(-entry.length // lam)
-                q = (p - start) % lam if p else 0
-                self.trace.touches[mid] = self.trace.touches.get(mid, 0) + nwin
-                for j in range(nwin):
-                    s = start + j * lam
-                    self._ev("r", s)
-                    cur = s + q
-                    if cur == p and p != 0 and p + size <= end:
-                        if decoy_value:
-                            self.trace.decoy_violations.append(
-                                ("ct_store", mid, iid))
-                        self.mem.write(p, size, v)
-                        matches += 1
-                        self._log_access(rec.access, p, size)
-                    self._ev("w", s)
-        if matches > 1:
-            raise AbortError("dfl_overlap", "p matched %d times" % matches)
-        if p != 0 and matches == 0:
-            self.trace.violations.append(("miss", mid, p))
-
-    def _nat_window(self, rec, p_raw, p_sel):
-        """Window of the raw pointer; out-of-range raw clamps to start.
+    def _ct_nat(self, mid, rec, p_sel, p_raw, store=None):
+        """Touch the window of the raw pointer; out-of-range raw clamps to
+        the portion start.  `store` as in `_ct_sweep`.
 
         A decoy execution (p_sel == 0) may carry any raw pointer, so the
         clamp is silent there.  A live access with a raw pointer outside
@@ -1298,8 +1274,7 @@ class Machine:
         kind, ref = entry.site_ref()
         if kind != "g":
             raise AbortError("trap", "natural stride entry must be global")
-        payload = self.global_addr[ref]
-        start = payload + entry.off
+        start = self.global_addr[ref] + entry.off
         end = start + entry.length
         if not (start <= p_raw < end):
             if p_sel:
@@ -1307,29 +1282,28 @@ class Machine:
             p_raw = start
         elif p_sel and p_sel != p_raw:
             self.trace.violations.append(("miss", rec.mid, p_sel))
-        j = (p_raw - start) // rec.lam
-        return start + j * rec.lam, end
-
-    def _ct_load_nat(self, mid, rec, p_sel, p_raw):
-        s, end = self._nat_window(rec, p_raw, p_sel)
+        s = start + (p_raw - start) // rec.lam * rec.lam
         self.trace.touches[mid] = self.trace.touches.get(mid, 0) + 1
         self._ev("r", s)
         v = 0
         if p_sel == p_raw and p_sel != 0 and p_raw + rec.size <= end:
-            v = self.mem.read(p_raw, rec.size)
-            self._log_access(rec.access, p_raw, rec.size)
+            v = self._hit(mid, rec, p_raw, store)
+        if store is not None:
+            self._ev("w", s)
         return v
 
-    def _ct_store_nat(self, mid, rec, p_sel, p_raw, v, iid, decoy_value):
-        s, end = self._nat_window(rec, p_raw, p_sel)
-        self.trace.touches[mid] = self.trace.touches.get(mid, 0) + 1
-        self._ev("r", s)
-        if p_sel == p_raw and p_sel != 0 and p_raw + rec.size <= end:
+    def _hit(self, mid, rec, p, store):
+        """The real access of a wrapper, at p: a read, or a write of
+        `store`'s value."""
+        if store is None:
+            v = self.mem.read(p, rec.size)
+        else:
+            v, iid, decoy_value = store
             if decoy_value:
                 self.trace.decoy_violations.append(("ct_store", mid, iid))
-            self.mem.write(p_raw, rec.size, v)
-            self._log_access(rec.access, p_raw, rec.size)
-        self._ev("w", s)
+            self.mem.write(p, rec.size, v)
+        self._log_access(rec.access, p, rec.size)
+        return v
 
 
 def interpret(m: Module, inp: ExecInput, lam: int = 64,

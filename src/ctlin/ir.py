@@ -199,7 +199,11 @@ class DflEntry:
     off: int
     length: int
     stride: int      # element stride inside the portion, descriptive
-    handler: str     # simple | gather | bulk
+    # simple | gather | bulk: a cost-model label, read only by
+    # dfl.plan_cost and pipeline.module_stats.  The interpreter sweeps
+    # every window alike whatever it says; it stays because it is part
+    # of the emitted bytes.
+    handler: str
 
     def site_kind(self) -> str:
         return self.site[0]
@@ -253,6 +257,13 @@ class Module:
         """
         return {i.iid: (f, b, i) for f in self.funcs.values()
                 for b in f.blocks.values() for i in b.instrs}
+
+    def callees(self) -> dict:
+        """Call graph: fn name -> names of module functions it calls
+        directly (builtins and indirect calls are not edges)."""
+        return {f.name: {i.callee for i in f.instructions()
+                         if i.op == "call" and i.callee in self.funcs}
+                for f in self.funcs.values()}
 
     def renumber(self) -> dict:
         """Reassign instruction ids in lexical order; returns old -> new.
@@ -489,7 +500,8 @@ def _parse_dflmeta(cur: _Cursor) -> DflAccessMetadata:
     while not cur.accept("]"):
         cur.expect("(")
         cur.expect("site=")
-        cur.skip_ws()
+        if cur.at_end():
+            cur.error("expected site class")
         kind = cur.text[cur.pos]
         cur.pos += 1
         cur.expect(":")
@@ -899,12 +911,7 @@ def _result_type(m: Module, ins: Instr, env) -> Type | None:
             return m.funcs[ins.callee].ret_ty
         if ins.callee in ("dfl_alloc_stack", "dfl_alloc_heap"):
             return ADDR
-        if ins.callee == "ct_load":
-            mid = ins.args[-1]
-            if isinstance(mid, Const) and mid.value in m.dflmeta:
-                return m.dflmeta[mid.value].ty
-            return None
-        if ins.callee == "ct_load_nat":
+        if ins.callee in ("ct_load", "ct_load_nat"):
             mid = ins.args[-1]
             if isinstance(mid, Const) and mid.value in m.dflmeta:
                 return m.dflmeta[mid.value].ty

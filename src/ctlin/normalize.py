@@ -36,8 +36,6 @@ class Region:
     children: list = field(default_factory=list)
     parent: "Region | None" = None
     latch: str | None = None
-    then_entry: str | None = None
-    else_entry: str | None = None
 
     @property
     def rid(self):
@@ -63,14 +61,6 @@ class RegionTree:
 
     def loop_of_latch(self, fn: str, latch: str) -> Region | None:
         return self.latches.get((fn, latch))
-
-    def innermost(self, fn: str, label: str) -> Region:
-        best = self.roots[fn]
-        for r in self.by_id.values():
-            if r.fn == fn and r.kind != "linear" and label in r.blocks:
-                if best.kind == "linear" or len(r.blocks) < len(best.blocks):
-                    best = r
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +95,10 @@ def unify_exits(m: Module) -> Module:
         g = cfglib.build_cfg(fn)
         exit_label = [b for b in fn.blocks.values()
                       if b.terminator.op == "ret"][0].label
+        # every reachable block must reach the exit
+        reaches = cfglib.reachable(g.preds, [exit_label]) | {exit_label}
         for label in g.rpo:
-            # every reachable block must reach the exit
-            seen = {label}
-            work = [label]
-            found = label == exit_label
-            while work and not found:
-                n = work.pop()
-                for s in g.succs.get(n, []):
-                    if s == exit_label:
-                        found = True
-                        break
-                    if s not in seen:
-                        seen.add(s)
-                        work.append(s)
-            if not found:
+            if label not in reaches:
                 raise NormalizeError(
                     "@%s: block '%s' cannot reach the exit" % (fn.name, label))
         unreachable = set(fn.blocks) - set(g.rpo)
@@ -290,17 +269,14 @@ def normalize_regions(m: Module) -> RegionTree:
             regions.append(Region("loop", fn.name, header, exit_t, set(body),
                                   latch=latch))
         for b in fn.blocks.values():
-            t = b.terminator
-            if t.op != "condbr" or b.label in latch_set:
+            if b.terminator.op != "condbr" or b.label in latch_set:
                 continue
             join = g.ipdom.get(b.label)
             if join is None:
                 raise NormalizeError(
                     "@%s: condbr in '%s' has no join point" % (fn.name, b.label))
             span = _branch_span(fn, g, b.label, join)
-            r = Region("branch", fn.name, b.label, join, span,
-                       then_entry=t.labels[0], else_entry=t.labels[1])
-            regions.append(r)
+            regions.append(Region("branch", fn.name, b.label, join, span))
 
         root = Region("linear", fn.name, fn.entry.label, None, set(fn.blocks))
         _nest(regions, root)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cfl, dfl, pta
+from .cfg import reachable
 from .interp import DEFAULT_BUDGET, SuiteError, parse_suite
 from .ir import Module, validate
 from .normalize import normalize_regions, promote_indirect_calls, unify_exits
@@ -71,18 +72,10 @@ def _clone_scope(m: Module, fns: set) -> set:
     a leaf with two callers only splits once the caller is in scope.
     """
     callers = {}
-    for fn in m.funcs.values():
-        for ins in fn.instructions():
-            if ins.op == "call" and ins.callee in m.funcs:
-                callers.setdefault(ins.callee, set()).add(fn.name)
-    scope = set(fns)
-    work = list(fns)
-    while work:
-        for c in callers.get(work.pop(), ()):
-            if c not in scope:
-                scope.add(c)
-                work.append(c)
-    return scope
+    for f, cs in m.callees().items():
+        for c in cs:
+            callers.setdefault(c, set()).add(f)
+    return set(fns) | reachable(callers, fns)
 
 
 def harden_module(m: Module, cfg: PipelineConfig | None = None):

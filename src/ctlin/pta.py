@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from .cfg import reachable
 from .ir import Const, Function, Module, Reg, Sym, field_offset, size_of
 
 _MAX_ELEMS = 64          # per-value widening threshold
@@ -351,31 +352,10 @@ def aggressive_clone(m: Module, sens_fns: set) -> dict:
     """
     if not sens_fns:
         return {}
-    calls = {
-        f.name: [i for i in f.instructions()
-                 if i.op == "call" and i.callee in m.funcs]
-        for f in m.funcs.values()
-    }
-    reach = {}
-
-    def reach_of(fname):
-        if fname in reach:
-            return reach[fname]
-        reach[fname] = set()
-        seen = set()
-        work = [fname]
-        while work:
-            g = work.pop()
-            for ins in calls[g]:
-                if ins.callee not in seen:
-                    seen.add(ins.callee)
-                    work.append(ins.callee)
-        reach[fname] = seen
-        return seen
-
+    cg = m.callees()
+    reach = {f: reachable(cg, [f]) for f in sens_fns}
     roots = sorted(f for f in sens_fns
-                   if not any(f in reach_of(o)
-                              for o in sens_fns if o != f))
+                   if not any(f in reach[o] for o in sens_fns if o != f))
     cmap = {}
     counters = {}
 

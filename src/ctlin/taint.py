@@ -21,6 +21,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from .cfg import reachable
 from .interp import (DEFAULT_BUDGET, AbortError, Code, Decoder, ExecInput,
                      Machine, _then_flag)
 from .ir import BINOPS, Module, Reg, size_of
@@ -312,20 +313,8 @@ def taint_profile(m: Module, suite, entry: str = "main",
     return report
 
 
-def direct_callgraph(m: Module) -> dict:
-    """fn name -> [(call iid, callee name)] for calls to module functions."""
-    cg = {}
-    for f in m.funcs.values():
-        edges = []
-        for ins in f.instructions():
-            if ins.op == "call" and ins.callee in m.funcs:
-                edges.append((ins.iid, ins.callee))
-        cg[f.name] = edges
-    return cg
-
-
-def close_sensitivity(m: Module, report: TaintReport, rt: RegionTree,
-                      cg: dict | None = None) -> SensitiveSet:
+def close_sensitivity(m: Module, report: TaintReport,
+                      rt: RegionTree) -> SensitiveSet:
     """Close the raw report over region structure and the call graph.
 
     A sensitive branch claims its whole region; nested regions follow.
@@ -334,19 +323,13 @@ def close_sensitivity(m: Module, report: TaintReport, rt: RegionTree,
     decoy needs protection even when its own operands never carried
     taint: it executes with garbage on decoy paths.
     """
-    if cg is None:
-        cg = direct_callgraph(m)
     ss = SensitiveSet(bounds=dict(report.loop_bounds))
-    where = {}
-    for f in m.funcs.values():
-        for bl in f.blocks.values():
-            for i in bl.instrs:
-                where[i.iid] = (f.name, bl.label)
+    where = m.instr_index()
 
     seeds = []
     for iid in report.branches:
-        fname, lbl = where[iid]
-        r = rt.branch_at(fname, lbl)
+        f, bl, _ = where[iid]
+        r = rt.branch_at(f.name, bl.label)
         if r is None:
             raise ProfileError(
                 "sensitive branch %d is not a branch region entry" % iid)
@@ -373,28 +356,14 @@ def close_sensitivity(m: Module, report: TaintReport, rt: RegionTree,
         bs = r.blocks - {r.entry} if r.kind == "branch" else set(r.blocks)
         guarded[r.fn] |= bs
 
-    def called_in(fname, labels):
-        f = m.funcs[fname]
-        for lbl in labels:
-            for i in f.blocks[lbl].instrs:
-                if i.op == "call" and i.callee in m.funcs:
-                    yield i.callee
-
-    funcs = set()
-    work = []
-    for fname, labels in list(guarded.items()):
-        work.extend(called_in(fname, labels))
-    while work:
-        g = work.pop()
-        if g in funcs:
-            continue
-        funcs.add(g)
-        all_lbls = set(m.funcs[g].blocks)
-        guarded[g] |= all_lbls
-        for r in rt.by_id.values():
-            if r.fn == g and r.kind != "linear":
-                regs.add(r.rid)
-        work.extend(called_in(g, all_lbls))
+    first = {i.callee for fname, labels in guarded.items()
+             for lbl in labels for i in m.funcs[fname].blocks[lbl].instrs
+             if i.op == "call" and i.callee in m.funcs}
+    funcs = first | reachable(m.callees(), first)
+    for g in funcs:
+        guarded[g] |= set(m.funcs[g].blocks)
+    regs |= {r.rid for r in rt.by_id.values()
+             if r.fn in funcs and r.kind != "linear"}
 
     acc = set(report.reads) | set(report.writes)
     dr = set(report.divrem)

@@ -52,8 +52,12 @@ def secret_batch(m, entry: str = "main", pairs: int = 100, seed: int = 0,
     """Secret vectors to compare, exhaustive when the space allows.
 
     One secret slot over a small space is enumerated completely;
-    anything larger gets `pairs` random pairs plus both extremes.
+    anything larger gets `pairs` random pairs plus both extremes.  A
+    space of one value cannot vary a secret and is refused.
     """
+    if space < 2:
+        raise ValueError("secret space %d holds fewer than 2 values"
+                         % space)
     _, nsec = input_shape(m, entry)
     if nsec == 0:
         return [[]]
@@ -187,6 +191,8 @@ def check_obliviousness(m, lam: int | None = None, entry: str = "main",
     """Memory window event trace at quantum lam is secret-independent."""
     lam_h = m.harden.lam if m.harden else 64
     lam_v = lam_h if lam is None else lam
+    if lam_v <= 0:
+        raise ValueError("verify quantum %d is not positive" % lam_v)
     check = "obliviousness@%d" % lam_v
     if lam_v % lam_h:
         return Verdict(check, False,

@@ -7,10 +7,15 @@ lambda 1, 4 and 64, SHA-256 digests of:
 - `traces`: everything a `Trace` carries plus `Machine.steps`, for the
   first 16 inputs of the verify grid, on the original and the hardened
   module, with decoy shadow tracking off and on;
-- `taint`: every `TaintReport` the pipeline's profiling produced.
+- `taint`: every `TaintReport` the pipeline's profiling produced;
+- `verdicts`: the `Verdict.line()` text and warnings of
+  `verify_module(original, hardened, pairs=8)`, the lines `ctlin
+  verify` prints.
 
-The digests were recorded with the per-step interpreter, before the
-decoded engine replaced it.  They are the behaviour contract of the
+The `bytes`, `traces` and `taint` digests were recorded with the
+per-step interpreter, before the decoded engine replaced it; the
+`verdicts` digests with the decoded engine, before the call graph and
+CFG walk were merged.  They are the behaviour contract of the
 engine: a mismatch is a behaviour change to find and explain, never a
 reason to regenerate the file.  Regenerate (`python
 tests/test_engine_golden.py --write`) only for a change that means to
@@ -32,7 +37,8 @@ from ctlin import pipeline  # noqa: E402
 from ctlin.interp import ExecInput, Machine  # noqa: E402
 from ctlin.ir import print_module  # noqa: E402
 from ctlin.pipeline import PipelineConfig, harden_module  # noqa: E402
-from ctlin.verify import public_batch, secret_batch  # noqa: E402
+from ctlin.verify import (public_batch, secret_batch,  # noqa: E402
+                          verify_module)
 
 GOLDEN = os.path.join(HERE, "data", "engine_golden.json")
 LAMS = (1, 4, 64)
@@ -105,8 +111,10 @@ def digests(name: str, lam: int) -> dict:
                 mach = Machine(m, lam=lam, decoy_checks=decoy)
                 tr = mach.run(inp)
                 runs.append(_trace_record(mach, tr))
+    verdicts = [[v.line(), v.warnings]
+                for v in verify_module(orig, hard, pairs=8)]
     return {"bytes": _sha(texts), "traces": _sha(runs),
-            "taint": _sha(reports)}
+            "taint": _sha(reports), "verdicts": _sha(verdicts)}
 
 
 def _keys():

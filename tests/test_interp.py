@@ -221,6 +221,38 @@ class TestCallDepth:
             taint_profile(m, [ExecInput([2000], [])])
 
 
+DECOY_RETURN = """\
+global @out: i64
+
+func @leaf(%x: i64) -> i64 {
+entry:
+  %live = icmp eq %x, 99
+  %v = add i64 %x, 1
+  ret %v
+}
+
+func @main() -> i64 {
+entry:
+  %r = CALL
+  store i64 %r, @out
+  ret 0
+}
+
+takenmap @leaf { 1:0 }
+"""
+
+
+class TestDecoyShadow:
+    @pytest.mark.parametrize("call", ["call @leaf(5)", "icall @leaf(5)"])
+    def test_decoy_result_flows_through_call(self, call):
+        # %v is computed under a false taken predicate (%live is 0 for
+        # x=5), so the value main stores to a plain global is a decoy
+        m = parse_module(DECOY_RETURN.replace("CALL", call))
+        tr = interpret(m, ExecInput([], []), decoy_checks=True)
+        assert tr.abort is None
+        assert tr.decoy_violations == [("store", "main", 4)]
+
+
 class TestTrace:
     def test_requantize_window_merge(self):
         t = Trace(lam=1)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_src, hardened, load
-from ctlin.cfg import build_cfg
+from ctlin.cfg import build_cfg, dfs
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import (ADDR, I8, I32, I64, ParseError, Type, field_offset,
                       is_reserved_name, parse_module, print_module, size_of,
                       validate)
+from ctlin.pipeline import harden_module
+from ctlin.verify import verify_module
 
 
 def rt(text: str) -> str:
@@ -59,6 +61,8 @@ class TestParseErrors:
         ("global @g i64 = 00\n", "expected ':'"),
         ("func @f() -> i64 {\nentry:\n  %x = add %a, 1\n  ret %x\n}\n",
          "type"),
+        ("dflmeta 0 access=1 kind=load lambda=64 ty=i64 natural=0 "
+         "entries=[(site=\n", "expected site class"),
     ])
     def test_bad_input(self, text, frag):
         with pytest.raises(ParseError) as ei:
@@ -212,6 +216,60 @@ class TestDominators:
             m = load(name)
             for fn in m.funcs.values():
                 assert build_cfg(fn).reducible, (name, fn.name)
+
+
+def recursive_dfs(entry, succs):
+    """Reference walk: recursive, so only for small graphs."""
+    state, order, retreating = {}, [], []
+
+    def visit(n):
+        state[n] = "open"
+        for s in succs.get(n, []):
+            if s not in state:
+                visit(s)
+            elif state[s] == "open":
+                retreating.append((n, s))
+        state[n] = "done"
+        order.append(n)
+
+    visit(entry)
+    return order[::-1], retreating
+
+
+def br_chain(n: int) -> str:
+    """A secret condbr whose then arm is a chain of n `br` blocks."""
+    lines = ["func @main(%s: secret i64) -> i64 {", "entry:",
+             "  %b = and i64 %s, 1", "  %c = icmp ne %b, 0",
+             "  condbr %c, c0, join"]
+    for i in range(n):
+        lines += ["c%d:" % i,
+                  "  br %s" % ("c%d" % (i + 1) if i + 1 < n else "join")]
+    lines += ["join:", "  %%r = phi i64 [entry: 1, c%d: 2]" % (n - 1),
+              "  ret %r", "}", ""]
+    return "\n".join(lines)
+
+
+class TestDepthFirst:
+    def test_matches_recursive_walk(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            nodes = list(range(rng.randrange(1, 12)))
+            succs = {n: [rng.choice(nodes) for _ in range(rng.randrange(3))]
+                     for n in nodes}
+            assert dfs(0, succs) == recursive_dfs(0, succs)
+
+    def test_long_chain_validates(self):
+        m = parse_module(br_chain(1500))
+        assert validate(m) == []
+        g = build_cfg(m.funcs["main"])
+        assert g.reducible and len(g.rpo) == 1502
+
+    def test_long_chain_hardens_and_verifies(self):
+        hm, rep = harden_module(parse_module(br_chain(1500)))
+        assert rep["branches_linearized"] == 1
+        verdicts = verify_module(parse_module(br_chain(1500)), hm, pairs=2)
+        assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+        assert len(verdicts) == 4
 
 
 class TestRenumber:

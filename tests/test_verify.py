@@ -1,5 +1,7 @@
 """Differential trace checking: positives, negatives, witnesses."""
 
+import pytest
+
 from conftest import hardened, load
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import Reg, parse_module, print_module
@@ -181,6 +183,25 @@ class TestBatches:
     def test_no_secrets_degenerates(self):
         m = parse_module("func @main() -> i64 {\nentry:\n  ret 4\n}\n")
         assert secret_batch(m) == [[]]
+
+    @pytest.mark.parametrize("space", [1, 0, -5])
+    def test_space_without_two_values_refused(self, space):
+        m = load("nested_branches")
+        with pytest.raises(ValueError, match="fewer than 2"):
+            secret_batch(m, space=space)
+        with pytest.raises(ValueError, match="fewer than 2"):
+            verify_module(m, m, pairs=-1, space=space)
+
+    @pytest.mark.parametrize("lam", [0, -64])
+    def test_nonpositive_quantum_refused(self, lam):
+        with pytest.raises(ValueError, match="not positive"):
+            check_obliviousness(load("nested_branches"), lam=lam)
+
+    def test_zero_pairs_over_exhaustive_space(self):
+        m = load("nested_branches")
+        assert secret_batch(m, pairs=0, space=4) == [[0], [1], [2], [3]]
+        hm, _ = hardened("nested_branches")
+        assert all(v.passed for v in verify_module(m, hm, pairs=0, space=4))
 
 
 def test_roundtrip_module_verifies_identically():
