@@ -2,7 +2,9 @@
 
 Dominators use the iterative dataflow scheme over a reverse postorder;
 postdominators run the same solver on the reversed graph with a virtual
-exit joining every ret (or otherwise successor-less) block.
+exit joining every ret (or otherwise successor-less) block.  Dominance
+queries read pre/post numbers of the dominator tree, numbered on the
+first query, so each one is O(1).
 """
 
 from __future__ import annotations
@@ -18,14 +20,39 @@ class CFG:
     idom: dict = field(default_factory=dict)      # block -> immediate dominator
     ipdom: dict = field(default_factory=dict)     # block -> immediate postdominator
     rpo: list = field(default_factory=list)
+    retreating: list = field(default_factory=list)  # dfs retreating edges
     reducible: bool = True
+    _span: dict | None = field(default=None, repr=False, compare=False)
 
     def dominates(self, a: str, b: str) -> bool:
-        while b is not None:
-            if a == b:
-                return True
-            b = self.idom.get(b)
-        return False
+        if a == b:
+            return True
+        if self._span is None:
+            self._span = _tree_numbers(self.rpo, self.idom)
+        sa, sb = self._span.get(a), self._span.get(b)
+        return sa is not None and sb is not None \
+            and sa[0] < sb[0] and sb[1] < sa[1]
+
+
+def _tree_numbers(nodes: list, parent: dict) -> dict:
+    """node -> (preorder, postorder) number in the tree of parent links
+    over nodes, whose first node is the root."""
+    kids = {n: [] for n in nodes}
+    for n in nodes[1:]:
+        kids[parent[n]].append(n)
+    out = {}
+    clock = 0
+    stack = [(nodes[0], clock, iter(kids[nodes[0]]))]
+    while stack:
+        n, pre, it = stack[-1]
+        clock += 1
+        for c in it:
+            stack.append((c, clock, iter(kids[c])))
+            break
+        else:
+            stack.pop()
+            out[n] = (pre, clock)
+    return out
 
 
 def dfs(entry: str, succs: dict):
@@ -113,7 +140,7 @@ def build_cfg(fn) -> CFG:
 
     entry = fn.entry.label
     g = CFG(entry=entry, succs=succs, preds=preds)
-    g.rpo, retreating = dfs(entry, succs)
+    g.rpo, g.retreating = dfs(entry, succs)
     live = set(g.rpo)
     g.idom = _idoms(entry, g.rpo, preds)
 
@@ -133,18 +160,15 @@ def build_cfg(fn) -> CFG:
     g.ipdom = {n: (None if ip.get(n) in (vexit, None) else ip[n]) for n in live}
 
     # reducibility: every retreating edge must target a dominator
-    g.reducible = all(g.dominates(s, n) for n, s in retreating)
+    g.reducible = all(g.dominates(s, n) for n, s in g.retreating)
     return g
 
 
 def back_edges(fn, g: CFG) -> list:
-    """(latch, header) pairs; requires a reducible graph."""
-    out = []
-    for b, ss in g.succs.items():
-        for s in ss:
-            if g.dominates(s, b):
-                out.append((b, s))
-    return sorted(set(out))
+    """(latch, header) pairs of the blocks reached from the entry: the
+    retreating edges whose target dominates their source, which on a
+    reducible graph are all of them."""
+    return sorted({(n, s) for n, s in g.retreating if g.dominates(s, n)})
 
 
 def natural_loop(g: CFG, latch: str, header: str) -> set:

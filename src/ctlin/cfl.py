@@ -18,6 +18,8 @@ in trace terms, not in block terms.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .ir import (Block, Const, Function, Global, HardenInfo, I1, I8, I32,
                  I64, Instr, Module, Param, Reg, Sym)
 from .normalize import RegionTree
@@ -77,24 +79,56 @@ def ct_select(scheme: int, t: int, a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # shared rewriting helpers
 
-def _replace_uses(fn: Function, old: str, new):
-    for b in fn.blocks.values():
-        for i in b.instrs:
+class _Uses:
+    """Register name -> the instructions of one function that read it.
+
+    Built once per linearized function.  Every instruction the merges
+    create, or point at a register, is added as it is made, so a
+    replacement rewrites only the readers of the name it replaces, and
+    never an instruction made after it.  An entry goes stale when its
+    instruction stops reading the name or leaves the function;
+    rewriting one changes nothing the function still holds.
+    """
+
+    def __init__(self, fn: Function):
+        self.readers = defaultdict(list)
+        self.add(*fn.instructions())
+
+    def add(self, *instrs):
+        readers = self.readers
+        for i in instrs:
+            for a in i.args:
+                if isinstance(a, Reg):
+                    readers[a.name].append(i)
+            for _, v in i.incoming:
+                if isinstance(v, Reg):
+                    readers[v.name].append(i)
+
+    def replace(self, old: str, new):
+        """Every read of register old reads operand new from now on."""
+        users = self.readers.pop(old, [])
+        for i in users:
             i.args = [new if isinstance(a, Reg) and a.name == old else a
                       for a in i.args]
             if i.incoming:
                 i.incoming = [
                     (l, new if isinstance(v, Reg) and v.name == old else v)
                     for l, v in i.incoming]
+        if isinstance(new, Reg):
+            self.readers[new.name].extend(users)
 
 
-def _subst_block(b: Block, sub: dict):
+def _subst_block(b: Block, sub: dict, uses: _Uses):
     for i in b.instrs:
-        i.args = [sub.get(a.name, a) if isinstance(a, Reg) else a
-                  for a in i.args]
+        args = [sub.get(a.name, a) if isinstance(a, Reg) else a
+                for a in i.args]
+        incoming = [(l, sub.get(v.name, v) if isinstance(v, Reg) else v)
+                    for l, v in i.incoming]
+        if args != i.args or incoming != i.incoming:
+            uses.add(i)
+        i.args = args
         if i.incoming:
-            i.incoming = [(l, sub.get(v.name, v) if isinstance(v, Reg) else v)
-                          for l, v in i.incoming]
+            i.incoming = incoming
 
 
 def _type_env(m: Module, fn: Function) -> dict:
@@ -113,7 +147,7 @@ def _resolve_pending(fn: Function, ctx: dict, labels: set, new_op):
     rest = []
     for lbl, ph in ctx["pending"]:
         if lbl in labels:
-            _replace_uses(fn, ph, new_op)
+            ctx["uses"].replace(ph, new_op)
         else:
             rest.append((lbl, ph))
     ctx["pending"] = rest
@@ -127,7 +161,7 @@ def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
     read the taken cell get it stored first.  Instructions already owned
     by an inner region keep their finer-grained taken.
     """
-    tm = ctx["tm"]
+    tm, uses = ctx["tm"], ctx["uses"]
     out = []
     for ins in blk.instrs:
         if ins.iid in tm or ins.iid in ctx["skip"] \
@@ -142,15 +176,18 @@ def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
             tm[sel.iid] = tk.iid
             out.append(sel)
             ins.args[0] = Reg(sel.name)
+            uses.add(sel, ins)
         if ins.op == "call" and ins.callee == "trap":
             # failsafe becomes conditional on actually being reached
             ins.args = [Reg(tk.name)]
+            uses.add(ins)
         if ins.op == "call" and ins.callee in ctx["threaded"]:
             sti = m.new_iid()
             st = Instr(sti, "store", ty=I1,
                        args=[Reg(tk.name), Sym("cfl.taken")])
             tm[st.iid] = tk.iid
             out.append(st)
+            uses.add(st)
             ctx["thr_done"].add(ins.iid)
         tm[ins.iid] = tk.iid
         out.append(ins)
@@ -188,7 +225,7 @@ def _arm_walk(fn: Function, start: str, join: str):
 # branch regions
 
 def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
-    tm = ctx["tm"]
+    uses = ctx["uses"]
     entry_b = fn.blocks[r.entry]
     term = entry_b.terminator
     if term.op != "condbr":
@@ -206,6 +243,7 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
     ei = m.new_iid()
     telse = Instr(ei, "and", name="cfl.t%d" % ei, ty=I1,
                   args=[Reg(notc.name), tp])
+    uses.add(tthen, notc, telse)
 
     _resolve_pending(fn, ctx, {b.label for b in twalk}, Reg(tthen.name))
     _resolve_pending(fn, ctx, {b.label for b in ewalk}, Reg(telse.name))
@@ -218,7 +256,7 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
     for blk in twalk + ewalk:
         for ph in list(blk.phis()):
             if len(ph.incoming) == 1:
-                _replace_uses(fn, ph.name, ph.incoming[0][1])
+                uses.replace(ph.name, ph.incoming[0][1])
                 blk.instrs.remove(ph)
 
     thenpred = twalk[-1].label if twalk else r.entry
@@ -242,11 +280,12 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
         rest = [(l, v) for l, v in ph.incoming
                 if l not in (thenpred, elsepred)]
         ph.incoming = sorted(rest + [(lastb.label, Reg(sel.name))])
+        uses.add(sel, ph)
     if sels:
         lastb.instrs = lastb.instrs[:-1] + sels + [lastb.instrs[-1]]
     for ph in list(jb.phis()):
         if len(ph.incoming) == 1:
-            _replace_uses(fn, ph.name, ph.incoming[0][1])
+            uses.replace(ph.name, ph.incoming[0][1])
             jb.instrs.remove(ph)
 
     # rewire: entry -> then chain -> else chain -> join
@@ -291,6 +330,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
                  incoming=sorted([(P, Reg(kld.name)), (L, Reg(kn_n))]))
     tcur = Instr(m.new_iid(), "phi", name="cfl.tl." + H, ty=I1,
                  incoming=sorted([(P, tp), (L, Reg(tn_n))]))
+    uses = ctx["uses"]
+    uses.add(cidx, kcur, tcur)
 
     _resolve_pending(fn, ctx, set(r.blocks), Reg(tcur.name))
     for lbl, blk in fn.blocks.items():
@@ -322,7 +363,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
                           args=[Reg(tcur.name), Reg(d.name), Reg(fname)]))
         sub[d.name] = Reg(oname)
     for b in outside:
-        _subst_block(b, sub)
+        _subst_block(b, sub, uses)
 
     def gen(op, name, ty, args, pred=None):
         return Instr(m.new_iid(), op, name=name, ty=ty, pred=pred, args=args)
@@ -343,6 +384,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     lb.instrs = lb.instrs[:-1] + [cn, eq, nc, nt, cor, ex, g0, g1, gz,
                                   kn, tn] + outs + [term]
     term.args = [Reg(ex.name)]
+    uses.add(cn, eq, nc, nt, cor, ex, g0, g1, gz, kn, tn, term,
+             *flanks, *outs)
 
     nph = len(hb.phis())
     hb.instrs = hb.instrs[:nph] + [cidx, kcur, tcur] + flanks \
@@ -352,8 +395,9 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     # back so the next run pads to the larger bound
     xb = fn.blocks[X]
     sidx = len(xb.phis())
-    xb.instrs.insert(sidx, Instr(m.new_iid(), "store", ty=I64,
-                                 args=[Reg(kn_n), Sym(cell)]))
+    st = Instr(m.new_iid(), "store", ty=I64, args=[Reg(kn_n), Sym(cell)])
+    xb.instrs.insert(sidx, st)
+    uses.add(st)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +503,7 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             continue
         tm = m.takenmap.setdefault(fn.name, {})
         ctx = {"tm": tm, "pending": [], "threaded": threaded,
-               "thr_done": thr_done, "skip": set()}
+               "thr_done": thr_done, "skip": set(), "uses": _Uses(fn)}
         t0 = None
         if fully:
             t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,

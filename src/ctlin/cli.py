@@ -2,10 +2,11 @@
 
 Exit codes are part of the contract: 0 success, 2 unusable input
 (parse or validation, an unreadable or malformed suite, verify flags
-under which no check could show anything), 3 hardening pipeline
-failure, 4 verification found a difference.  Reports are JSON with
-sorted keys and carry no timestamps, so identical work produces
-identical bytes.
+under which no check could show anything, a verify pair whose entry
+point is missing or takes different inputs in the two modules), 3
+hardening pipeline failure, 4 verification found a difference.
+Reports are JSON with sorted keys and carry no timestamps, so identical
+work produces identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .normalize import NormalizeError
 from .pipeline import (PipelineConfig, PipelineError, harden_module,
                        module_stats)
 from .pta import CloneError, PtaError
-from .taint import ProfileError
+from .taint import ProfileError, input_shape
 from .verify import SECRET_SPACE, verify_module
 
 EXIT_OK = 0
@@ -113,6 +114,19 @@ def _vacuous_flags(args) -> str | None:
     return None
 
 
+def _mismatch(args, orig, hard) -> str | None:
+    """Why the pair cannot run on one input vector, or None."""
+    for path, m in ((args.original, orig), (args.hardened, hard)):
+        if args.entry not in m.funcs:
+            return "%s: no entry function @%s" % (path, args.entry)
+    (po, so), (ph, sh) = (input_shape(m, args.entry) for m in (orig, hard))
+    if (po, so) != (ph, sh):
+        return ("@%s takes %d public and %d secret inputs in %s, %d and %d "
+                "in %s" % (args.entry, po, so, args.original, ph, sh,
+                           args.hardened))
+    return None
+
+
 def cmd_verify(args) -> int:
     bad = _vacuous_flags(args)
     if bad:
@@ -121,6 +135,10 @@ def cmd_verify(args) -> int:
     orig = _load(args.original)
     hard = _load(args.hardened)
     if orig is None or hard is None:
+        return EXIT_INPUT
+    bad = _mismatch(args, orig, hard)
+    if bad:
+        print("error: %s" % bad, file=sys.stderr)
         return EXIT_INPUT
     verdicts = verify_module(orig, hard, entry=args.entry, lams=args.lam,
                              pairs=args.pairs, seed=args.seed,

@@ -3,9 +3,10 @@
 Stage order matters and is fixed here rather than left to callers:
 indirect calls become direct before regions are shaped, profiling and
 closure decide what is sensitive, cloning splits calling contexts and
-forces a re-profile, striding plans are built and accesses wrapped
-while loads and stores still look like loads and stores, division is
-rewritten while branches still exist, and control flow merges last.
+the profile's facts follow each call path onto its clone, striding
+plans are built and accesses wrapped while loads and stores still look
+like loads and stores, division is rewritten while branches still
+exist, and control flow merges last.
 Natural striding runs after the merge because it must look through the
 decoy selects the merge installed.  Instruction ids are renumbered at
 the end so emitted modules are stable.
@@ -20,7 +21,8 @@ from .cfg import reachable
 from .interp import DEFAULT_BUDGET, SuiteError, parse_suite
 from .ir import Module, validate
 from .normalize import normalize_regions, promote_indirect_calls, unify_exits
-from .taint import close_sensitivity, default_suite, taint_profile
+from .taint import (close_sensitivity, default_suite, taint_profile,
+                    translate_report)
 
 
 class PipelineError(Exception):
@@ -100,11 +102,11 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
         cmap = pta.aggressive_clone(m, _clone_scope(m, _sensitive_functions(m, ss)))
         rep["cloned"] = len(cmap)
         if cmap:
-            # fresh contexts shift every instruction id downstream of a
-            # clone, so sensitivity is re-derived instead of translated
+            # clones carry fresh instruction ids and names; each calling
+            # context of the profile moves its facts onto the function
+            # it now runs in, and the closure is taken again over them
             rt = normalize_regions(m)
-            report = taint_profile(m, suite, entry=cfg.entry,
-                                   budget=cfg.budget)
+            report = translate_report(report, m, cmap.copies)
             ss = close_sensitivity(m, report, rt)
 
     rep["sensitive_regions"] = len(ss.regions)

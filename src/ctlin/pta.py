@@ -15,11 +15,11 @@ copy, so call-site-specific pointers stop merging at shared callees.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from .cfg import reachable
-from .ir import Const, Function, Module, Reg, Sym, field_offset, size_of
+from .ir import (Block, Const, Function, Instr, Module, Param, Reg, Sym,
+                 field_offset, size_of)
 
 _MAX_ELEMS = 64          # per-value widening threshold
 _MAX_PLACEMENTS = 8192
@@ -341,22 +341,32 @@ class CloneError(Exception):
     pass
 
 
-def aggressive_clone(m: Module, sens_fns: set) -> dict:
+class CloneMap(dict):
+    """clone name -> origin name; `copies` maps each clone's name to
+    {origin iid: clone iid} over every instruction it copied."""
+
+    def __init__(self):
+        super().__init__()
+        self.copies = {}
+
+
+def aggressive_clone(m: Module, sens_fns: set) -> CloneMap:
     """One callee copy per acyclic call path below a sensitive root.
 
     Roots are the sensitive functions not reachable from other sensitive
     functions; everything they transitively call gets split per path so
     points-to facts never merge across calling contexts.  Recursion
-    under a root cannot be split this way and is an error.  Returns
-    clone name -> origin name.
+    under a root cannot be split this way and is an error.  Only roots
+    and clones have their call sites rewritten, so a clone always copies
+    an unedited original.
     """
+    cmap = CloneMap()
     if not sens_fns:
-        return {}
+        return cmap
     cg = m.callees()
     reach = {f: reachable(cg, [f]) for f in sens_fns}
     roots = sorted(f for f in sens_fns
                    if not any(f in reach[o] for o in sens_fns if o != f))
-    cmap = {}
     counters = {}
 
     def clone_fn(origin: str) -> Function:
@@ -365,12 +375,22 @@ def aggressive_clone(m: Module, sens_fns: set) -> dict:
         counters[origin] = counters.get(origin, 0) + 1
         name = "%s.c%d" % (origin, counters[origin])
         src = m.funcs[origin]
-        f = Function(name, copy.deepcopy(src.params), src.ret_ty)
-        f.blocks = copy.deepcopy(src.blocks)
-        for ins in f.instructions():
-            ins.iid = m.new_iid()
+        # operands and types are immutable and shared; the lists that
+        # later passes edit in place are fresh
+        f = Function(name, [Param(p.name, p.ty, p.secret)
+                            for p in src.params], src.ret_ty)
+        iids = {}
+        for b in src.blocks.values():
+            nb = f.blocks[b.label] = Block(b.label)
+            for i in b.instrs:
+                c = Instr(m.new_iid(), i.op, i.name, i.ty, i.pred,
+                          list(i.args), list(i.labels), list(i.incoming),
+                          i.callee)
+                iids[i.iid] = c.iid
+                nb.instrs.append(c)
         m.funcs[name] = f
         cmap[name] = origin
+        cmap.copies[name] = iids
         return f
 
     def walk(fname: str, path: tuple):

@@ -13,6 +13,11 @@ become tainted when the loop exits; the values they carry encode the
 secret trip count even when every individual assignment was public.
 Loop header phis take only the taint of their incoming operand, so an
 induction variable stays public while the loop runs.
+
+Facts are kept per calling context (a calling-context tree, Ammons,
+Ball & Larus, PLDI 1997), so after cloning splits call paths into
+functions of their own, `translate_report` hands each clone the facts
+of the one path it stands for instead of profiling again.
 """
 
 from __future__ import annotations
@@ -43,6 +48,28 @@ class TaintReport:
     addr_tainted: set = field(default_factory=set)  # accesses, tainted pointer
     divrem: set = field(default_factory=set)     # div/rem iids, tainted ops
     loop_bounds: dict = field(default_factory=dict)  # (fn, header) -> trips
+    # calling-context tree nodes in creation order, root first; set on
+    # the union `taint_profile` returns
+    contexts: list | None = field(default=None, compare=False, repr=False)
+
+    def absorb(self, other: "TaintReport", iid=None, fn=None):
+        """Union other's facts into self, iids through the map iid and
+        loop keys renamed to function fn when given."""
+        def ids(s):
+            return s if iid is None else {iid[i] for i in s}
+
+        def key(k):
+            return k if fn is None else (fn, k[1])
+        self.branches |= ids(other.branches)
+        self.reads |= ids(other.reads)
+        self.writes |= ids(other.writes)
+        self.addr_tainted |= ids(other.addr_tainted)
+        self.divrem |= ids(other.divrem)
+        self.loops |= {key(k) for k in other.loops}
+        bounds = self.loop_bounds
+        for k, n in other.loop_bounds.items():
+            k = key(k)
+            bounds[k] = max(bounds.get(k, 1), n)
 
     def summary(self) -> dict:
         return {
@@ -63,6 +90,22 @@ class SensitiveSet:
     accesses: set = field(default_factory=set)   # load/store iids for DFL
     divrem: set = field(default_factory=set)     # div/rem iids to sanitize
     bounds: dict = field(default_factory=dict)   # (fn, header) -> k
+
+
+class Context:
+    """A calling-context tree node: fn entered from the parent context
+    through call site `site` (None at the root), with the facts of its
+    runs there.  A call into a function already on the chain goes back
+    to that ancestor, so recursion adds no nodes."""
+
+    __slots__ = ("parent", "site", "fn", "report", "children")
+
+    def __init__(self, parent, site, fn):
+        self.parent = parent
+        self.site = site
+        self.fn = fn
+        self.report = TaintReport()
+        self.children = {}      # (call site iid, callee) -> Context
 
 
 class TaintDecoder(Decoder):
@@ -223,7 +266,10 @@ class TaintDecoder(Decoder):
     # -- frame discipline --------------------------------------------------
 
     def enter(self, ins):
+        site = ins.iid
+
         def enter(mach, t, argk, callee):
+            mach.descend(site, callee.name)
             mach.trips.append({})
             mach.tflags.append({})
             return {p: t.get(k, False) or s
@@ -232,6 +278,9 @@ class TaintDecoder(Decoder):
 
     def leave(self, ins):
         def leave(mach, t, d):
+            ctx = mach.ctx
+            ctx.pop()
+            mach.report = ctx[-1].report
             mach.trips.pop()
             mach.tflags.pop()
             if d is not None:
@@ -242,21 +291,41 @@ class TaintDecoder(Decoder):
 class TaintMachine(Machine):
     """Interpreter with a parallel boolean shadow for every value.
 
-    One machine profiles one input; the report accumulates across runs.
-    `code` is the module decoded with `TaintDecoder` once per suite.
+    One machine profiles one input from the root context of a calling-
+    context tree that accumulates across runs; new nodes are appended
+    to `contexts`.  The handlers write to `report`, the report of the
+    context running now.  `code` is the module decoded with
+    `TaintDecoder` once per suite.
     """
 
-    def __init__(self, m: Module, rt: RegionTree, report: TaintReport,
+    def __init__(self, m: Module, rt: RegionTree, contexts: list,
                  budget: int = DEFAULT_BUDGET, code: Code | None = None):
         if code is None:
             code = Code(m, TaintDecoder(rt))
         super().__init__(m, lam=1, budget=budget, code=code)
         self.rt = rt
-        self.report = report
+        self.contexts = contexts
+        self.ctx = [contexts[0]]    # context of each live frame
+        self.report = contexts[0].report
         self.trips = [{}]       # (fn, header) -> live trip count, per frame
         self.tflags = [{}]      # (fn, header) -> latch cond ever tainted
         self.mtaint = set()     # tainted byte addresses
         self._ret_taint = False
+
+    def descend(self, site: int, fn: str):
+        """Enter fn through call site `site` of the running context."""
+        node = self.ctx[-1]
+        child = node.children.get((site, fn))
+        if child is None:
+            child = node
+            while child is not None and child.fn != fn:
+                child = child.parent
+            if child is None:
+                child = Context(node, site, fn)
+                self.contexts.append(child)
+            node.children[(site, fn)] = child
+        self.ctx.append(child)
+        self.report = child.report
 
 
 def input_shape(m: Module, entry: str = "main"):
@@ -299,18 +368,51 @@ def taint_profile(m: Module, suite, entry: str = "main",
     The module must be in region normal form; the canonicalizer is
     re-run to recover the region tree, which is a no-op on normal-form
     input.  The program is expected to be error-free on the suite; an
-    abort is a profiling failure, not a finding.
+    abort is a profiling failure, not a finding.  The union keeps the
+    calling-context tree in `contexts`.
     """
     rt = normalize_regions(m)
-    report = TaintReport()
+    contexts = [Context(None, None, entry)]
     code = Code(m, TaintDecoder(rt))
     for inp in suite:
-        tm = TaintMachine(m, rt, report, budget=budget, code=code)
+        tm = TaintMachine(m, rt, contexts, budget=budget, code=code)
         tr = tm.run(inp, entry)
         if tr.abort is not None:
             raise ProfileError("abort %r while profiling %s"
                                % (tr.abort, inp))
+    report = TaintReport(contexts=contexts)
+    for ctx in contexts:
+        report.absorb(ctx.report)
     return report
+
+
+def translate_report(report: TaintReport, m: Module,
+                     copies: dict) -> TaintReport:
+    """The report of the profiled module carried over to m, the same
+    module after context cloning.
+
+    copies maps each clone's name to {origin iid: clone iid}, as
+    `pta.aggressive_clone` records it; every other function kept its
+    iids.  Each context runs in m in the function its parent's call
+    site calls now, so its facts take that function's iids and name.
+    Equal to profiling m again on the same suite, since cloning changes
+    no value, address or taint a run sees.
+    """
+    where = m.instr_index()
+    out = TaintReport()
+    runs_in = {}            # context -> function it runs in m
+    for ctx in report.contexts:
+        fn = ctx.fn
+        if ctx.parent is not None:
+            caller = runs_in[ctx.parent]
+            site = copies[caller][ctx.site] if caller in copies \
+                else ctx.site
+            call = where[site][2]
+            if call.op == "call":
+                fn = call.callee
+        runs_in[ctx] = fn
+        out.absorb(ctx.report, copies.get(fn), fn)
+    return out
 
 
 def close_sensitivity(m: Module, report: TaintReport,

@@ -90,6 +90,25 @@ class TestBranchLinearization:
             assert interpret(hm, ExecInput([], [s])).output == want
         assert trace_classes(hm, range(4)) == 1
 
+    def test_outer_fold_reaches_inner_select(self):
+        # the inner merge's join select reads %p, the then arm's
+        # single-entry phi, which the outer merge folds into %s later
+        src = ("func @main(%s: secret i64) -> i64 {\n"
+               "entry:\n  %b = and i64 %s, 1\n  %c = icmp eq %b, 1\n"
+               "  condbr %c, t, j\n"
+               "t:\n  %p = phi i64 [entry: %s]\n  %b2 = and i64 %s, 2\n"
+               "  %c2 = icmp eq %b2, 2\n  condbr %c2, a, k\n"
+               "a:\n  %w = add i64 %p, 1\n  br k\n"
+               "k:\n  %q = phi i64 [t: %p, a: %w]\n  br j\n"
+               "j:\n  %r = phi i64 [entry: 0, k: %q]\n  ret %r\n}\n")
+        hm, rep = harden_module(parse_module(src), PipelineConfig())
+        assert validate(hm) == []
+        assert rep["branches_linearized"] == 2
+        for s in range(8):
+            want = 0 if not s & 1 else s + 1 if s & 2 else s
+            assert interpret(hm, ExecInput([], [s])).output == want
+        assert trace_classes(hm, range(8)) == 1
+
 
 class TestLoopLinearization:
     def test_padded_to_trained_bound(self):

@@ -163,6 +163,34 @@ class TestVerifyCommand:
         assert "PASS" not in out
         assert flags[0] in err
 
+    def test_missing_entry_is_an_input_error(self, hardened_path, capsys):
+        rc, out, err = run(["verify", corpus_path("nested_branches"),
+                            hardened_path, "--entry", "nope"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.count("\n") == 1 and "@nope" in err
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_entry_shape_mismatch_is_an_input_error(self, hardened_path,
+                                                    tmp_path, wide_first,
+                                                    capsys):
+        # a 1-public/2-secret entry against the 1-secret hardened
+        # nested_branches; a hardened module wider than its original
+        # once raised ValueError
+        wide = tmp_path / "wide.ir"
+        wide.write_text("func @main(%p: i64, %a: secret i64, "
+                        "%b: secret i64) -> i64 {\nentry:\n"
+                        "  %s = add i64 %a, %b\n  %r = add i64 %s, %p\n"
+                        "  ret %r\n}\n")
+        pair = [str(wide), hardened_path]
+        if not wide_first:
+            pair.reverse()
+        rc, out, err = run(["verify"] + pair, capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "public" in err and "secret" in err
+
     def test_leaky_module_exits_nonzero(self, capsys):
         rc, out, _ = run(["verify", corpus_path("nested_branches"),
                           corpus_path("nested_branches"),

@@ -7,7 +7,9 @@ lambda 1, 4 and 64, SHA-256 digests of:
 - `traces`: everything a `Trace` carries plus `Machine.steps`, for the
   first 16 inputs of the verify grid, on the original and the hardened
   module, with decoy shadow tracking off and on;
-- `taint`: every `TaintReport` the pipeline's profiling produced;
+- `taint`: every `TaintReport` the pipeline's profiling produced: the
+  profile, then, for a program that cloning split, the profile carried
+  over to the clones (recorded when that was a second profile);
 - `verdicts`: the `Verdict.line()` text and warnings of
   `verify_module(original, hardened, pairs=8)`, the lines `ctlin
   verify` prints.
@@ -84,13 +86,17 @@ def _taint_record(report) -> list:
 def digests(name: str, lam: int) -> dict:
     reports = []
     orig_profile = pipeline.taint_profile
+    orig_translate = pipeline.translate_report
 
-    def recording(*a, **kw):
-        rep = orig_profile(*a, **kw)
-        reports.append(_taint_record(rep))
-        return rep
+    def recording(fn):
+        def rec(*a, **kw):
+            rep = fn(*a, **kw)
+            reports.append(_taint_record(rep))
+            return rep
+        return rec
 
-    pipeline.taint_profile = recording
+    pipeline.taint_profile = recording(orig_profile)
+    pipeline.translate_report = recording(orig_translate)
     try:
         texts = []
         hard = None
@@ -102,6 +108,7 @@ def digests(name: str, lam: int) -> dict:
                 hard = hm
     finally:
         pipeline.taint_profile = orig_profile
+        pipeline.translate_report = orig_translate
 
     orig = load(name)
     runs = []

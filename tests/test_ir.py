@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_src, hardened, load
-from ctlin.cfg import build_cfg, dfs
+from ctlin.cfg import back_edges, build_cfg, dfs
 from ctlin.interp import ExecInput, interpret
-from ctlin.ir import (ADDR, I8, I32, I64, ParseError, Type, field_offset,
-                      is_reserved_name, parse_module, print_module, size_of,
-                      validate)
+from ctlin.ir import (ADDR, I8, I32, I64, Block, Function, Instr, ParseError,
+                      Type, field_offset, is_reserved_name, parse_module,
+                      print_module, size_of, validate)
+from ctlin.normalize import NormalizeError, _branch_span
 from ctlin.pipeline import harden_module
 from ctlin.verify import verify_module
 
@@ -268,6 +269,96 @@ class TestDepthFirst:
         hm, rep = harden_module(parse_module(br_chain(1500)))
         assert rep["branches_linearized"] == 1
         verdicts = verify_module(parse_module(br_chain(1500)), hm, pairs=2)
+        assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+        assert len(verdicts) == 4
+
+
+def chain_dominates(g, a, b):
+    """Reference dominance: walk b's idom chain."""
+    while b is not None:
+        if a == b:
+            return True
+        b = g.idom.get(b)
+    return False
+
+
+def chain_branch_span(fn, g, entry, join):
+    """Reference branch span, one idom-chain walk per block."""
+    span = {entry}
+    work = [t for t in fn.blocks[entry].terminator.labels if t != join]
+    while work:
+        n = work.pop()
+        if n in span or n == join:
+            continue
+        if not chain_dominates(g, entry, n):
+            return "sideways"
+        span.add(n)
+        work.extend(g.succs[n])
+    for n in span - {entry}:
+        if any(p not in span for p in g.preds[n]):
+            return "entered"
+    return span
+
+
+def cfg_function(succs: dict) -> Function:
+    """A function whose block n ends in br, condbr or ret to succs[n]."""
+    fn = Function("f", [], I64)
+    for n, ss in succs.items():
+        op = {0: "ret", 1: "br", 2: "condbr"}[len(ss)]
+        fn.blocks[n] = Block(n, [Instr(0, op, labels=list(ss))])
+    return fn
+
+
+def random_reducible(rng) -> Function:
+    """Forward edges over a random order, every block reached, then back
+    edges to dominators of their source, which keep it reducible."""
+    names = ["b%d" % i for i in range(rng.randrange(1, 30))]
+    succs = {n: [] for n in names}
+    for j in range(1, len(names)):
+        # b(j-1) has no successor yet, so there is always a free pred
+        free = [n for n in names[:j] if len(succs[n]) < 2]
+        succs[rng.choice(free)].append(names[j])
+    for j in range(len(names) - 1):
+        if len(succs[names[j]]) < 2 and rng.random() < 0.4:
+            succs[names[j]].append(names[rng.randrange(j + 1, len(names))])
+    g = build_cfg(cfg_function(succs))
+    for n in names:
+        if len(succs[n]) < 2 and rng.random() < 0.5:
+            succs[n].append(rng.choice([d for d in names
+                                        if chain_dominates(g, d, n)]))
+    return cfg_function(succs)
+
+
+class TestDominance:
+    def test_match_idom_chain_walks(self):
+        rng = random.Random(11)
+        loops = 0
+        for _ in range(200):
+            fn = random_reducible(rng)
+            g = build_cfg(fn)
+            assert g.reducible
+            for a in fn.blocks:
+                for b in fn.blocks:
+                    assert g.dominates(a, b) == chain_dominates(g, a, b)
+            old = sorted({(b, s) for b, ss in g.succs.items() for s in ss
+                          if chain_dominates(g, s, b)})
+            assert back_edges(fn, g) == old
+            loops += bool(old)
+            for b in fn.blocks.values():
+                join = g.ipdom.get(b.label)
+                if b.terminator.op != "condbr" or join is None:
+                    continue
+                try:
+                    span = _branch_span(fn, g, b.label, join)
+                except NormalizeError as e:
+                    span = "sideways" if "sideways" in str(e) else "entered"
+                assert span == chain_branch_span(fn, g, b.label, join)
+        assert loops > 50
+
+    def test_long_secret_chain_hardens_and_verifies(self):
+        hm, rep = harden_module(parse_module(br_chain(3000)))
+        assert rep["branches_linearized"] == 1
+        verdicts = verify_module(parse_module(br_chain(3000)), hm, pairs=2)
         assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
         assert len(verdicts) == 4
 

@@ -1,11 +1,16 @@
-"""Dynamic taint profiling and the sensitivity closure."""
+"""Dynamic taint profiling, its calling contexts and the closure."""
 
-from conftest import load
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import RECURSIVE, load
 from ctlin.interp import ExecInput
 from ctlin.ir import parse_module
-from ctlin.normalize import normalize_regions, unify_exits
+from ctlin.normalize import (normalize_regions, promote_indirect_calls,
+                             unify_exits)
+from ctlin.pta import aggressive_clone, resolve_indirect_targets
 from ctlin.taint import (close_sensitivity, default_suite, input_shape,
-                         taint_profile)
+                         taint_profile, translate_report)
 
 
 def profiled(name_or_module, suite=None):
@@ -73,6 +78,133 @@ class TestProfile:
         m, rt, rep = profiled("two_context")
         v = instr_by_name(m, "pick", "v")
         assert v.iid in rep.reads
+
+
+    def test_recursion_adds_no_contexts(self):
+        rep = taint_profile(parse_module(RECURSIVE),
+                            [ExecInput([n], []) for n in (3, 40)])
+        assert [c.fn for c in rep.contexts] == ["main", "f"]
+
+
+def translated_and_fresh(m, partitions=128):
+    """Profile m, clone every call path below its roots as the pipeline
+    does, and return (the profile carried over to the clones, a new
+    profile of the cloned module)."""
+    unify_exits(m)
+    targets = resolve_indirect_targets(m)
+    if targets:
+        promote_indirect_calls(m, targets)
+    normalize_regions(m)
+    suite = default_suite(m, partitions=partitions)
+    before = taint_profile(m, suite)
+    cmap = aggressive_clone(m, set(m.funcs))
+    assert cmap
+    normalize_regions(m)
+    return translate_report(before, m, cmap.copies), taint_profile(m, suite)
+
+
+@st.composite
+def call_dags(draw):
+    """Acyclic call graphs of 2-5 levels with 1-2 functions each.
+
+    A function above the last level makes 1-3 calls into deeper levels
+    with its public and secret values mixed as arguments, so one callee
+    sees a secret from one call site and not from another; main's
+    secret always reaches its first callee.  A leaf
+    loads, stores, divides or branches on values built from its
+    arguments, and one callee first runs a loop whose trip count is its
+    first argument.
+    """
+    nlev = draw(st.integers(2, 5))
+    levels = [["main"]] + [["f%d_%d" % (k, j)
+                            for j in range(draw(st.integers(1, 2)))]
+                           for k in range(1, nlev)]
+    looper = draw(st.sampled_from([f for lv in levels[1:] for f in lv]))
+    arg = st.sampled_from(["%b", "%a", "7"])
+    funcs = []
+    for k, level in enumerate(levels):
+        deeper = [f for lv in levels[k + 1:] for f in lv]
+        for name in level:
+            params = "%a: i64, %b: secret i64" if name == "main" \
+                else "%a: i64, %b: i64"
+            lines = ["func @%s(%s) -> i64 {" % (name, params), "entry:"]
+            blk = "entry"
+            if name == looper:
+                lines += ["  %n = and i64 %a, 3", "  br loop", "loop:",
+                          "  %i = phi i64 [entry: 0, loop: %i1]",
+                          "  %i1 = add i64 %i, 1", "  %d = icmp ge %i1, %n",
+                          "  condbr %d, body, loop", "body:"]
+                blk = "body"
+            if deeper:
+                acc = "%b"
+                for c in range(draw(st.integers(1, 3))):
+                    # main's secret always reaches its first callee
+                    first = "%b" if name == "main" and c == 0 \
+                        else draw(arg)
+                    lines += ["  %%r%d = call @%s(%s, %s)"
+                              % (c, draw(st.sampled_from(deeper)),
+                                 first, draw(arg)),
+                              "  %%s%d = add i64 %s, %%r%d" % (c, acc, c)]
+                    acc = "%%s%d" % c
+                lines.append("  ret %s" % acc)
+            else:
+                lines += ["  %x = and i64 %a, 15", "  %p = gep i64 @t, %x"]
+                lines += {
+                    "load": ["  %v = load i64, %p", "  ret %v"],
+                    "store": ["  store i64 %b, %p", "  ret %a"],
+                    "div": ["  %v = div i64 %b, 3", "  ret %v"],
+                    "branch": ["  %c = icmp lt %a, 8",
+                               "  condbr %c, hi, join", "hi:",
+                               "  %w = add i64 %b, 1", "  br join", "join:",
+                               "  %%v = phi i64 [%s: %%b, hi: %%w]" % blk,
+                               "  ret %v"],
+                }[draw(st.sampled_from(["load", "store", "div", "branch"]))]
+            lines.append("}")
+            funcs.append("\n".join(lines))
+    return "global @t: [16 x i64]\n" + "\n".join(funcs) + "\n"
+
+
+class TestTranslation:
+    """The profile carried onto clones equals profiling the clones."""
+
+    def test_two_context(self):
+        translated, fresh = translated_and_fresh(load("two_context"))
+        assert translated == fresh
+        assert len(fresh.reads) == 2
+
+    def test_fn_table_dispatch(self):
+        translated, fresh = translated_and_fresh(load("fn_table_dispatch"))
+        assert translated == fresh
+        assert fresh.branches
+
+    def test_icall_keeps_its_target(self):
+        # cloning follows direct calls only, so @f stays the icall's
+        # target under the clone of @h
+        src = ("global @t: [4 x i64]\n"
+               "func @f(%x: i64) -> i64 {\nentry:\n"
+               "  %m = and i64 %x, 3\n  %p = gep i64 @t, %m\n"
+               "  %v = load i64, %p\n  ret %v\n}\n"
+               "func @h(%x: i64) -> i64 {\nentry:\n"
+               "  %r = icall @f(%x)\n  ret %r\n}\n"
+               "func @main(%s: secret i64) -> i64 {\nentry:\n"
+               "  %a = call @h(%s)\n  %b = call @h(1)\n"
+               "  %r = add i64 %a, %b\n  ret %r\n}\n")
+        m = parse_module(src)
+        unify_exits(m)
+        normalize_regions(m)
+        suite = default_suite(m, partitions=8)
+        before = taint_profile(m, suite)
+        cmap = aggressive_clone(m, set(m.funcs))
+        assert sorted(cmap) == ["h.c1", "h.c2"]
+        assert translate_report(before, m, cmap.copies) == \
+            taint_profile(m, suite)
+
+    @settings(max_examples=30, deadline=None)
+    @given(call_dags())
+    def test_call_dags(self, src):
+        translated, fresh = translated_and_fresh(parse_module(src),
+                                                 partitions=16)
+        assert translated == fresh
 
 
 class TestClosure:
