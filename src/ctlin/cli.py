@@ -1,10 +1,12 @@
 """Command line front end: harden, verify, stats.
 
 Exit codes are part of the contract: 0 success, 2 unusable input
-(parse or validation, an unreadable or malformed suite, verify flags
-under which no check could show anything, a verify pair whose entry
-point is missing or takes different inputs in the two modules), 3
-hardening pipeline failure, 4 verification found a difference.
+(parse or validation, a missing entry point, a `--budget` below 1, an
+unreadable, malformed or empty suite or one with an input shorter than
+the entry's public or secret inputs, verify flags under which no check
+could show anything, a verify pair whose entry point is missing or
+takes different inputs in the two modules), 3 hardening pipeline
+failure, 4 verification found a difference.
 Reports are JSON with sorted keys and carry no timestamps, so identical
 work produces identical bytes.
 """
@@ -20,8 +22,8 @@ from .dfl import DflError
 from .interp import DEFAULT_BUDGET, SuiteError
 from .ir import ParseError, parse_module, print_module, validate
 from .normalize import NormalizeError
-from .pipeline import (PipelineConfig, PipelineError, harden_module,
-                       module_stats)
+from .pipeline import (InputError, PipelineConfig, PipelineError,
+                       harden_module, module_stats)
 from .pta import CloneError, PtaError
 from .taint import ProfileError, input_shape
 from .verify import SECRET_SPACE, verify_module
@@ -69,7 +71,7 @@ def _common_flags(p):
                    help="entry function name (default main)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="instruction budget per run")
+                   help="instruction budget per run (at least 1)")
     p.add_argument("--report", metavar="FILE",
                    help="write the JSON report here instead of stdout")
 
@@ -88,6 +90,9 @@ def cmd_harden(args) -> int:
         m, rep = harden_module(m, cfg)
     except SuiteError as e:
         print("%s: %s" % (args.suite, e), file=sys.stderr)
+        return EXIT_INPUT
+    except InputError as e:
+        print("%s: %s" % (args.input, e), file=sys.stderr)
         return EXIT_INPUT
     except _STAGE_ERRORS as e:
         print("hardening failed: %s" % e, file=sys.stderr)
@@ -205,13 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stats", help="shape summary of a hardened module")
     s.add_argument("module")
-    _common_flags(s)
+    s.add_argument("--report", metavar="FILE", help="write the report here")
     s.set_defaults(fn=cmd_stats)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "budget", 1) < 1:
+        print("error: --budget must be positive", file=sys.stderr)
+        return EXIT_INPUT
     return args.fn(args)
 
 

@@ -197,13 +197,6 @@ def wrap_accesses(m: Module) -> int:
     return n
 
 
-def _def_of(fn, name):
-    for ins in fn.instructions():
-        if ins.name == name:
-            return ins
-    return None
-
-
 def optimize_natural_striding(m: Module, report) -> int:
     """Let public-address accesses keep their own stride.
 
@@ -218,6 +211,7 @@ def optimize_natural_striding(m: Module, report) -> int:
     """
     n = 0
     for f in m.funcs.values():
+        sels = None     # ct_select results by name, built on first use
         for ins in f.instructions():
             if ins.op != "call" or ins.callee not in ("ct_load", "ct_store"):
                 continue
@@ -231,10 +225,11 @@ def optimize_natural_striding(m: Module, report) -> int:
             p_sel = ins.args[0]
             p_raw = p_sel
             if isinstance(p_sel, Reg):
-                d = _def_of(f, p_sel.name)
-                if d is not None and d.op == "call" \
-                        and d.callee == "ct_select" \
-                        and isinstance(d.args[2], Const) \
+                if sels is None:
+                    sels = {i.name: i for i in f.instructions()
+                            if i.op == "call" and i.callee == "ct_select"}
+                d = sels.get(p_sel.name)
+                if d is not None and isinstance(d.args[2], Const) \
                         and d.args[2].value == 0:
                     p_raw = d.args[1]
             if ins.callee == "ct_load":

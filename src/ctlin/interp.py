@@ -23,7 +23,7 @@ The variant is the `Decoder` the code was built with:
 - `Decoder`, the plain machine: values, memory, events and traces.
 - `DecoyDecoder`, the decoy shadow: aux marks registers holding decoy
   values, and stores, ct_stores and returns that let one escape are
-  recorded as decoy violations (`Machine(m, decoy_checks=True)`).
+  recorded as decoy violations (`Code(m, DecoyDecoder())`).
 - `taint.TaintDecoder`, the taint profiler: aux marks secret-dependent
   registers, and the handlers report sensitive program points.
 
@@ -1000,19 +1000,16 @@ class _Frame:
 class Machine:
     """One run of a module.  Create fresh per interpretation.
 
-    `code` is the module decoded by the batch this run belongs to; when
-    absent the module is decoded for this run alone, as the decoy
-    shadow variant with `decoy_checks`.
+    `code` is the module decoded by the batch this run belongs to, and
+    its decoder is the variant that runs; when absent the module is
+    decoded for this run alone as the plain variant.
     """
 
     def __init__(self, m: Module, lam: int = 64, budget: int = DEFAULT_BUDGET,
-                 decoy_checks: bool = False, code: Code | None = None):
-        if code is None:
-            code = Code(m, DecoyDecoder() if decoy_checks else Decoder())
-        elif code.m is not m:
+                 code: Code | None = None):
+        code = code or Code(m)
+        if code.m is not m:
             raise ValueError("code was decoded from another module")
-        elif decoy_checks and not isinstance(code.decoder, DecoyDecoder):
-            raise ValueError("decoy_checks needs code from DecoyDecoder")
         self.m = m
         self.code = code
         self.lam = lam
@@ -1030,16 +1027,14 @@ class Machine:
     def _ev(self, kind: str, addr: int):
         self.trace.events.append((kind, addr // self.lam))
 
-    def _read(self, addr: int, size: int, ev=True) -> int:
+    def _read(self, addr: int, size: int) -> int:
         v = self.mem.read(addr, size)
-        if ev:
-            self._ev("r", addr)
+        self._ev("r", addr)
         return v
 
-    def _write(self, addr: int, size: int, value: int, ev=True):
+    def _write(self, addr: int, size: int, value: int):
         self.mem.write(addr, size, value)
-        if ev:
-            self._ev("w", addr)
+        self._ev("w", addr)
 
     # -- running ----------------------------------------------------------
 
@@ -1307,11 +1302,9 @@ class Machine:
 
 
 def interpret(m: Module, inp: ExecInput, lam: int = 64,
-              budget: int = DEFAULT_BUDGET, entry: str = "main",
-              decoy_checks: bool = False) -> Trace:
+              budget: int = DEFAULT_BUDGET, entry: str = "main") -> Trace:
     """Run the module once; aborts land in Trace.abort, never raise."""
-    mach = Machine(m, lam=lam, budget=budget, decoy_checks=decoy_checks)
-    return mach.run(inp, entry=entry)
+    return Machine(m, lam=lam, budget=budget).run(inp, entry=entry)
 
 
 def final_state(m: Module, inp: ExecInput, entry: str = "main",

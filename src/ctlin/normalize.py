@@ -119,21 +119,15 @@ def promote_indirect_calls(m: Module, targets) -> Module:
     trap failsafe.  An empty candidate list is a hard error: a reachable
     icall would have no semantics.
     """
-    tmap = getattr(targets, "targets", targets)
     for fn in list(m.funcs.values()):
         while True:
-            site = None
-            for b in fn.blocks.values():
-                for k, ins in enumerate(b.instrs):
-                    if ins.op == "icall":
-                        site = (b, k, ins)
-                        break
-                if site:
-                    break
+            site = next(((b, k, ins) for b in fn.blocks.values()
+                         for k, ins in enumerate(b.instrs)
+                         if ins.op == "icall"), None)
             if site is None:
                 break
             b, k, ins = site
-            cands = sorted(tmap.get(ins.iid, []))
+            cands = sorted(targets.get(ins.iid, []))
             if not cands:
                 raise NormalizeError(
                     "@%s: icall #%d has no resolvable targets" % (fn.name, ins.iid))

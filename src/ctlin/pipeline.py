@@ -21,12 +21,16 @@ from .cfg import reachable
 from .interp import DEFAULT_BUDGET, SuiteError, parse_suite
 from .ir import Module, validate
 from .normalize import normalize_regions, promote_indirect_calls, unify_exits
-from .taint import (close_sensitivity, default_suite, taint_profile,
-                    translate_report)
+from .taint import (close_sensitivity, default_suite, input_shape,
+                    taint_profile, translate_report)
 
 
 class PipelineError(Exception):
     pass
+
+
+class InputError(ValueError):
+    """A module the pipeline cannot run: its entry point is missing."""
 
 
 @dataclass
@@ -51,7 +55,13 @@ def _suite(m: Module, cfg: PipelineConfig) -> list:
             raise SuiteError("cannot read suite: %s" % e) from None
         suite = parse_suite(text)
         if not suite:
-            raise PipelineError("suite %s holds no inputs" % cfg.suite_path)
+            raise SuiteError("suite holds no inputs")
+        npub, nsec = input_shape(m, cfg.entry)
+        for k, inp in enumerate(suite, 1):
+            if len(inp.public) < npub or len(inp.secrets) < nsec:
+                raise SuiteError("input %d is short: @%s takes %d public "
+                                 "and %d secret values"
+                                 % (k, cfg.entry, npub, nsec))
         return suite
     return default_suite(m, cfg.entry, seed=cfg.seed)
 
@@ -83,6 +93,8 @@ def _clone_scope(m: Module, fns: set) -> set:
 def harden_module(m: Module, cfg: PipelineConfig | None = None):
     """Run every stage on m in place; returns (m, stage report dict)."""
     cfg = cfg or PipelineConfig()
+    if cfg.entry not in m.funcs:
+        raise InputError("no entry function @%s" % cfg.entry)
     rep = {}
 
     unify_exits(m)
@@ -94,7 +106,7 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
     rt = normalize_regions(m)
 
     suite = _suite(m, cfg)
-    report = taint_profile(m, suite, entry=cfg.entry, budget=cfg.budget)
+    report = taint_profile(m, suite, rt, entry=cfg.entry, budget=cfg.budget)
     ss = close_sensitivity(m, report, rt)
 
     rep["cloned"] = 0

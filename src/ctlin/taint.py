@@ -30,7 +30,7 @@ from .cfg import reachable
 from .interp import (DEFAULT_BUDGET, AbortError, Code, Decoder, ExecInput,
                      Machine, _then_flag)
 from .ir import BINOPS, Module, Reg, size_of
-from .normalize import RegionTree, normalize_regions
+from .normalize import RegionTree
 
 
 class ProfileError(Exception):
@@ -229,13 +229,15 @@ class TaintDecoder(Decoder):
             t[d] = t.get(c, False) or t.get(x if regs[c] & 1 else y, False)
         return ht
 
+    # no one reads a profiling run's trace, so plain accesses skip the
+    # window events and access log of the plain handlers
     def _op_load(self, fn, ins):
-        h, d, iid = super()._op_load(fn, ins), ins.name, ins.iid
+        d, iid = ins.name, ins.iid
         pk, size = self.key(ins.args[0]), size_of(ins.ty)
 
         def ht(mach, regs, t):
-            h(mach, regs, t)
             p = regs[pk]
+            regs[d] = mach.mem.read(p, size)
             tp = t.get(pk, False)
             if tp:
                 mach.report.reads.add(iid)
@@ -244,18 +246,18 @@ class TaintDecoder(Decoder):
         return ht
 
     def _op_store(self, fn, ins):
-        h, iid, size = super()._op_store(fn, ins), ins.iid, size_of(ins.ty)
+        iid, size = ins.iid, size_of(ins.ty)
         vk, pk = self.key(ins.args[0]), self.key(ins.args[1])
 
         def ht(mach, regs, t):
-            h(mach, regs, t)
+            p = regs[pk]
+            mach.mem.write(p, size, regs[vk])
             tv = t.get(vk, False)
             tp = t.get(pk, False)
             if tv or tp:
                 mach.report.writes.add(iid)
             if tp:
                 mach.report.addr_tainted.add(iid)
-            p = regs[pk]
             span = range(p, p + size)
             if tv or tp:
                 mach.mtaint.update(span)
@@ -298,12 +300,8 @@ class TaintMachine(Machine):
     `TaintDecoder` once per suite.
     """
 
-    def __init__(self, m: Module, rt: RegionTree, contexts: list,
-                 budget: int = DEFAULT_BUDGET, code: Code | None = None):
-        if code is None:
-            code = Code(m, TaintDecoder(rt))
+    def __init__(self, m: Module, contexts: list, budget: int, code: Code):
         super().__init__(m, lam=1, budget=budget, code=code)
-        self.rt = rt
         self.contexts = contexts
         self.ctx = [contexts[0]]    # context of each live frame
         self.report = contexts[0].report
@@ -361,22 +359,19 @@ def default_suite(m: Module, entry: str = "main", space: int = 32768,
     return suite
 
 
-def taint_profile(m: Module, suite, entry: str = "main",
+def taint_profile(m: Module, suite, rt: RegionTree, entry: str = "main",
                   budget: int = DEFAULT_BUDGET) -> TaintReport:
     """Profile every input and union the findings.
 
-    The module must be in region normal form; the canonicalizer is
-    re-run to recover the region tree, which is a no-op on normal-form
-    input.  The program is expected to be error-free on the suite; an
-    abort is a profiling failure, not a finding.  The union keeps the
-    calling-context tree in `contexts`.
+    The module must be in region normal form and rt its region tree, as
+    `normalize_regions` returned it.  The program is expected to be
+    error-free on the suite; an abort is a profiling failure, not a
+    finding.  The union keeps the calling-context tree in `contexts`.
     """
-    rt = normalize_regions(m)
     contexts = [Context(None, None, entry)]
     code = Code(m, TaintDecoder(rt))
     for inp in suite:
-        tm = TaintMachine(m, rt, contexts, budget=budget, code=code)
-        tr = tm.run(inp, entry)
+        tr = TaintMachine(m, contexts, budget, code).run(inp, entry)
         if tr.abort is not None:
             raise ProfileError("abort %r while profiling %s"
                                % (tr.abort, inp))

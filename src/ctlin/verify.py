@@ -280,6 +280,8 @@ def verify_module(orig, hard, entry: str = "main", lams=None,
                   space: int = SECRET_SPACE,
                   budget: int = DEFAULT_BUDGET) -> list:
     """All checks in report order; extra quanta verify coarser views."""
+    if budget < 1:      # equivalence would pass comparing two aborts
+        raise ValueError("budget %d runs no instruction" % budget)
     out = [check_pc_security(hard, entry, pairs, seed, space, budget),
            check_obliviousness(hard, None, entry, pairs, seed, space,
                                budget)]

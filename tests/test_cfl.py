@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import hardened, load
 from ctlin.cfl import ct_select, encode_taken
-from ctlin.interp import ExecInput, Machine, interpret
+from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
 from ctlin.ir import parse_module, print_module, validate
 from ctlin.pipeline import PipelineConfig, harden_module
 
@@ -183,8 +183,9 @@ class TestTakenMap:
 
     def test_decoy_checks_clean(self):
         hm, _ = hardened("nested_branches")
+        code = Code(hm, DecoyDecoder())
         for s in range(8):
-            mach = Machine(hm, decoy_checks=True)
+            mach = Machine(hm, code=code)
             tr = mach.run(ExecInput([], [s]))
             assert tr.decoy_violations == []
             assert tr.abort is None

@@ -110,13 +110,53 @@ class TestErrors:
         assert rc == EXIT_PIPELINE
         assert "stack_overflow" in err
 
-    def test_pipeline_error(self, tmp_path, capsys):
+    def test_suite_without_inputs_is_an_input_error(self, tmp_path, capsys):
         suite = tmp_path / "empty.suite"
         suite.write_text("# nothing\n")
-        rc, _, err = run(["harden", corpus_path("jit_trip"),
-                          "--suite", str(suite), "--emit", "-"], capsys)
-        assert rc == EXIT_PIPELINE
-        assert "suite" in err
+        rc, out, err = run(["harden", corpus_path("jit_trip"),
+                            "--suite", str(suite), "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "%s: suite holds no inputs\n" % suite
+
+    @pytest.mark.parametrize("line", ["pub: ; sec:", "pub: 1",
+                                      "pub: ; sec: 3\npub: 1 ; sec:"])
+    def test_short_suite_input_is_an_input_error(self, tmp_path, line,
+                                                 capsys):
+        # @main of table_lookup takes one secret and no public value
+        suite = tmp_path / "short.suite"
+        suite.write_text(line + "\n")
+        rc, out, err = run(["harden", corpus_path("table_lookup"),
+                            "--suite", str(suite), "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(str(suite) + ": ")
+        assert "@main takes 0 public and 1 secret" in err
+
+    def test_longer_suite_input_is_accepted(self, tmp_path, capsys):
+        suite = tmp_path / "long.suite"
+        suite.write_text("pub: 7 ; sec: 3, 9\n")
+        rc, _, _ = run(["harden", corpus_path("table_lookup"),
+                        "--suite", str(suite), "--emit", "-"], capsys)
+        assert rc == EXIT_OK
+
+    def test_missing_entry_is_an_input_error(self, tmp_path, capsys):
+        src = corpus_path("table_lookup")
+        suite = tmp_path / "s.suite"
+        suite.write_text("pub: ; sec: 3\n")
+        for extra in ([], ["--suite", str(suite)]):
+            rc, out, err = run(["harden", src, "--entry", "nosuch",
+                                "--emit", "-"] + extra, capsys)
+            assert rc == EXIT_INPUT
+            assert out == ""
+            assert err == "%s: no entry function @nosuch\n" % src
+
+    def test_zero_budget_is_an_input_error(self, capsys):
+        rc, out, err = run(["harden", corpus_path("table_lookup"),
+                            "--budget", "0", "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "error: --budget must be positive\n"
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +194,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags", [["--lambda", "0"],
                                        ["--lambda", "-64"],
                                        ["--pairs", "0"], ["--pairs", "-1"],
-                                       ["--space", "1"]])
+                                       ["--space", "1"], ["--budget", "0"],
+                                       ["--budget", "-1"]])
     def test_vacuous_flags_are_input_errors(self, hardened_path, flags,
                                             capsys):
         rc, out, err = run(["verify", corpus_path("nested_branches"),
@@ -220,6 +261,13 @@ class TestStats:
         for key in ("functions", "instructions", "plans", "handlers",
                     "portions_mean", "lambda", "scheme"):
             assert key in data, key
+
+    @pytest.mark.parametrize("flag", ["--entry", "--seed", "--budget"])
+    def test_only_report_flag(self, flag, capsys):
+        # stats reads no entry, seed or budget, so it takes none
+        with pytest.raises(SystemExit) as e:
+            main(["stats", corpus_path("table_lookup"), flag, "1"])
+        assert e.value.code == EXIT_INPUT
 
 
 def test_module_entry_point():

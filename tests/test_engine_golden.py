@@ -36,7 +36,8 @@ sys.path.insert(0, HERE)
 
 from conftest import CORPUS, load  # noqa: E402
 from ctlin import pipeline  # noqa: E402
-from ctlin.interp import ExecInput, Machine  # noqa: E402
+from ctlin.interp import (Code, DecoyDecoder, ExecInput,  # noqa: E402
+                          Machine)
 from ctlin.ir import print_module  # noqa: E402
 from ctlin.pipeline import PipelineConfig, harden_module  # noqa: E402
 from ctlin.verify import (public_batch, secret_batch,  # noqa: E402
@@ -114,8 +115,9 @@ def digests(name: str, lam: int) -> dict:
     runs = []
     for m in (orig, hard):
         for decoy in (False, True):
+            code = Code(m, DecoyDecoder() if decoy else None)
             for inp in _grid(hard):
-                mach = Machine(m, lam=lam, decoy_checks=decoy)
+                mach = Machine(m, lam=lam, code=code)
                 tr = mach.run(inp)
                 runs.append(_trace_record(mach, tr))
     verdicts = [[v.line(), v.warnings]

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import pytest
 
 from conftest import RECURSIVE, hardened, load
-from ctlin.interp import (MAX_CALL_DEPTH, ExecInput, Machine, SuiteError,
-                          Trace, final_state, format_suite, interpret,
-                          parse_suite)
+from ctlin.interp import (MAX_CALL_DEPTH, Code, DecoyDecoder, ExecInput,
+                          Machine, SuiteError, Trace, final_state,
+                          format_suite, interpret, parse_suite)
 from ctlin.ir import parse_module
 from ctlin.normalize import normalize_regions, unify_exits
 from ctlin.taint import ProfileError, taint_profile
@@ -216,9 +216,9 @@ class TestCallDepth:
     def test_profiling_deep_recursion_is_a_profile_error(self):
         m = parse_module(RECURSIVE)
         unify_exits(m)
-        normalize_regions(m)
+        rt = normalize_regions(m)
         with pytest.raises(ProfileError, match="stack_overflow"):
-            taint_profile(m, [ExecInput([2000], [])])
+            taint_profile(m, [ExecInput([2000], [])], rt)
 
 
 DECOY_RETURN = """\
@@ -248,7 +248,7 @@ class TestDecoyShadow:
         # %v is computed under a false taken predicate (%live is 0 for
         # x=5), so the value main stores to a plain global is a decoy
         m = parse_module(DECOY_RETURN.replace("CALL", call))
-        tr = interpret(m, ExecInput([], []), decoy_checks=True)
+        tr = Machine(m, code=Code(m, DecoyDecoder())).run(ExecInput([], []))
         assert tr.abort is None
         assert tr.decoy_violations == [("store", "main", 4)]
 

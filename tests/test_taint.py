@@ -1,15 +1,19 @@
 """Dynamic taint profiling, its calling contexts and the closure."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RECURSIVE, load
-from ctlin.interp import ExecInput
+from ctlin import pipeline, taint
+from ctlin.interp import DEFAULT_BUDGET, Code, ExecInput, interpret
 from ctlin.ir import parse_module
 from ctlin.normalize import (normalize_regions, promote_indirect_calls,
                              unify_exits)
+from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.pta import aggressive_clone, resolve_indirect_targets
-from ctlin.taint import (close_sensitivity, default_suite, input_shape,
+from ctlin.taint import (Context, TaintDecoder, TaintMachine,
+                         close_sensitivity, default_suite, input_shape,
                          taint_profile, translate_report)
 
 
@@ -18,7 +22,7 @@ def profiled(name_or_module, suite=None):
         else load(name_or_module)
     unify_exits(m)
     rt = normalize_regions(m)
-    rep = taint_profile(m, suite or default_suite(m))
+    rep = taint_profile(m, suite or default_suite(m), rt)
     return m, rt, rep
 
 
@@ -81,9 +85,62 @@ class TestProfile:
 
 
     def test_recursion_adds_no_contexts(self):
-        rep = taint_profile(parse_module(RECURSIVE),
-                            [ExecInput([n], []) for n in (3, 40)])
+        m = parse_module(RECURSIVE)
+        unify_exits(m)
+        rep = taint_profile(m, [ExecInput([n], []) for n in (3, 40)],
+                            normalize_regions(m))
         assert [c.fn for c in rep.contexts] == ["main", "f"]
+
+    def test_plain_accesses_leave_no_trace(self):
+        # no one reads a profiling run's trace, so plain loads and
+        # stores record neither window events nor the access log
+        m = load("table_lookup")
+        unify_exits(m)
+        rt = normalize_regions(m)
+        contexts = [Context(None, None, "main")]
+        tm = TaintMachine(m, contexts, DEFAULT_BUDGET,
+                          Code(m, TaintDecoder(rt)))
+        inp = ExecInput([], [5])
+        tr = tm.run(inp)
+        assert tr.abort is None
+        assert tr.events == [] and tr.access_log == {}
+        plain = interpret(m, inp)
+        assert plain.events and plain.access_log
+        assert tr.output == plain.output
+        rep = contexts[0].report
+        loads = {instr_by_name(m, "main", n).iid for n in ("ta", "tb")}
+        store = [i for i in m.funcs["main"].instructions()
+                 if i.op == "store"][0]
+        assert rep.reads == loads
+        assert rep.writes == {store.iid}
+
+
+class TestRegionTreeReuse:
+    @pytest.mark.parametrize("cloning, calls", [(False, 1), (True, 2)])
+    def test_harden_normalizes_once_per_shape(self, monkeypatch, cloning,
+                                              calls):
+        # one region tree before cloning, one after; profiling takes
+        # the first instead of building its own
+        trees, profiled = [], []
+        norm, profile = pipeline.normalize_regions, pipeline.taint_profile
+
+        def counting(m):
+            trees.append(norm(m))
+            return trees[-1]
+
+        def recording(m, suite, rt, **kw):
+            profiled.append(rt)
+            return profile(m, suite, rt, **kw)
+
+        monkeypatch.setattr(pipeline, "normalize_regions", counting)
+        monkeypatch.setattr(taint, "normalize_regions", counting,
+                            raising=False)
+        monkeypatch.setattr(pipeline, "taint_profile", recording)
+        _, rep = harden_module(load("two_context"),
+                               PipelineConfig(cloning=cloning))
+        assert bool(rep["cloned"]) == cloning
+        assert len(trees) == calls
+        assert len(profiled) == 1 and profiled[0] is trees[0]
 
 
 def translated_and_fresh(m, partitions=128):
@@ -94,13 +151,12 @@ def translated_and_fresh(m, partitions=128):
     targets = resolve_indirect_targets(m)
     if targets:
         promote_indirect_calls(m, targets)
-    normalize_regions(m)
     suite = default_suite(m, partitions=partitions)
-    before = taint_profile(m, suite)
+    before = taint_profile(m, suite, normalize_regions(m))
     cmap = aggressive_clone(m, set(m.funcs))
     assert cmap
-    normalize_regions(m)
-    return translate_report(before, m, cmap.copies), taint_profile(m, suite)
+    return (translate_report(before, m, cmap.copies),
+            taint_profile(m, suite, normalize_regions(m)))
 
 
 @st.composite
@@ -191,13 +247,12 @@ class TestTranslation:
                "  %r = add i64 %a, %b\n  ret %r\n}\n")
         m = parse_module(src)
         unify_exits(m)
-        normalize_regions(m)
         suite = default_suite(m, partitions=8)
-        before = taint_profile(m, suite)
+        before = taint_profile(m, suite, normalize_regions(m))
         cmap = aggressive_clone(m, set(m.funcs))
         assert sorted(cmap) == ["h.c1", "h.c2"]
         assert translate_report(before, m, cmap.copies) == \
-            taint_profile(m, suite)
+            taint_profile(m, suite, normalize_regions(m))
 
     @settings(max_examples=30, deadline=None)
     @given(call_dags())

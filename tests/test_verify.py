@@ -192,6 +192,14 @@ class TestBatches:
         with pytest.raises(ValueError, match="fewer than 2"):
             verify_module(m, m, pairs=-1, space=space)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_refused(self, budget):
+        # a run of no instruction aborts on both sides, which every
+        # check would take for agreement
+        m = load("nested_branches")
+        with pytest.raises(ValueError, match="runs no instruction"):
+            verify_module(m, m, budget=budget)
+
     @pytest.mark.parametrize("lam", [0, -64])
     def test_nonpositive_quantum_refused(self, lam):
         with pytest.raises(ValueError, match="not positive"):
