@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .ir import (Block, Const, Function, Global, HardenInfo, I1, I8, I32,
-                 I64, Instr, Module, Param, Reg, Sym)
+                 I64, Instr, Module, Param, Reg, Sym, reg_types)
 from .normalize import RegionTree
 
 M64 = (1 << 64) - 1
@@ -129,18 +129,6 @@ def _subst_block(b: Block, sub: dict, uses: _Uses):
         i.args = args
         if i.incoming:
             i.incoming = incoming
-
-
-def _type_env(m: Module, fn: Function) -> dict:
-    from .ir import _result_type
-    env = {p.name: p.ty for p in fn.params}
-    for _ in range(2):
-        for ins in fn.instructions():
-            if ins.name:
-                t = _result_type(m, ins, env)
-                if t is not None:
-                    env[ins.name] = t
-    return env
 
 
 def _resolve_pending(fn: Function, ctx: dict, labels: set, new_op):
@@ -340,7 +328,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
 
     # live-outs freeze at the last real iteration: while taken, the exit
     # copy follows the body value; during padding it holds
-    env = _type_env(m, fn)
+    env = reg_types(m, fn)
     defs = [i for lbl, b in fn.blocks.items() if lbl in r.blocks
             for i in b.instrs if i.name]
     outside = [b for lbl, b in fn.blocks.items() if lbl not in r.blocks]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .cfg import reachable
 from .ir import (Const, DflAccessMetadata, DflEntry, Global, Module, Reg,
-                 Sym, size_of)
+                 Sym, site_token, size_of)
 
 HANDLER_WEIGHTS = {"simple": 1.0, "gather": 0.6, "bulk": 0.3}
 
@@ -76,7 +76,7 @@ def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
         if isinstance(pop, Reg):
             elems = pt.of(f.name, pop.name)
         elif isinstance(pop, Sym) and pop.name in m.globals:
-            elems = {("g:@" + pop.name, 0, 0, 0)}
+            elems = {(site_token("g", pop.name), 0, 0, 0)}
         else:
             elems = set()
         entries = []
@@ -108,8 +108,9 @@ def promote_stack_objects(m: Module) -> int:
     wanted = set()
     for rec in m.dflmeta.values():
         for e in rec.entries:
-            if e.site_kind() == "s":
-                wanted.add(int(e.site.split(":")[1]))
+            kind, ref = e.site_ref()
+            if kind == "s":
+                wanted.add(ref)
     if not wanted:
         return 0
     cg = m.callees()
@@ -126,11 +127,9 @@ def promote_stack_objects(m: Module) -> int:
                 moved[ins.iid] = gname
     for rec in m.dflmeta.values():
         for e in rec.entries:
-            if e.site_kind() != "s":
-                continue
-            site = int(e.site.split(":")[1])
-            if site in moved:
-                e.site = "g:@" + moved[site]
+            kind, ref = e.site_ref()
+            if kind == "s" and ref in moved:
+                e.site = site_token("g", moved[ref])
     return len(moved)
 
 
@@ -143,11 +142,7 @@ def interpose_allocations(m: Module) -> int:
     recognizes both header layouts, and a free site can receive
     pointers from either kind of allocation.
     """
-    sites = set()
-    for rec in m.dflmeta.values():
-        for e in rec.entries:
-            if e.site_kind() in ("s", "h"):
-                sites.add(e.site_ref())
+    sites = {e.site_ref() for rec in m.dflmeta.values() for e in rec.entries}
     n = 0
     any_heap = any(k == "h" for k, _ in sites)
     for f in m.funcs.values():

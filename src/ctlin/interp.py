@@ -11,6 +11,8 @@ of handlers that end at calls, with the terminator as a small tagged
 tuple; the parallel copy of the phis, one per predecessor label, is the
 first handler of the run entered over that edge.  Calls nest no deeper
 than MAX_CALL_DEPTH frames; past it a run aborts with stack_overflow.
+A run that reads past its input vectors, as entry arguments or through
+`secret`, aborts with short_input.
 Handlers are closures over what the instruction fixes: register
 names, constants and symbol addresses (held in a per-function constant
 pool, so every operand is a register lookup), widths, masks, compare
@@ -52,8 +54,8 @@ import bisect
 from dataclasses import dataclass, field
 
 from .cfl import ct_select, encode_taken
-from .ir import (BINOPS, BUILTIN_FUNCS, Const, Module, Reg, Sym,
-                 _result_type, field_offset, is_reserved_name, size_of)
+from .ir import (BINOPS, BUILTIN_FUNCS, Const, Module, Reg, Sym, gep_steps,
+                 is_reserved_name, reg_types, site_token, size_of)
 
 MAGIC = 0xD1F1D1F1C0C0C0C0
 
@@ -226,7 +228,7 @@ def _site_keys(m: Module) -> list:
         if ins.op == "call" and ins.callee in ("dfl_alloc_stack",
                                                "dfl_alloc_heap"):
             k = "s" if ins.callee == "dfl_alloc_stack" else "h"
-            keys.add("%s:%d" % (k, ins.args[0].value))
+            keys.add(site_token(k, ins.args[0].value))
     for rec in m.dflmeta.values():
         for e in rec.entries:
             if e.site_kind() in ("s", "h"):
@@ -234,18 +236,19 @@ def _site_keys(m: Module) -> list:
     return sorted(keys)
 
 
-def _lay_out(m: Module, site_keys, mem: Memory):
-    """Allocate site list cells, then globals; (site cells, global addrs).
+def _lay_out(code: "Code", mem: Memory):
+    """Allocate the code's site list cells, then its globals; (site cells,
+    global addrs).
 
     Placement is deterministic, so decoding resolves symbol addresses
     once with a scratch Memory and every machine lays out the same way.
     """
     cells = {}
-    for key in site_keys:
+    for key in code.site_keys:
         cells[key] = mem.alloc("cell", 16, site=key).base
     addrs = {}
-    for g in m.globals.values():
-        a = mem.alloc("g", size_of(g.ty), site="g:@" + g.name)
+    for g in code.m.globals.values():
+        a = mem.alloc("g", size_of(g.ty), site=code.global_sites[g.name])
         if g.init:
             a.data[:len(g.init)] = g.init
         addrs[g.name] = a.base
@@ -337,8 +340,8 @@ class Code:
         self.decoder = decoder = decoder or Decoder()
         self.scheme = m.harden.scheme if m.harden else 5
         self.site_keys = _site_keys(m)
-        self.site_cells, self.global_addr = _lay_out(m, self.site_keys,
-                                                     Memory())
+        self.global_sites = {name: site_token("g", name) for name in m.globals}
+        self.site_cells, self.global_addr = _lay_out(self, Memory())
         self.funcs = {name: DFunc(fn) for name, fn in m.funcs.items()}
         self.func_addr = {name: FUNC_BASE + 16 * i
                           for i, name in enumerate(m.funcs)}
@@ -368,7 +371,7 @@ class Decoder:
 
     def decode_function(self, fn, df: DFunc):
         self.pool = df.pool
-        self.types = self._reg_types(fn)
+        self.types = reg_types(self.m, fn)
         index = {label: i for i, label in enumerate(fn.blocks)}
         nowhere = DBlock("")
         nowhere.term = (_TRAP, "branch to unknown label")
@@ -378,13 +381,6 @@ class Decoder:
             self.decode_block(fn, b, db, index)
             blocks.append(db)
         df.blocks = tuple(blocks) + (nowhere,)
-
-    def _reg_types(self, fn) -> dict:
-        env = {p.name: p.ty for p in fn.params}
-        for ins in fn.instructions():
-            if ins.name is not None:
-                env[ins.name] = _result_type(self.m, ins, env)
-        return env
 
     def key(self, o) -> str:
         """Frame dictionary key of an operand; constants and known symbols
@@ -624,23 +620,12 @@ class Decoder:
 
     def _op_gep(self, fn, ins):
         d, bk = ins.name, self.key(ins.args[0])
-        idxs = ins.args[1:]
-        terms = []            # (index key, scale)
-        off = 0
-        if idxs:
-            terms.append((self.key(idxs[0]), size_of(ins.ty)))
-        cur = ins.ty
-        for idx in idxs[1:]:
-            if cur.kind == "array":
-                terms.append((self.key(idx), size_of(cur.elem)))
-                cur = cur.elem
-            elif cur.kind == "agg":
-                if not isinstance(idx, Const):
-                    return _trap("gep field index must be constant")
-                off += field_offset(cur, idx.value)
-                cur = cur.fields[idx.value][1]
-            else:
-                return _trap("gep into scalar")
+        steps, err = gep_steps(ins.ty, ins.args[1:])
+        if err:
+            return _trap(err)
+        # (index key, scale) per index; fields fold into one offset
+        terms = [(self.key(i), scale) for i, scale in steps if i is not None]
+        off = sum(o for i, o in steps if i is None)
         if len(terms) == 1 and not off:
             (ik, scale), = terms
 
@@ -660,7 +645,7 @@ class Decoder:
         return h
 
     def _op_alloca(self, fn, ins):
-        d, size, site = ins.name, size_of(ins.ty), "s:%d" % ins.iid
+        d, size, site = ins.name, size_of(ins.ty), site_token("s", ins.iid)
 
         def h(mach, regs, aux):
             a = mach.mem.alloc("s", size, site=site)
@@ -669,7 +654,7 @@ class Decoder:
         return h
 
     def _op_heapalloc(self, fn, ins):
-        d, size, site = ins.name, size_of(ins.ty), "h:%d" % ins.iid
+        d, size, site = ins.name, size_of(ins.ty), site_token("h", ins.iid)
 
         def h(mach, regs, aux):
             a = mach.mem.alloc("h", size + 8, skew=8, site=site)
@@ -697,7 +682,7 @@ class Decoder:
 
         def h(mach, regs, aux):
             if k >= len(mach.secrets):
-                raise ValueError("secret index %d out of range" % k)
+                raise AbortError("short_input", "secret index %d" % k)
             regs[d] = mach.secrets[k] & mask
         return h
 
@@ -780,7 +765,7 @@ class Decoder:
 
     def _dfl_alloc(self, ins, seg):
         d, size = ins.name, ins.args[1].value
-        key = "%s:%d" % (seg, ins.args[0].value)
+        key = site_token(seg, ins.args[0].value)
         cell = self.code.site_cells.get(key)
         if cell is None:
             return _trap("allocation site %s has no list" % key)
@@ -1018,8 +1003,7 @@ class Machine:
         self.trace = Trace(lam=lam)
         self.steps = 0
         self.frames = []
-        self.site_cells, self.global_addr = _lay_out(m, code.site_keys,
-                                                     self.mem)
+        self.site_cells, self.global_addr = _lay_out(code, self.mem)
         self._ret_shadow = False
 
     # -- events -----------------------------------------------------------
@@ -1048,14 +1032,17 @@ class Machine:
         for p in fn.params:
             if p.secret:
                 if si >= len(self.secrets):
-                    raise ValueError("secret vector too short for @%s" % entry)
+                    break
                 args.append(self.secrets[si] & _mask(p.ty))
                 si += 1
             else:
                 if pi >= len(inp.public):
-                    raise ValueError("public args too short for @%s" % entry)
+                    break
                 args.append(inp.public[pi] & _mask(p.ty))
                 pi += 1
+        if len(args) < len(fn.params):
+            self.trace.abort = "short_input"
+            return self.trace
         df = self.code.funcs[entry]
         try:
             self.trace.output = self._call(df, args,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
+from .cfg import build_cfg, dfs
+
 # ---------------------------------------------------------------------------
 # types
 
@@ -72,6 +74,34 @@ def field_offset(t: Type, index: int) -> int:
 
 def is_scalar(t: Type) -> bool:
     return t.kind in ("int", "addr")
+
+
+def gep_steps(ty: Type, idxs):
+    """Address arithmetic of `gep ty base, idxs...`: (steps, None), or
+    (None, message) when the indices do not walk ty.
+
+    The steps are in index order.  The first index and each array index
+    give (index operand, element size); an aggregate index gives (None,
+    byte offset of the field).
+    """
+    if not idxs:
+        return [], None
+    steps = [(idxs[0], size_of(ty))]
+    cur = ty
+    for k, idx in enumerate(idxs[1:], 1):
+        if cur.kind == "array":
+            cur = cur.elem
+            steps.append((idx, size_of(cur)))
+        elif cur.kind == "agg":
+            if not isinstance(idx, Const):
+                return None, "aggregate gep index must be constant"
+            if not 0 <= idx.value < len(cur.fields):
+                return None, "aggregate field index out of range"
+            steps.append((None, field_offset(cur, idx.value)))
+            cur = cur.fields[idx.value][1]
+        else:
+            return None, "gep index %d walks into scalar type" % k
+    return steps, None
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +180,6 @@ class Block:
     def phis(self):
         return [i for i in self.instrs if i.op == "phi"]
 
-    def body(self):
-        return [i for i in self.instrs if i.op != "phi"]
-
 
 @dataclass
 class Param:
@@ -192,10 +219,23 @@ class Global:
     init: bytes | None = None
 
 
+def site_token(kind: str, ref) -> str:
+    """Allocation-site token: g:@name for a global, s:<iid> for an alloca,
+    h:<iid> for a heapalloc; f:@name stands for a function's code."""
+    return "%s:@%s" % (kind, ref) if kind in ("g", "f") \
+        else "%s:%d" % (kind, ref)
+
+
+def site_ref(token: str):
+    """(kind, name or allocation iid) of a site token."""
+    kind, ref = token.split(":", 1)
+    return (kind, ref[1:]) if kind in ("g", "f") else (kind, int(ref))
+
+
 @dataclass
 class DflEntry:
     """One striding target of a wrapped access: a portion of one site."""
-    site: str        # "g:@name" | "s:<iid>" | "h:<iid>"
+    site: str        # a site token: "g:@name" | "s:<iid>" | "h:<iid>"
     off: int
     length: int
     stride: int      # element stride inside the portion, descriptive
@@ -209,8 +249,7 @@ class DflEntry:
         return self.site[0]
 
     def site_ref(self):
-        k, v = self.site.split(":", 1)
-        return (k, v[1:] if k == "g" else int(v))
+        return site_ref(self.site)
 
 
 @dataclass
@@ -258,6 +297,15 @@ class Module:
         return {i.iid: (f, b, i) for f in self.funcs.values()
                 for b in f.blocks.values() for i in b.instrs}
 
+    def site_types(self) -> dict:
+        """Site token -> type of every global, alloca and heapalloc."""
+        out = {site_token("g", g.name): g.ty for g in self.globals.values()}
+        for ins in self.instructions():
+            if ins.op in ("alloca", "heapalloc"):
+                kind = "s" if ins.op == "alloca" else "h"
+                out[site_token(kind, ins.iid)] = ins.ty
+        return out
+
     def callees(self) -> dict:
         """Call graph: fn name -> names of module functions it calls
         directly (builtins and indirect calls are not edges)."""
@@ -294,10 +342,9 @@ class Module:
         for rec in self.dflmeta.values():
             rec.access = remap.get(rec.access, rec.access)
             for e in rec.entries:
-                kind = e.site_kind()
+                kind, old = e.site_ref()
                 if kind in ("s", "h"):
-                    old = int(e.site.split(":")[1])
-                    e.site = "%s:%d" % (kind, remap.get(old, old))
+                    e.site = site_token(kind, remap.get(old, old))
         return remap
 
 
@@ -507,9 +554,9 @@ def _parse_dflmeta(cur: _Cursor) -> DflAccessMetadata:
         cur.expect(":")
         if kind == "g":
             cur.expect("@")
-            site = "g:@" + cur.name()
+            site = site_token(kind, cur.name())
         elif kind in ("s", "h"):
-            site = "%s:%d" % (kind, cur.integer())
+            site = site_token(kind, cur.integer())
         else:
             cur.error("bad site class '%s'" % kind)
         cur.accept(",")
@@ -759,30 +806,33 @@ class Diagnostic:
         return "%s: %s" % (where, self.msg)
 
 
-def _gep_result_navigation(ty: Type, idxs, diag):
-    """Walk a gep's trailing indices through ty; returns None on error."""
-    cur = ty
-    for k, idx in enumerate(idxs):
-        if cur.kind == "array":
-            cur = cur.elem
-        elif cur.kind == "agg":
-            if not isinstance(idx, Const):
-                diag("aggregate gep index must be constant")
-                return None
-            if not 0 <= idx.value < len(cur.fields):
-                diag("aggregate field index out of range")
-                return None
-            cur = cur.fields[idx.value][1]
-        else:
-            diag("gep index %d walks into scalar type" % (k + 1))
-            return None
-    return cur
+def reg_types(m: Module, fn: Function) -> dict:
+    """Register name -> type, parameters included; None where the IR
+    leaves a result untyped (an icall, a builtin without a type rule).
+
+    Blocks are typed in reverse postorder from the entry, then the
+    unreachable ones in listing order.  Every non-phi use is dominated
+    by its def, so its operands are typed before it whatever order the
+    blocks are listed in; phis carry their own type.
+    """
+    env = {p.name: p.ty for p in fn.params}
+    if not fn.blocks:
+        return env
+    succs = {b.label: b.instrs[-1].labels if b.instrs else ()
+             for b in fn.blocks.values()}
+    order = [lbl for lbl in dfs(fn.entry.label, succs)[0]
+             if lbl in fn.blocks]
+    reached = set(order)
+    order += [lbl for lbl in fn.blocks if lbl not in reached]
+    for lbl in order:
+        for ins in fn.blocks[lbl].instrs:
+            if ins.name is not None:
+                env[ins.name] = _result_type(m, ins, env)
+    return env
 
 
 def validate(m: Module) -> list:
     """Structural, SSA, and type diagnostics.  Empty list means well formed."""
-    from . import cfg as _cfg
-
     diags = []
     seen_iids = set()
     for ins in m.instructions():
@@ -823,21 +873,21 @@ def validate(m: Module) -> list:
             continue  # skip deeper checks on broken structure
 
         # SSA defs
-        types: dict[str, Type] = {p.name: p.ty for p in fn.params}
+        params = {p.name for p in fn.params}
         defs: dict[str, Instr] = {}
         dup = False
         for ins in fn.instructions():
             if ins.name is None:
                 continue
-            if ins.name in types or ins.name in defs:
+            if ins.name in params or ins.name in defs:
                 err("redefinition of %%%s" % ins.name, ins.iid)
                 dup = True
             defs[ins.name] = ins
-            types[ins.name] = _result_type(m, ins, types)
         if dup:
             continue
+        types = reg_types(m, fn)
 
-        graph = _cfg.build_cfg(fn)
+        graph = build_cfg(fn)
         iblock = fn.instr_block()
 
         # phi edge agreement
@@ -975,8 +1025,9 @@ def _type_check(m: Module, fn: Function, env, err):
             want(ins.args[1], ADDR, ins, "store address")
         elif op == "gep":
             want(ins.args[0], ADDR, ins, "gep base")
-            _gep_result_navigation(ins.ty, ins.args[2:],
-                                   lambda msg: err(msg, ins.iid))
+            _, msg = gep_steps(ins.ty, ins.args[1:])
+            if msg:
+                err(msg, ins.iid)
         elif op == "heapfree":
             want(ins.args[0], ADDR, ins, "freed pointer")
         elif op == "condbr":

@@ -118,24 +118,33 @@ def promote_indirect_calls(m: Module, targets) -> Module:
     chain tests candidates in ascending name order and falls through to a
     trap failsafe.  An empty candidate list is a hard error: a reachable
     icall would have no semantics.
+
+    One pass per function: the chain's blocks follow the block it split,
+    and the scan goes on in its join block, which holds the rest.
     """
     for fn in list(m.funcs.values()):
-        while True:
-            site = next(((b, k, ins) for b in fn.blocks.values()
-                         for k, ins in enumerate(b.instrs)
-                         if ins.op == "icall"), None)
-            if site is None:
-                break
-            b, k, ins = site
-            cands = sorted(targets.get(ins.iid, []))
-            if not cands:
-                raise NormalizeError(
-                    "@%s: icall #%d has no resolvable targets" % (fn.name, ins.iid))
-            _expand_icall(m, fn, b, k, ins, cands)
+        out = []
+        for b in list(fn.blocks.values()):
+            out.append(b)
+            k = 0
+            while k < len(b.instrs):
+                ins = b.instrs[k]
+                k += 1
+                if ins.op != "icall":
+                    continue
+                cands = sorted(targets.get(ins.iid, []))
+                if not cands:
+                    raise NormalizeError(
+                        "@%s: icall #%d has no resolvable targets"
+                        % (fn.name, ins.iid))
+                out += _expand_icall(m, fn, b, k - 1, ins, cands)
+                b, k = out[-1], 0
+        fn.blocks = {b.label: b for b in out}
     return m
 
 
 def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands):
+    """Split b at its icall ins[k]; returns the new blocks, join last."""
     fp = ins.args[0]
     call_args = ins.args[1:]
     base = "%s.ic%d" % (b.label, ins.iid)
@@ -189,14 +198,7 @@ def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands):
         for ph in fn.blocks[lbl].phis():
             ph.incoming = [(join_lbl if l == b.label else l, v)
                            for l, v in ph.incoming]
-
-    rebuilt = {}
-    for lbl, blk in fn.blocks.items():
-        rebuilt[lbl] = blk
-        if lbl == b.label:
-            for nb in new_blocks:
-                rebuilt[nb.label] = nb
-    fn.blocks = rebuilt
+    return new_blocks
 
 
 def _sym(name):

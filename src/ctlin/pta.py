@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .cfg import reachable
 from .ir import (Block, Const, Function, Instr, Module, Param, Reg, Sym,
-                 field_offset, size_of)
+                 field_offset, gep_steps, site_ref, site_token, size_of)
 
 _MAX_ELEMS = 64          # per-value widening threshold
 _MAX_PLACEMENTS = 8192
@@ -34,8 +34,8 @@ class PtaError(Exception):
 class PointsTo:
     """Solved facts: ssa values and memory summaries to element sets.
 
-    Elements are (obj, lo, hi, stride) tuples; obj tokens are the dfl
-    site spelling (g:@name, s:<iid>, h:<iid>) plus f:@name for code.
+    Elements are (obj, lo, hi, stride) tuples; obj is an `ir.site_token`
+    (g:@name, s:<iid>, h:<iid>, or f:@name for code).
     lo == hi means an exact pointer; stride 0 goes with it.
     """
     vals: dict = field(default_factory=dict)    # (fn, reg) -> set
@@ -65,27 +65,16 @@ def andersen_solve(m: Module) -> PointsTo:
     pt = PointsTo()
     vals, mem, sizes = pt.vals, pt.mem, pt.sizes
     rets = {}
-    site_ty = {}
-
-    for g in m.globals.values():
-        sizes["g:@" + g.name] = size_of(g.ty)
-    for f in m.funcs.values():
-        for ins in f.instructions():
-            if ins.op == "alloca":
-                site_ty["s:%d" % ins.iid] = ins.ty
-            elif ins.op == "heapalloc":
-                site_ty["h:%d" % ins.iid] = ins.ty
-    for tok, ty in site_ty.items():
-        sizes[tok] = size_of(ty)
+    sizes.update((tok, size_of(ty)) for tok, ty in m.site_types().items())
 
     def op_pts(fname, o):
         if isinstance(o, Reg):
             return vals.get((fname, o.name), set())
         if isinstance(o, Sym):
             if o.name in m.globals:
-                return {("g:@" + o.name, 0, 0, 0)}
+                return {(site_token("g", o.name), 0, 0, 0)}
             if o.name in m.funcs:
-                return {("f:@" + o.name, 0, 0, 0)}
+                return {(site_token("f", o.name), 0, 0, 0)}
         return set()
 
     def merge(key, new):
@@ -100,47 +89,27 @@ def andersen_solve(m: Module) -> PointsTo:
 
     def gep_pts(fname, ins):
         out = set()
-        base = op_pts(fname, ins.args[0])
-        for obj, lo, hi, st in base:
+        steps, err = gep_steps(ins.ty, ins.args[1:])
+        for obj, lo, hi, st in op_pts(fname, ins.args[0]):
             if obj[0] == "f":
                 continue
-            osz = sizes.get(obj, 0)
-            cur_lo, cur_hi, cur_st = lo, hi, st
-            dead = False
-            ty = ins.ty
-            for pos, idx in enumerate(ins.args[1:]):
-                if pos == 0:
-                    scale = size_of(ty)
-                    elem_ty = ty
-                else:
-                    if elem_ty.kind == "array":
-                        scale = size_of(elem_ty.elem)
-                        elem_ty = elem_ty.elem
-                    elif elem_ty.kind == "agg":
-                        if not isinstance(idx, Const):
-                            dead = True
-                            break
-                        cur_lo += field_offset(elem_ty, idx.value)
-                        cur_hi += field_offset(elem_ty, idx.value)
-                        elem_ty = elem_ty.fields[idx.value][1]
-                        continue
-                    else:
-                        dead = True
-                        break
-                if isinstance(idx, Const):
-                    cur_lo += idx.value * scale
-                    cur_hi += idx.value * scale
-                elif cur_lo == cur_hi:
-                    rem = cur_lo % scale
-                    cur_lo = rem
-                    cur_hi = max(rem, osz - scale + rem)
-                    cur_st = scale
-                else:
-                    cur_lo, cur_hi, cur_st = 0, max(0, osz - 1), 1
-            if dead:
+            if err:
                 out.add(_degenerate((obj, 0, 0, 0), sizes))
-            else:
-                out.add((obj, cur_lo, cur_hi, cur_st))
+                continue
+            osz = sizes.get(obj, 0)
+            for idx, scale in steps:
+                if idx is None:                 # field offset
+                    lo += scale
+                    hi += scale
+                elif isinstance(idx, Const):
+                    lo += idx.value * scale
+                    hi += idx.value * scale
+                elif lo == hi:
+                    rem = lo % scale
+                    lo, hi, st = rem, max(rem, osz - scale + rem), scale
+                else:
+                    lo, hi, st = 0, max(0, osz - 1), 1
+            out.add((obj, lo, hi, st))
         return out
 
     funcs = list(m.funcs.values())
@@ -150,12 +119,10 @@ def andersen_solve(m: Module) -> PointsTo:
             fname = f.name
             for ins in f.instructions():
                 op = ins.op
-                if op == "alloca":
+                if op in ("alloca", "heapalloc"):
+                    kind = "s" if op == "alloca" else "h"
                     changed |= merge((fname, ins.name),
-                                     {("s:%d" % ins.iid, 0, 0, 0)})
-                elif op == "heapalloc":
-                    changed |= merge((fname, ins.name),
-                                     {("h:%d" % ins.iid, 0, 0, 0)})
+                                     {(site_token(kind, ins.iid), 0, 0, 0)})
                 elif op == "gep":
                     changed |= merge((fname, ins.name), gep_pts(fname, ins))
                 elif op == "phi":
@@ -202,8 +169,9 @@ def andersen_solve(m: Module) -> PointsTo:
                         changed |= merge((fname, ins.name),
                                          rets.get(callee.name, set()))
                 elif op == "icall":
-                    cands = {e[0][3:] for e in op_pts(fname, ins.args[0])
-                             if e[0].startswith("f:@")}
+                    cands = {site_ref(e[0])[1]
+                             for e in op_pts(fname, ins.args[0])
+                             if e[0][0] == "f"}
                     for cn in sorted(cands):
                         callee = m.funcs.get(cn)
                         if callee is None \
@@ -267,16 +235,7 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
                 key = (f.name, ins.args[1].name)
                 use_size.setdefault(key, set()).add(size_of(ins.ty))
 
-    obj_ty = {}
-    for g in m.globals.values():
-        obj_ty["g:@" + g.name] = g.ty
-    for f in m.funcs.values():
-        for ins in f.instructions():
-            if ins.op == "alloca":
-                obj_ty["s:%d" % ins.iid] = ins.ty
-            elif ins.op == "heapalloc":
-                obj_ty["h:%d" % ins.iid] = ins.ty
-
+    obj_ty = m.site_types()
     out = PointsTo(dict(pt.vals), pt.mem, pt.sizes)
     for key, sz in use_size.items():
         if len(sz) != 1:
@@ -323,9 +282,8 @@ def resolve_indirect_targets(m: Module, pt: PointsTo | None = None) -> dict:
             if isinstance(ins.args[0], Reg):
                 elems = pt.of(f.name, ins.args[0].name)
             elif isinstance(ins.args[0], Sym):
-                elems = {("f:@" + ins.args[0].name, 0, 0, 0)}
-            cands = sorted(e[0][3:] for e in elems
-                           if e[0].startswith("f:@"))
+                elems = {(site_token("f", ins.args[0].name), 0, 0, 0)}
+            cands = sorted(site_ref(e[0])[1] for e in elems if e[0][0] == "f")
             out[ins.iid] = [
                 c for c in cands
                 if c in m.funcs

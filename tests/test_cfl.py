@@ -10,6 +10,7 @@ from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
 from ctlin.ir import parse_module, print_module, validate
 from ctlin.pipeline import PipelineConfig, harden_module
+from ctlin.verify import verify_module
 
 M64 = (1 << 64) - 1
 
@@ -189,6 +190,49 @@ class TestTakenMap:
             tr = mach.run(ExecInput([], [s]))
             assert tr.decoy_violations == []
             assert tr.abort is None
+
+
+# @bump reads the taken cell once linearized; main calls it from code
+# no branch covers, where the cell may still hold a stale zero
+SHARED_CALLEE = """\
+global @acc: [1 x i64]
+func @bump(%x: i64) -> i64 {
+entry:
+  %v = load i64, @acc
+  %w = add i64 %v, %x
+  store i64 %w, @acc
+  ret %w
+}
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %a = call @bump(%p)
+  %b = and i64 %s, 1
+  %c = icmp eq %b, 1
+  condbr %c, t, join
+t:
+  %r = call @bump(3)
+  br join
+join:
+  %q = phi i64 [entry: %a, t: %r]
+  ret %q
+}
+"""
+
+
+class TestUntouchedCaller:
+    def test_call_from_untouched_code_sets_taken(self):
+        cfg = PipelineConfig(cloning=False)
+        hm, rep = harden_module(parse_module(SHARED_CALLEE), cfg)
+        assert rep["cloned"] == 0 and rep["branches_linearized"] == 1
+        instrs = list(hm.funcs["main"].entry.instrs)
+        k = next(k for k, i in enumerate(instrs)
+                 if i.op == "call" and i.callee == "bump")
+        assert print_module(hm).count("store i1 1, @cfl.taken") == 1
+        before = instrs[k - 1]
+        assert (before.op, before.args[1].name) == ("store", "cfl.taken")
+        verdicts = verify_module(parse_module(SHARED_CALLEE), hm, pairs=8)
+        assert len(verdicts) == 4
+        assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
 def test_linearized_roundtrip_stays_linear():

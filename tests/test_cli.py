@@ -1,11 +1,13 @@
 """Command line driver: exit codes, artifacts, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ctlin
 from conftest import RECURSIVE, corpus_path
 from ctlin.cli import (EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, EXIT_VERIFY,
                        main)
@@ -271,10 +273,13 @@ class TestStats:
 
 
 def test_module_entry_point():
-    # the installed script and python -m dispatch share main()
+    # the installed script and python -m dispatch share main(); the
+    # child imports the package this process imported
+    src = os.path.dirname(os.path.dirname(ctlin.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ctlin.cli", "stats",
          corpus_path("jit_trip")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["functions"] == 1

@@ -221,6 +221,28 @@ class TestCallDepth:
             taint_profile(m, [ExecInput([2000], [])], rt)
 
 
+class TestShortInputs:
+    """A run that reads past its input vector aborts; it never raises."""
+
+    def test_short_secret_vector(self):
+        tr = interpret(load("table_lookup"), ExecInput([], []))
+        assert tr.abort == "short_input"
+        assert tr.output is None and tr.instrs == []
+
+    def test_short_public_vector(self):
+        tr = run_expr("  %c = add i64 %a, %b\n  ret %c\n", args=[1])
+        assert tr.abort == "short_input"
+        assert tr.output is None and tr.instrs == []
+
+    def test_secret_index_past_vector(self):
+        body = "  %x = secret i64 0\n  %y = secret i64 2\n" \
+               "  %z = add i64 %x, %y\n  ret %z\n"
+        tr = run_expr(body, secrets=[7], sig="()")
+        assert tr.abort == "short_input"
+        assert tr.output is None
+        assert run_expr(body, secrets=[7, 0, 5], sig="()").output == 12
+
+
 DECOY_RETURN = """\
 global @out: i64
 
