@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .ir import (Block, Const, Function, Global, HardenInfo, I1, I8, I32,
-                 I64, Instr, Module, Param, Reg, Sym, reg_types)
+from .ir import (Block, Const, Function, Global, HardenInfo, I1, I64, Instr,
+                 Module, Reg, Sym, parse_module, reg_types)
 from .normalize import RegionTree
 
 M64 = (1 << 64) - 1
@@ -391,55 +391,48 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
 # ---------------------------------------------------------------------------
 # division sanitization
 
-def _ensure_divmod(m: Module, bits: int, which: str) -> str:
-    name = "cfl.%s.i%d" % (which, bits)
-    if name in m.funcs:
-        return name
-    ty = {8: I8, 32: I32, 64: I64}[bits]
-    sign = 1 << (bits - 1)
-    f = Function(name, [Param("n", ty), Param("d", ty)], ty)
+# The routine sanitize_div_rem calls, for one integer type
+_DIVMOD = """\
+func @{name}(%n: {ty}, %d: {ty}) -> {ty} {{
+entry:
+  %z = icmp eq %d, 0
+  %ds = select %z, 1, %d
+  %dx = xor {ty} %ds, {sign}
+  %one = and {ty} 1, 1
+  br loop
+loop:
+  %i = phi {ty} [entry: {top}, loop: %i1]
+  %q = phi {ty} [entry: 0, loop: %q1]
+  %r = phi {ty} [entry: 0, loop: %r1]
+  %shn = lshr {ty} %n, %i
+  %bit = and {ty} %shn, 1
+  %r0 = shl {ty} %r, 1
+  %r2 = or {ty} %r0, %bit
+  %rx = xor {ty} %r2, {sign}
+  %ge = icmp ge %rx, %dx
+  %sub = select %ge, %ds, 0
+  %r1 = sub {ty} %r2, %sub
+  %qb = select %ge, %one, 0
+  %qs = shl {ty} %qb, %i
+  %q1 = or {ty} %q, %qs
+  %i1 = sub {ty} %i, 1
+  %fin = icmp lt %i1, 0
+  condbr %fin, done, loop
+done:
+  ret %{result}
+}}
+"""
 
-    def gen(op, nm, t, args, pred=None, incoming=None, labels=None):
-        return Instr(m.new_iid(), op, name=nm, ty=t, pred=pred,
-                     args=args or [], incoming=incoming or [],
-                     labels=labels or [])
 
-    ent = Block("entry")
-    ent.instrs = [
-        gen("icmp", "z", None, [Reg("d"), Const(0)], pred="eq"),
-        gen("select", "ds", None, [Reg("z"), Const(1), Reg("d")]),
-        gen("xor", "dx", ty, [Reg("ds"), Const(sign)]),
-        gen("and", "one", ty, [Const(1), Const(1)]),
-        gen("br", None, None, [], labels=["loop"]),
-    ]
-    lp = Block("loop")
-    lp.instrs = [
-        gen("phi", "i", ty, [], incoming=[("entry", Const(bits - 1)),
-                                          ("loop", Reg("i1"))]),
-        gen("phi", "q", ty, [], incoming=[("entry", Const(0)),
-                                          ("loop", Reg("q1"))]),
-        gen("phi", "r", ty, [], incoming=[("entry", Const(0)),
-                                          ("loop", Reg("r1"))]),
-        gen("lshr", "shn", ty, [Reg("n"), Reg("i")]),
-        gen("and", "bit", ty, [Reg("shn"), Const(1)]),
-        gen("shl", "r0", ty, [Reg("r"), Const(1)]),
-        gen("or", "r2", ty, [Reg("r0"), Reg("bit")]),
-        gen("xor", "rx", ty, [Reg("r2"), Const(sign)]),
-        gen("icmp", "ge", None, [Reg("rx"), Reg("dx")], pred="ge"),
-        gen("select", "sub", None, [Reg("ge"), Reg("ds"), Const(0)]),
-        gen("sub", "r1", ty, [Reg("r2"), Reg("sub")]),
-        gen("select", "qb", None, [Reg("ge"), Reg("one"), Const(0)]),
-        gen("shl", "qs", ty, [Reg("qb"), Reg("i")]),
-        gen("or", "q1", ty, [Reg("q"), Reg("qs")]),
-        gen("sub", "i1", ty, [Reg("i"), Const(1)]),
-        gen("icmp", "fin", None, [Reg("i1"), Const(0)], pred="lt"),
-        gen("condbr", None, None, [Reg("fin")], labels=["done", "loop"]),
-    ]
-    done = Block("done")
-    ret = Reg("q1") if which == "div" else Reg("r1")
-    done.instrs = [gen("ret", None, None, [ret])]
-    f.blocks = {"entry": ent, "loop": lp, "done": done}
-    m.funcs[name] = f
+def _ensure_divmod(m: Module, ty, which: str) -> str:
+    name = "cfl.%s.%s" % (which, ty)
+    if name not in m.funcs:
+        f = parse_module(_DIVMOD.format(
+            name=name, ty=ty, sign=1 << (ty.bits - 1), top=ty.bits - 1,
+            result="q1" if which == "div" else "r1")).funcs[name]
+        for ins in f.instructions():
+            ins.iid = m.new_iid()
+        m.funcs[name] = f
     return name
 
 
@@ -460,7 +453,7 @@ def sanitize_div_rem(m: Module, ss) -> int:
         _, _, ins = hit
         if ins.op not in ("div", "rem"):
             continue
-        callee = _ensure_divmod(m, ins.ty.bits, ins.op)
+        callee = _ensure_divmod(m, ins.ty, ins.op)
         ins.op = "call"
         ins.callee = callee
         ins.ty = None

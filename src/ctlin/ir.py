@@ -4,7 +4,9 @@ The textual form is line oriented.  A module is a sequence of global
 declarations, function definitions, and (for hardened modules) directive
 lines that carry the hardening parameters and the per-access metadata
 table, so that a hardened module round-trips through a file without any
-side channel of information.
+side channel of information.  Each form is spelled once and read by both
+the parser and the printer: an instruction's in the `SYNTAX` table, a
+directive's in a table of key=value fields.
 
 Instruction ids are assigned module-wide in lexical order at parse time.
 Transforms that insert instructions draw fresh ids from the module
@@ -15,7 +17,7 @@ that parse(print(m)) reproduces the same ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cfg import build_cfg, dfs
 
@@ -138,6 +140,34 @@ BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "div", "rem")
 ICMP_PREDS = ("lt", "le", "eq", "ne", "gt", "ge")
 TERMINATORS = ("br", "condbr", "ret")
 
+# The text form of each instruction, after its opcode; the keys are the
+# opcode set.  A leading "=" lets the instruction name a result
+# (`%x = op ...`).  Fields: T type, P icmp predicate, A operand, N
+# integer, L label, F @function, I phi incoming list `label: operand,
+# ...`, S operand list `a, b, ...` (empty only before ")").  Any other
+# character stands for itself.  The printer writes the form with its
+# fields filled in; the parser reads it back, blanks optional.
+SYNTAX = {
+    **{op: "= T A, A" for op in BINOPS},
+    "icmp": "= P A, A",
+    "select": "= A, A, A",
+    "phi": "= T [I]",
+    "load": "= T, A",
+    "store": "T A, A",
+    "gep": "= T S",
+    "alloca": "= T",
+    "heapalloc": "= T",
+    "heapfree": "A",
+    "call": "= F(S)",
+    "icall": "= A(S)",
+    "secret": "= T N",
+    "br": "L",
+    "condbr": "A, L, L",
+    "ret": "A",
+}
+# opcode -> (may name a result, fields and punctuation)
+_FORMS = {op: (f.startswith("="), f.lstrip("= ")) for op, f in SYNTAX.items()}
+
 # Reserved names used by the hardening passes and the runtime.  Calls to
 # BUILTIN_FUNCS are interpreted directly; globals under RESERVED_PREFIXES
 # are bookkeeping cells excluded from program-state comparisons.
@@ -202,14 +232,6 @@ class Function:
     def instructions(self):
         for b in self.blocks.values():
             yield from b.instrs
-
-    def instr_block(self):
-        """Map iid -> block label."""
-        out = {}
-        for b in self.blocks.values():
-            for i in b.instrs:
-                out[i.iid] = b.label
-        return out
 
 
 @dataclass
@@ -361,6 +383,7 @@ class ParseError(Exception):
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _INT = re.compile(r"-?(0x[0-9a-fA-F]+|\d+)")
 _HEX = re.compile(r"[0-9a-fA-F]*")
+_SITE = re.compile(r"g:@%s|[sh]:\d+" % _NAME.pattern)
 
 
 class _Cursor:
@@ -373,9 +396,10 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def at_end(self) -> bool:
+    def end(self):
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            self.error("trailing tokens")
 
     def error(self, msg):
         raise ParseError(msg, self.line, self.pos + 1)
@@ -394,21 +418,32 @@ class _Cursor:
         if not self.accept(s):
             self.error("expected '%s'" % s)
 
-    def name(self, what="name") -> str:
+    def token(self, rx, what: str) -> str:
         self.skip_ws()
-        m = _NAME.match(self.text, self.pos)
+        m = rx.match(self.text, self.pos)
         if not m:
             self.error("expected %s" % what)
         self.pos = m.end()
         return m.group(0)
 
+    def name(self, what="name") -> str:
+        return self.token(_NAME, what)
+
     def integer(self) -> int:
-        self.skip_ws()
-        m = _INT.match(self.text, self.pos)
-        if not m:
-            self.error("expected integer")
-        self.pos = m.end()
-        return int(m.group(0), 0)
+        return int(self.token(_INT, "integer"), 0)
+
+    def commas(self, read) -> list:
+        """read() once, then again after each comma."""
+        out = [read()]
+        while self.accept(","):
+            out.append(read())
+        return out
+
+    def keyed(self, what: str, read):
+        """`name: value` as (name, read())."""
+        key = self.name(what)
+        self.expect(":")
+        return key, read()
 
     def type_(self) -> Type:
         self.skip_ws()
@@ -419,13 +454,7 @@ class _Cursor:
             self.expect("]")
             return Type("array", elem=elem, count=count)
         if self.accept("{"):
-            fields = []
-            while True:
-                fname = self.name("field name")
-                self.expect(":")
-                fields.append((fname, self.type_()))
-                if not self.accept(","):
-                    break
+            fields = self.commas(lambda: self.keyed("field name", self.type_))
             self.expect("}")
             return Type("agg", fields=tuple(fields))
         word = self.name("type")
@@ -448,135 +477,89 @@ def _parse_instr(cur: _Cursor, iid: int) -> Instr:
         name = cur.name("register")
         cur.expect("=")
     op = cur.name("opcode")
+    form = _FORMS.get(op)
+    if form is None:
+        cur.error("unknown opcode '%s'" % op)
+    named, tmpl = form
+    if name is not None and not named:
+        cur.error("%s names no result" % op)
     ins = Instr(iid, op, name=name)
-
-    if op in BINOPS:
-        ins.ty = cur.type_()
-        ins.args.append(cur.operand())
-        cur.expect(",")
-        ins.args.append(cur.operand())
-    elif op == "icmp":
-        ins.pred = cur.name("predicate")
-        if ins.pred not in ICMP_PREDS:
-            cur.error("unknown icmp predicate '%s'" % ins.pred)
-        ins.args.append(cur.operand())
-        cur.expect(",")
-        ins.args.append(cur.operand())
-    elif op == "select":
-        for k in range(3):
-            if k:
-                cur.expect(",")
+    for ch in tmpl:
+        if ch == "T":
+            ins.ty = cur.type_()
+        elif ch == "A":
             ins.args.append(cur.operand())
-    elif op == "phi":
-        ins.ty = cur.type_()
-        cur.expect("[")
-        while True:
-            lbl = cur.name("label")
-            cur.expect(":")
-            ins.incoming.append((lbl, cur.operand()))
-            if not cur.accept(","):
-                break
-        cur.expect("]")
-    elif op == "load":
-        ins.ty = cur.type_()
-        cur.expect(",")
-        ins.args.append(cur.operand())
-    elif op == "store":
-        ins.ty = cur.type_()
-        ins.args.append(cur.operand())
-        cur.expect(",")
-        ins.args.append(cur.operand())
-    elif op == "gep":
-        ins.ty = cur.type_()
-        ins.args.append(cur.operand())
-        while cur.accept(","):
-            ins.args.append(cur.operand())
-    elif op in ("alloca", "heapalloc"):
-        ins.ty = cur.type_()
-    elif op == "heapfree":
-        ins.args.append(cur.operand())
-    elif op in ("call", "icall"):
-        if op == "call":
+        elif ch == "N":
+            ins.args.append(Const(cur.integer()))
+        elif ch == "L":
+            ins.labels.append(cur.name("label"))
+        elif ch == "P":
+            ins.pred = cur.name("predicate")
+            if ins.pred not in ICMP_PREDS:
+                cur.error("unknown icmp predicate '%s'" % ins.pred)
+        elif ch == "F":
             cur.expect("@")
             ins.callee = cur.name("function")
-        else:
-            ins.args.append(cur.operand())
-        cur.expect("(")
-        if not cur.peek(")"):
-            while True:
-                ins.args.append(cur.operand())
-                if not cur.accept(","):
-                    break
-        cur.expect(")")
-    elif op == "secret":
-        ins.ty = cur.type_()
-        ins.args.append(Const(cur.integer()))
-    elif op == "br":
-        ins.labels.append(cur.name("label"))
-    elif op == "condbr":
-        ins.args.append(cur.operand())
-        cur.expect(",")
-        ins.labels.append(cur.name("label"))
-        cur.expect(",")
-        ins.labels.append(cur.name("label"))
-    elif op == "ret":
-        ins.args.append(cur.operand())
-    else:
-        cur.error("unknown opcode '%s'" % op)
-
-    if not cur.at_end():
-        cur.error("trailing tokens")
+        elif ch == "S":
+            if not cur.peek(")"):
+                ins.args += cur.commas(cur.operand)
+        elif ch == "I":
+            ins.incoming = cur.commas(lambda: cur.keyed("label", cur.operand))
+        elif ch != " ":
+            cur.expect(ch)
+    cur.end()
     return ins
+
+
+def _read_entries(cur: _Cursor) -> list:
+    cur.expect("[")
+    out = []
+    while not cur.accept("]"):
+        cur.expect("(")
+        out.append(DflEntry(**_read_fields(cur, _ENTRY_FIELDS)))
+        cur.expect(")")
+        cur.accept(",")
+    return out
+
+
+# Directive lines are key=value fields in order, (key, attribute, reader)
+# each: `harden`, and `dflmeta <mid>` with a list of (entry fields).
+_HARDEN_FIELDS = (
+    ("scheme", "scheme", _Cursor.integer),
+    ("lambda", "lam", _Cursor.integer),
+)
+_META_FIELDS = (
+    ("access", "access", _Cursor.integer),
+    ("kind", "kind", _Cursor.name),
+    ("lambda", "lam", _Cursor.integer),
+    ("ty", "ty", _Cursor.type_),
+    ("natural", "natural", lambda cur: bool(cur.integer())),
+    ("entries", "entries", _read_entries),
+)
+_ENTRY_FIELDS = (
+    ("site", "site", lambda cur: site_token(*site_ref(
+        cur.token(_SITE, "site class g:, s: or h:")))),
+    ("off", "off", _Cursor.integer),
+    ("len", "length", _Cursor.integer),
+    ("stride", "stride", _Cursor.integer),
+    ("handler", "handler", _Cursor.name),
+)
+
+
+def _read_fields(cur: _Cursor, fields) -> dict:
+    out = {}
+    for key, attr, read in fields:
+        cur.accept(",")
+        cur.expect(key + "=")
+        out[attr] = read(cur)
+    return out
 
 
 def _parse_dflmeta(cur: _Cursor) -> DflAccessMetadata:
     mid = cur.integer()
-    rec = DflAccessMetadata(mid, 0, "load", 64, 8, I64)
-    cur.expect("access=")
-    rec.access = cur.integer()
-    cur.expect("kind=")
-    rec.kind = cur.name()
-    cur.expect("lambda=")
-    rec.lam = cur.integer()
-    cur.expect("ty=")
-    rec.ty = cur.type_()
-    rec.size = size_of(rec.ty)
-    cur.expect("natural=")
-    rec.natural = bool(cur.integer())
-    cur.expect("entries=[")
-    while not cur.accept("]"):
-        cur.expect("(")
-        cur.expect("site=")
-        if cur.at_end():
-            cur.error("expected site class")
-        kind = cur.text[cur.pos]
-        cur.pos += 1
-        cur.expect(":")
-        if kind == "g":
-            cur.expect("@")
-            site = site_token(kind, cur.name())
-        elif kind in ("s", "h"):
-            site = site_token(kind, cur.integer())
-        else:
-            cur.error("bad site class '%s'" % kind)
-        cur.accept(",")
-        cur.expect("off=")
-        off = cur.integer()
-        cur.accept(",")
-        cur.expect("len=")
-        length = cur.integer()
-        cur.accept(",")
-        cur.expect("stride=")
-        stride = cur.integer()
-        cur.accept(",")
-        cur.expect("handler=")
-        handler = cur.name()
-        cur.expect(")")
-        cur.accept(",")
-        rec.entries.append(DflEntry(site, off, length, stride, handler))
-    if not cur.at_end():
-        cur.error("trailing tokens")
-    return rec
+    kw = _read_fields(cur, _META_FIELDS)
+    cur.end()
+    return DflAccessMetadata(mid, size=size_of(kw["ty"]), **kw)
 
 
 def parse_module(text: str) -> Module:
@@ -614,19 +597,15 @@ def parse_module(text: str) -> Module:
                 if len(init) > size_of(ty):
                     cur.error("initializer longer than type size")
                 cur.pos = len(raw)
-            if not cur.at_end():
-                cur.error("trailing tokens")
+            cur.end()
             if gname in m.globals:
                 cur.error("duplicate global '@%s'" % gname)
             m.globals[gname] = Global(gname, ty, init)
             continue
 
         if cur.accept("harden"):
-            cur.expect("scheme=")
-            scheme = cur.integer()
-            cur.expect("lambda=")
-            lam = cur.integer()
-            m.harden = HardenInfo(scheme, lam)
+            m.harden = HardenInfo(**_read_fields(cur, _HARDEN_FIELDS))
+            cur.end()
             continue
 
         if cur.accept("dflmeta"):
@@ -636,14 +615,13 @@ def parse_module(text: str) -> Module:
 
         if cur.accept("takenmap"):
             cur.expect("@")
-            fn = cur.name("function")
+            tm = m.takenmap[cur.name("function")] = {}
             cur.expect("{")
-            tm = {}
             while not cur.accept("}"):
                 a = cur.integer()
                 cur.expect(":")
                 tm[a] = cur.integer()
-            m.takenmap[fn] = tm
+            cur.end()
             continue
 
         if not cur.accept("func"):
@@ -665,8 +643,7 @@ def parse_module(text: str) -> Module:
         cur.expect("->")
         ret_ty = cur.type_()
         cur.expect("{")
-        if not cur.at_end():
-            cur.error("trailing tokens")
+        cur.end()
         if fname in m.funcs:
             raise ParseError("duplicate function '@%s'" % fname, lineno, 1)
         fn = Function(fname, params, ret_ty)
@@ -682,8 +659,7 @@ def parse_module(text: str) -> Module:
                 continue
             cur = _Cursor(raw, lineno)
             if cur.accept("}"):
-                if not cur.at_end():
-                    cur.error("trailing tokens")
+                cur.end()
                 break
             # block label: name ':' at start of line, nothing else
             mlab = re.match(r"\s*([A-Za-z_][A-Za-z0-9_.]*)\s*:\s*$", raw)
@@ -707,63 +683,51 @@ def parse_module(text: str) -> Module:
 # ---------------------------------------------------------------------------
 # printing
 
-def _fmt_operand(o: Operand) -> str:
-    return str(o)
-
-
 def _fmt_instr(ins: Instr) -> str:
-    head = "%%%s = " % ins.name if ins.name is not None else ""
-    op = ins.op
-    a = [_fmt_operand(x) for x in ins.args]
-    if op in BINOPS:
-        return "%s%s %s %s, %s" % (head, op, ins.ty, a[0], a[1])
-    if op == "icmp":
-        return "%s%s %s %s, %s" % (head, op, ins.pred, a[0], a[1])
-    if op == "select":
-        return "%sselect %s, %s, %s" % (head, a[0], a[1], a[2])
-    if op == "phi":
-        inc = ", ".join("%s: %s" % (l, _fmt_operand(v)) for l, v in ins.incoming)
-        return "%sphi %s [%s]" % (head, ins.ty, inc)
-    if op == "load":
-        return "%sload %s, %s" % (head, ins.ty, a[0])
-    if op == "store":
-        return "store %s %s, %s" % (ins.ty, a[0], a[1])
-    if op == "gep":
-        rest = "".join(", " + x for x in a[1:])
-        return "%sgep %s %s%s" % (head, ins.ty, a[0], rest)
-    if op in ("alloca", "heapalloc"):
-        return "%s%s %s" % (head, op, ins.ty)
-    if op == "heapfree":
-        return "heapfree %s" % a[0]
-    if op == "call":
-        return "%scall @%s(%s)" % (head, ins.callee, ", ".join(a))
-    if op == "icall":
-        return "%sicall %s(%s)" % (head, a[0], ", ".join(a[1:]))
-    if op == "secret":
-        return "%ssecret %s %s" % (head, ins.ty, a[0])
-    if op == "br":
-        return "br %s" % ins.labels[0]
-    if op == "condbr":
-        return "condbr %s, %s, %s" % (a[0], ins.labels[0], ins.labels[1])
-    if op == "ret":
-        return "ret %s" % a[0]
-    raise ValueError(op)
+    out = ["%%%s = " % ins.name if ins.name is not None else "", ins.op, " "]
+    args, labels = iter(ins.args), iter(ins.labels)
+    for ch in _FORMS[ins.op][1]:
+        if ch == "T":
+            out.append(str(ins.ty))
+        elif ch in "AN":
+            out.append(str(next(args)))
+        elif ch == "L":
+            out.append(next(labels))
+        elif ch == "P":
+            out.append(ins.pred)
+        elif ch == "F":
+            out.append("@" + ins.callee)
+        elif ch == "S":
+            out.append(", ".join(map(str, args)))
+        elif ch == "I":
+            out.append(", ".join("%s: %s" % e for e in ins.incoming))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _fmt_fields(obj, fields, sep: str) -> str:
+    return sep.join("%s=%s" % (key, _fmt_value(getattr(obj, attr)))
+                    for key, attr, _ in fields)
+
+
+def _fmt_value(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, list):  # the entries of a record
+        return "[%s]" % ", ".join(
+            "(%s)" % _fmt_fields(e, _ENTRY_FIELDS, ", ") for e in v)
+    return str(v)
 
 
 def _fmt_meta(rec: DflAccessMetadata) -> str:
-    es = ", ".join(
-        "(site=%s, off=%d, len=%d, stride=%d, handler=%s)"
-        % (e.site, e.off, e.length, e.stride, e.handler)
-        for e in rec.entries
-    )
-    return "dflmeta %d access=%d kind=%s lambda=%d ty=%s natural=%d entries=[%s]" % (
-        rec.mid, rec.access, rec.kind, rec.lam, rec.ty, int(rec.natural), es)
+    return "dflmeta %d %s" % (rec.mid, _fmt_fields(rec, _META_FIELDS, " "))
 
 
 def print_module(m: Module) -> str:
     out = []
     if m.harden is not None:
-        out.append("harden scheme=%d lambda=%d" % (m.harden.scheme, m.harden.lam))
+        out.append("harden " + _fmt_fields(m.harden, _HARDEN_FIELDS, " "))
     for g in m.globals.values():
         line = "global @%s : %s" % (g.name, g.ty)
         if g.init is not None and any(g.init):
@@ -783,8 +747,7 @@ def print_module(m: Module) -> str:
         out.append("}")
     for mid in sorted(m.dflmeta):
         out.append(_fmt_meta(m.dflmeta[mid]))
-    for fname in m.takenmap:
-        tm = m.takenmap[fname]
+    for fname, tm in m.takenmap.items():
         body = " ".join("%d:%d" % (k, tm[k]) for k in sorted(tm))
         out.append("takenmap @%s { %s }" % (fname, body))
     return "\n".join(out) + "\n"
@@ -888,7 +851,9 @@ def validate(m: Module) -> list:
         types = reg_types(m, fn)
 
         graph = build_cfg(fn)
-        iblock = fn.instr_block()
+        # iid -> (block label, position in the block)
+        where = {i.iid: (b.label, k) for b in fn.blocks.values()
+                 for k, i in enumerate(b.instrs)}
 
         # phi edge agreement
         for b in fn.blocks.values():
@@ -903,13 +868,12 @@ def validate(m: Module) -> list:
             d = defs.get(dname)
             if d is None:
                 return True  # parameter
-            dblk, ublk = iblock[d.iid], iblock[user.iid]
+            (dblk, dpos), (ublk, upos) = where[d.iid], where[user.iid]
             if via_label is not None:
                 # phi use: def must dominate the end of the incoming block
                 return graph.dominates(dblk, via_label)
             if dblk == ublk:
-                order = {i.iid: k for k, i in enumerate(fn.blocks[dblk].instrs)}
-                return order[d.iid] < order[user.iid]
+                return dpos < upos
             return graph.dominates(dblk, ublk)
 
         for ins in fn.instructions():
@@ -938,42 +902,26 @@ def validate(m: Module) -> list:
 
 
 def _result_type(m: Module, ins: Instr, env) -> Type | None:
-    if ins.op in BINOPS:
+    op, callee = ins.op, ins.callee
+    if op in BINOPS or op in ("phi", "load", "secret"):
         return ins.ty
-    if ins.op == "icmp":
+    if op == "icmp":
         return I1
-    if ins.op == "select":
-        for a in ins.args[1:]:
+    if callee in m.funcs:
+        return m.funcs[callee].ret_ty
+    if op in ("gep", "alloca", "heapalloc") \
+            or callee in ("dfl_alloc_stack", "dfl_alloc_heap"):
+        return ADDR
+    if callee in ("ct_load", "ct_load_nat"):
+        mid = ins.args[-1]
+        if isinstance(mid, Const) and mid.value in m.dflmeta:
+            return m.dflmeta[mid.value].ty
+    if op == "select" or callee == "ct_select":
+        for a in ins.args[1:3]:
             t = _operand_type(m, a, env)
             if t is not None:
                 return t
-        return I64
-    if ins.op == "phi":
-        return ins.ty
-    if ins.op == "load":
-        return ins.ty
-    if ins.op in ("gep", "alloca", "heapalloc"):
-        return ADDR
-    if ins.op == "secret":
-        return ins.ty
-    if ins.op == "call":
-        if ins.callee in m.funcs:
-            return m.funcs[ins.callee].ret_ty
-        if ins.callee in ("dfl_alloc_stack", "dfl_alloc_heap"):
-            return ADDR
-        if ins.callee in ("ct_load", "ct_load_nat"):
-            mid = ins.args[-1]
-            if isinstance(mid, Const) and mid.value in m.dflmeta:
-                return m.dflmeta[mid.value].ty
-            return None
-        if ins.callee == "ct_select":
-            for a in ins.args[1:3]:
-                t = _operand_type(m, a, env)
-                if t is not None:
-                    return t
-        return None
-    if ins.op == "icall":
-        return None
+        return I64 if op == "select" else None
     return None
 
 
@@ -1047,3 +995,6 @@ def _type_check(m: Module, fn: Function, env, err):
         elif op == "secret":
             if ins.ty.kind != "int":
                 err("secret requires an integer type", ins.iid)
+            if ins.args[0].value < 0:
+                err("secret index %d is negative" % ins.args[0].value,
+                    ins.iid)

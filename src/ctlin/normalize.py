@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cfg as cfglib
-from .ir import I1, Block, Const, Instr, Module, Reg
+from .ir import I1, Block, Const, Instr, Module, Reg, Sym
 
 
 class NormalizeError(Exception):
@@ -120,13 +120,15 @@ def promote_indirect_calls(m: Module, targets) -> Module:
     icall would have no semantics.
 
     One pass per function: the chain's blocks follow the block it split,
-    and the scan goes on in its join block, which holds the rest.
+    and the scan goes on in its join block, which holds the rest.  Each
+    chain is named after the block the scan started in and the icall's
+    id, so labels keep their length however many icalls a block holds.
     """
     for fn in list(m.funcs.values()):
         out = []
         for b in list(fn.blocks.values()):
             out.append(b)
-            k = 0
+            origin, k = b.label, 0
             while k < len(b.instrs):
                 ins = b.instrs[k]
                 k += 1
@@ -137,17 +139,19 @@ def promote_indirect_calls(m: Module, targets) -> Module:
                     raise NormalizeError(
                         "@%s: icall #%d has no resolvable targets"
                         % (fn.name, ins.iid))
-                out += _expand_icall(m, fn, b, k - 1, ins, cands)
+                out += _expand_icall(m, fn, b, k - 1, ins, cands, origin)
                 b, k = out[-1], 0
         fn.blocks = {b.label: b for b in out}
     return m
 
 
-def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands):
-    """Split b at its icall ins[k]; returns the new blocks, join last."""
+def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands,
+                  origin: str):
+    """Split b at its icall ins[k] into a chain named after block origin;
+    returns the new blocks, join last."""
     fp = ins.args[0]
     call_args = ins.args[1:]
-    base = "%s.ic%d" % (b.label, ins.iid)
+    base = "%s.ic%d" % (origin, ins.iid)
     join_lbl = base + ".join"
     fail_lbl = base + ".fail"
 
@@ -161,7 +165,7 @@ def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands):
         call_lbl = "%s.c%d" % (base, j)
         next_lbl = "%s.t%d" % (base, j + 1) if j + 1 < len(cands) else fail_lbl
         cond = Instr(m.new_iid(), "icmp", name="%s.eq%d" % (base, j),
-                     pred="eq", args=[fp, _sym(cand)])
+                     pred="eq", args=[fp, Sym(cand)])
         test_into.instrs.append(cond)
         test_into.instrs.append(Instr(m.new_iid(), "condbr",
                                       args=[Reg(cond.name)],
@@ -199,11 +203,6 @@ def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands):
             ph.incoming = [(join_lbl if l == b.label else l, v)
                            for l, v in ph.incoming]
     return new_blocks
-
-
-def _sym(name):
-    from .ir import Sym
-    return Sym(name)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ the end so emitted modules are stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cfl, dfl, pta
 from .cfg import reachable
 from .interp import DEFAULT_BUDGET, SuiteError, parse_suite
-from .ir import Module, validate
+from .ir import RESERVED_PREFIXES, Module, is_reserved_name, validate
 from .normalize import normalize_regions, promote_indirect_calls, unify_exits
 from .taint import (close_sensitivity, default_suite, input_shape,
                     taint_profile, translate_report)
@@ -30,7 +30,8 @@ class PipelineError(Exception):
 
 
 class InputError(ValueError):
-    """A module the pipeline cannot run: its entry point is missing."""
+    """A module the pipeline cannot take: its entry point is missing, or
+    it uses a name reserved for the hardening passes."""
 
 
 @dataclass
@@ -90,11 +91,28 @@ def _clone_scope(m: Module, fns: set) -> set:
     return set(fns) | reachable(callers, fns)
 
 
+def _reserved_use(m: Module) -> str | None:
+    """The first function, global, register or label of m named under
+    cfl./dfl., which the passes would take for one of their own."""
+    uses = [(g, "global @" + g) for g in m.globals]
+    for fn in m.funcs.values():
+        uses.append((fn.name, "function @" + fn.name))
+        regs = [p.name for p in fn.params]
+        regs += [i.name for i in fn.instructions() if i.name is not None]
+        uses += [(r, "register %%%s in @%s" % (r, fn.name)) for r in regs]
+        uses += [(b, "label %s in @%s" % (b, fn.name)) for b in fn.blocks]
+    return next((where for name, where in uses if is_reserved_name(name)),
+                None)
+
+
 def harden_module(m: Module, cfg: PipelineConfig | None = None):
     """Run every stage on m in place; returns (m, stage report dict)."""
     cfg = cfg or PipelineConfig()
     if cfg.entry not in m.funcs:
         raise InputError("no entry function @%s" % cfg.entry)
+    if bad := _reserved_use(m):
+        raise InputError("%s: the prefixes %s are reserved for hardening"
+                         % (bad, " and ".join(RESERVED_PREFIXES)))
     rep = {}
 
     unify_exits(m)

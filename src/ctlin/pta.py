@@ -330,8 +330,10 @@ def aggressive_clone(m: Module, sens_fns: set) -> CloneMap:
     def clone_fn(origin: str) -> Function:
         if len(cmap) >= _MAX_CLONES:
             raise CloneError("clone budget exhausted")
-        counters[origin] = counters.get(origin, 0) + 1
-        name = "%s.c%d" % (origin, counters[origin])
+        name = origin
+        while name in m.funcs:  # never an input function's name
+            counters[origin] = counters.get(origin, 0) + 1
+            name = "%s.c%d" % (origin, counters[origin])
         src = m.funcs[origin]
         # operands and types are immutable and shared; the lists that
         # later passes edit in place are fresh

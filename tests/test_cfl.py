@@ -1,5 +1,6 @@
 """Branchless selection, region linearization, division sanitizing."""
 
+import hashlib
 import random
 
 from hypothesis import given, settings
@@ -164,6 +165,39 @@ class TestDivRem:
     def test_trace_divisor_independent(self):
         hm, _ = harden_module(parse_module(DIV_SRC), PipelineConfig())
         assert trace_classes(hm, range(8), pub=(1234,)) == 1
+
+    def test_emitted_routines_unchanged(self):
+        # pins the division routines, their ids and every later cfl.* name
+        # at three widths and two select schemes
+        h = hashlib.sha256()
+        for ty in ("i8", "i32", "i64"):
+            for scheme in (1, 5):
+                hm, _ = harden_module(parse_module(DIV_SRC.replace("i64", ty)),
+                                      PipelineConfig(scheme=scheme))
+                h.update(print_module(hm).encode())
+        assert h.hexdigest() == \
+            "d80da810e04f681ca8a249a7f9fa672c56534bde33e4428ecd7106793f56811c"
+
+    def test_one_bit_operands(self):
+        src = """\
+func @main(%a: i1, %k: secret i1) -> i1 {
+entry:
+  %d = or i1 %k, 1
+  %q = div i1 %k, %d
+  %r = rem i1 %a, %d
+  %o = add i1 %q, %r
+  ret %o
+}
+"""
+        hm, rep = harden_module(parse_module(src), PipelineConfig())
+        assert rep["div_rewritten"] == 2
+        assert {"cfl.div.i1", "cfl.rem.i1"} <= set(hm.funcs)
+        assert all(v.passed for v in verify_module(parse_module(src), hm))
+        ref = parse_module(src)
+        for a in (0, 1):
+            for k in (0, 1):
+                inp = ExecInput([a], [k])
+                assert interpret(hm, inp).output == interpret(ref, inp).output
 
 
 class TestTakenMap:

@@ -153,6 +153,43 @@ class TestErrors:
             assert out == ""
             assert err == "%s: no entry function @nosuch\n" % src
 
+    @pytest.mark.parametrize("decl,body,what", [
+        ("func @cfl.div.i64(%n: i64, %d: i64) -> i64 {\nentry:\n"
+         "  ret %n\n}\n", "  %k = call @cfl.div.i64(%s, 3)\n  ret %k\n",
+         "function @cfl.div.i64"),
+        ("global @cfl.taken: i1\n", "  store i1 0, @cfl.taken\n  ret %s\n",
+         "global @cfl.taken"),
+        ("", "  %cfl.tp.b.x = add i64 %s, 1\n  ret %cfl.tp.b.x\n",
+         "register %cfl.tp.b.x in @main"),
+        ("", "  br dfl.next\ndfl.next:\n  ret %s\n", "label dfl.next in @main"),
+    ], ids=["function", "global", "register", "label"])
+    def test_reserved_name_is_an_input_error(self, tmp_path, decl, body, what,
+                                             capsys):
+        # the passes used to reuse or rewrite these as their own
+        src = tmp_path / "reserved.ir"
+        src.write_text(decl + "func @main(%s: secret i64) -> i64 {\n"
+                       "entry:\n" + body + "}\n")
+        rc, out, err = run(["harden", str(src), "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "%s: %s: the prefixes cfl. and dfl. are reserved " \
+            "for hardening\n" % (src, what)
+
+    @pytest.mark.parametrize("body,frag", [
+        ("  %x = secret i64 -1\n  ret %x\n", "secret index -1 is negative"),
+        ("  %x = store i64 1, @g\n  ret 0\n", "store names no result"),
+    ], ids=["negative-secret", "named-store"])
+    def test_unrunnable_input_is_an_input_error(self, tmp_path, body, frag,
+                                                capsys):
+        src = tmp_path / "bad.ir"
+        src.write_text("global @g: i64\nfunc @main(%s: secret i64) -> i64 {\n"
+                       "entry:\n" + body + "}\n")
+        for argv in (["harden", str(src), "--emit", "-"],
+                     ["verify", str(src), str(src)]):
+            rc, out, err = run(argv, capsys)
+            assert rc == EXIT_INPUT
+            assert frag in err and "Traceback" not in err
+
     def test_zero_budget_is_an_input_error(self, capsys):
         rc, out, err = run(["harden", corpus_path("table_lookup"),
                             "--budget", "0", "--emit", "-"], capsys)

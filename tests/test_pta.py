@@ -2,11 +2,13 @@
 
 import pytest
 
-from conftest import load
+from conftest import corpus_src, load
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import parse_module, validate
+from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.pta import (CloneError, aggressive_clone, andersen_solve,
                        refine_field_sensitivity, resolve_indirect_targets)
+from ctlin.verify import verify_module
 
 
 def val_objs(pt, fn, reg):
@@ -122,6 +124,18 @@ class TestCloning:
         for s in range(16):
             assert interpret(m, ExecInput([], [s])).output == \
                 interpret(ref, ExecInput([], [s])).output
+
+    def test_clone_names_skip_input_functions(self):
+        # a clone named pick.c1 used to replace the input's @pick.c1
+        src = corpus_src("two_context").replace(
+            "  %r = add i64 %a, %b\n",
+            "  %c = call @pick.c1(%pa, %s)\n  %r0 = add i64 %a, %b\n"
+            "  %r = add i64 %r0, %c\n") + (
+            "func @pick.c1(%t: addr, %i: i64) -> i64 {\n"
+            "entry:\n  %r = mul i64 %i, 3\n  ret %r\n}\n")
+        hm, _ = harden_module(parse_module(src), PipelineConfig())
+        assert any(i.op == "mul" for i in hm.funcs["pick.c1"].instructions())
+        assert all(v.passed for v in verify_module(parse_module(src), hm))
 
     def test_recursion_rejected(self):
         m = parse_module(
