@@ -4,7 +4,9 @@ Dominators use the iterative dataflow scheme over a reverse postorder;
 postdominators run the same solver on the reversed graph with a virtual
 exit joining every ret (or otherwise successor-less) block.  Dominance
 queries read pre/post numbers of the dominator tree, numbered on the
-first query, so each one is O(1).
+first query, so each one is O(1).  Postdominators and reducibility are
+worked out on first use, so a caller that only asks about dominance
+(the validator) pays for neither.
 """
 
 from __future__ import annotations
@@ -18,11 +20,22 @@ class CFG:
     succs: dict = field(default_factory=dict)
     preds: dict = field(default_factory=dict)
     idom: dict = field(default_factory=dict)      # block -> immediate dominator
-    ipdom: dict = field(default_factory=dict)     # block -> immediate postdominator
     rpo: list = field(default_factory=list)
     retreating: list = field(default_factory=list)  # dfs retreating edges
-    reducible: bool = True
     _span: dict | None = field(default=None, repr=False, compare=False)
+    _ipdom: dict | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def reducible(self) -> bool:
+        """Every retreating edge targets a dominator of its source."""
+        return all(self.dominates(s, n) for n, s in self.retreating)
+
+    @property
+    def ipdom(self) -> dict:
+        """block -> immediate postdominator, None below the exit."""
+        if self._ipdom is None:
+            self._ipdom = _ipdoms(self)
+        return self._ipdom
 
     def dominates(self, a: str, b: str) -> bool:
         if a == b:
@@ -141,11 +154,15 @@ def build_cfg(fn) -> CFG:
     entry = fn.entry.label
     g = CFG(entry=entry, succs=succs, preds=preds)
     g.rpo, g.retreating = dfs(entry, succs)
-    live = set(g.rpo)
     g.idom = _idoms(entry, g.rpo, preds)
+    return g
 
-    # postdominators: run the same solver on the reversed graph, rooted at
-    # a virtual exit that joins every successor-less block
+
+def _ipdoms(g: CFG) -> dict:
+    """Run the dominator solver on the reversed graph, rooted at a
+    virtual exit that joins every successor-less block."""
+    live = set(g.rpo)
+    succs, preds = g.succs, g.preds
     exits = [b for b in g.rpo if not succs.get(b)]
     vexit = "__exit__"
     rev_succs = {vexit: list(exits)}
@@ -157,11 +174,7 @@ def build_cfg(fn) -> CFG:
     rev_preds[vexit] = []
     order, _ = dfs(vexit, rev_succs)
     ip = _idoms(vexit, order, rev_preds)
-    g.ipdom = {n: (None if ip.get(n) in (vexit, None) else ip[n]) for n in live}
-
-    # reducibility: every retreating edge must target a dominator
-    g.reducible = all(g.dominates(s, n) for n, s in g.retreating)
-    return g
+    return {n: (None if ip.get(n) in (vexit, None) else ip[n]) for n in live}
 
 
 def back_edges(fn, g: CFG) -> list:

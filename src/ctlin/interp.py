@@ -6,7 +6,13 @@ the operand width.  Addresses are 64-bit; address 0 is never mapped, so
 the linearization passes can use it as the decoy pointer.
 
 Execution runs on a decoded form of the module (`Code`), built once and
-shared by every run of a batch.  Decoding splits each block into runs
+shared by every run of a batch, and by every batch that runs the same
+variant: the verifier decodes a hardened module once as plain code for
+all of its trace and equivalence checks.  A Code holds no initial
+memory; each `Machine` lays globals out with their initializers, so a
+run may start some globals elsewhere by writing its own memory before
+`run`, as the verifier's retry does with grown trip-count cells.
+Decoding splits each block into runs
 of handlers that end at calls, with the terminator as a small tagged
 tuple; the parallel copy of the phis, one per predecessor label, is the
 first handler of the run entered over that edge.  Calls nest no deeper

@@ -17,6 +17,7 @@ that parse(print(m)) reproduces the same ids.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from .cfg import build_cfg, dfs
@@ -381,56 +382,141 @@ class ParseError(Exception):
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_INT = re.compile(r"-?(0x[0-9a-fA-F]+|\d+)")
+_INT = re.compile(r"-?(?:0x[0-9a-fA-F]+|\d+)")
 _HEX = re.compile(r"[0-9a-fA-F]*")
 _SITE = re.compile(r"g:@%s|[sh]:\d+" % _NAME.pattern)
+_LABEL = re.compile(r"\s*(%s)\s*:\s*$" % _NAME.pattern)
+# One token: a name, with the % or @ before it if there is one, an
+# integer, "->", or any other character but a blank.  Split on it, a
+# line alternates blanks and tokens: blanks at even indices, tokens at
+# odd ones, and the blanks after the last token at the end.
+_TOKEN = re.compile(r"([%%@]?%s|%s|->|[^ \t])" % (_NAME.pattern,
+                                                  _INT.pattern))
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
 class _Cursor:
-    def __init__(self, text: str, line: int):
+    """One line, split into tokens once and read left to right.
+
+    `parts` is the text from position `base` on, split by _TOKEN, with
+    "" appended for the end of the line; the next token is parts[i].  A
+    literal that ends inside a token (`global` of `globalx`, the `x` of
+    `[4 xi8]`) or a pattern over several tokens (a site) is matched on
+    the text itself, and reading goes on at the token that starts where
+    the match ends, or else on the rest of the line split again.  Errors
+    name the column of the next token, or of the end of the token just
+    read when that token is refused.
+    """
+
+    __slots__ = ("text", "line", "base", "parts", "i", "operands")
+
+    def __init__(self, text: str, line: int, operands=None):
         self.text = text
         self.line = line
-        self.pos = 0
+        # token -> the operand it spells, shared by the lines of a module
+        self.operands = {} if operands is None else operands
+        self._split(0)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def _split(self, pos: int):
+        self.base = pos
+        self.parts = _TOKEN.split(self.text[pos:])
+        self.parts.append("")
+        self.i = 1
 
-    def end(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            self.error("trailing tokens")
+    def _pos(self, k: int) -> int:
+        """Text position of parts[k]; the text's length at the end."""
+        return self.base + sum(map(len, self.parts[:k]))
+
+    def _goto(self, pos: int):
+        """Read on from text position pos."""
+        parts, i = self.parts, self.i
+        p = self._pos(i)
+        while p < pos and i + 2 < len(parts):
+            p += len(parts[i]) + len(parts[i + 1])
+            i += 2
+        if p == pos:
+            self.i = i
+        else:
+            self._split(pos)
 
     def error(self, msg):
-        raise ParseError(msg, self.line, self.pos + 1)
+        raise ParseError(msg, self.line, self._pos(self.i) + 1)
+
+    def refuse(self, msg):
+        """Error on the token just read."""
+        raise ParseError(msg, self.line, self._pos(self.i - 1) + 1)
+
+    def end(self):
+        if self.parts[self.i]:
+            self.error("trailing tokens")
 
     def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
+        tok = self.parts[self.i]
+        if tok == s:
+            return True
+        # the text goes on with tok, so it goes on with s only if one of
+        # the two begins the other
+        return tok != "" and (tok.startswith(s) or s.startswith(tok)) \
+            and self.text.startswith(s, self._pos(self.i))
 
     def accept(self, s: str) -> bool:
-        if self.peek(s):
-            self.pos += len(s)
+        tok = self.parts[self.i]
+        if tok == s:
+            self.i += 2
             return True
-        return False
+        if tok[:1] != s[:1] or not self.peek(s):
+            return False
+        self._goto(self._pos(self.i) + len(s))
+        return True
 
     def expect(self, s: str):
         if not self.accept(s):
             self.error("expected '%s'" % s)
 
+    def key(self, key: str):
+        """`key=`, with no blank before the '='."""
+        parts, i = self.parts, self.i
+        if parts[i] == key and parts[i + 2] == "=" and not parts[i + 1]:
+            self.i = i + 4
+        else:
+            self.expect(key + "=")
+
     def token(self, rx, what: str) -> str:
-        self.skip_ws()
-        m = rx.match(self.text, self.pos)
+        """A match of rx at the next token, which may span tokens."""
+        m = rx.match(self.text, self._pos(self.i))
         if not m:
             self.error("expected %s" % what)
-        self.pos = m.end()
+        self._goto(m.end())
         return m.group(0)
 
     def name(self, what="name") -> str:
-        return self.token(_NAME, what)
+        tok = self.parts[self.i]
+        if tok[:1] not in _NAME_START:
+            self.error("expected %s" % what)
+        self.i += 2
+        return tok
+
+    def ref(self, sigil: str, what: str) -> str:
+        """The name after a sigil, % or @."""
+        tok = self.parts[self.i]
+        if tok[:1] == sigil and len(tok) > 1:
+            self.i += 2
+            return tok[1:]
+        self.expect(sigil)
+        return self.name(what)
 
     def integer(self) -> int:
-        return int(self.token(_INT, "integer"), 0)
+        tok = self.parts[self.i]
+        # an integer token leads with a digit, or with '-' and a digit
+        if not (tok[:1].isdecimal()
+                or tok[:1] == "-" and tok[1:2].isdecimal()):
+            self.error("expected integer")
+        try:
+            value = int(tok, 0)
+        except ValueError:      # a leading zero: 007
+            self.error("bad integer '%s'" % tok)
+        self.i += 2
+        return value
 
     def commas(self, read) -> list:
         """read() once, then again after each comma."""
@@ -446,7 +532,10 @@ class _Cursor:
         return key, read()
 
     def type_(self) -> Type:
-        self.skip_ws()
+        t = _SCALARS.get(self.parts[self.i])
+        if t is not None:
+            self.i += 2
+            return t
         if self.accept("["):
             count = self.integer()
             self.expect("x")
@@ -457,55 +546,62 @@ class _Cursor:
             fields = self.commas(lambda: self.keyed("field name", self.type_))
             self.expect("}")
             return Type("agg", fields=tuple(fields))
-        word = self.name("type")
-        if word not in _SCALARS:
-            self.error("unknown type '%s'" % word)
-        return _SCALARS[word]
+        self.refuse("unknown type '%s'" % self.name("type"))
 
     def operand(self) -> Operand:
-        self.skip_ws()
-        if self.accept("%"):
-            return Reg(self.name("register"))
-        if self.accept("@"):
-            return Sym(self.name("symbol"))
-        return Const(self.integer())
+        i = self.i
+        tok = self.parts[i]
+        o = self.operands.get(tok)
+        if o is not None:
+            self.i = i + 2
+            return o
+        if tok[:1] == "%":
+            o = Reg(self.ref("%", "register"))
+        elif tok[:1] == "@":
+            o = Sym(self.ref("@", "symbol"))
+        else:
+            o = Const(self.integer())
+        if self.i == i + 2:     # one token spelled it
+            self.operands[tok] = o
+        return o
 
 
 def _parse_instr(cur: _Cursor, iid: int) -> Instr:
     name = None
-    if cur.accept("%"):
-        name = cur.name("register")
+    if cur.parts[cur.i][:1] == "%":
+        name = cur.ref("%", "register")
         cur.expect("=")
     op = cur.name("opcode")
     form = _FORMS.get(op)
     if form is None:
-        cur.error("unknown opcode '%s'" % op)
+        cur.refuse("unknown opcode '%s'" % op)
     named, tmpl = form
     if name is not None and not named:
-        cur.error("%s names no result" % op)
+        cur.refuse("%s names no result" % op)
     ins = Instr(iid, op, name=name)
     for ch in tmpl:
-        if ch == "T":
-            ins.ty = cur.type_()
-        elif ch == "A":
+        if ch == "A":
             ins.args.append(cur.operand())
-        elif ch == "N":
-            ins.args.append(Const(cur.integer()))
+        elif ch == "T":
+            ins.ty = cur.type_()
+        elif ch == " ":
+            continue
         elif ch == "L":
             ins.labels.append(cur.name("label"))
+        elif ch == "N":
+            ins.args.append(Const(cur.integer()))
         elif ch == "P":
             ins.pred = cur.name("predicate")
             if ins.pred not in ICMP_PREDS:
-                cur.error("unknown icmp predicate '%s'" % ins.pred)
+                cur.refuse("unknown icmp predicate '%s'" % ins.pred)
         elif ch == "F":
-            cur.expect("@")
-            ins.callee = cur.name("function")
+            ins.callee = cur.ref("@", "function")
         elif ch == "S":
             if not cur.peek(")"):
                 ins.args += cur.commas(cur.operand)
         elif ch == "I":
             ins.incoming = cur.commas(lambda: cur.keyed("label", cur.operand))
-        elif ch != " ":
+        else:
             cur.expect(ch)
     cur.end()
     return ins
@@ -550,7 +646,7 @@ def _read_fields(cur: _Cursor, fields) -> dict:
     out = {}
     for key, attr, read in fields:
         cur.accept(",")
-        cur.expect(key + "=")
+        cur.key(key)
         out[attr] = read(cur)
     return out
 
@@ -562,47 +658,73 @@ def _parse_dflmeta(cur: _Cursor) -> DflAccessMetadata:
     return DflAccessMetadata(mid, size=size_of(kw["ty"]), **kw)
 
 
+def _parse_global(m: Module, raw: str, lineno: int):
+    # only the text before the '=' is split into tokens: the initializer
+    # is one run of hex digits, up to 128 KiB of text for a 64 KiB table
+    head, eq, init = raw.partition("=")
+    cur = _Cursor(head, lineno)
+    cur.expect("global")
+    gname = cur.ref("@", "global name")
+    cur.expect(":")
+    ty = cur.type_()
+    cur.end()
+    data = None
+    if eq:
+        col = len(head) + len(init) - len(init.lstrip(" \t")) + 2
+        hexs = init.strip()
+        # whole byte pairs; a repeated group here would make the
+        # regex engine keep state per pair of a 64 KiB table
+        if not hexs or len(hexs) % 2 or not _HEX.fullmatch(hexs):
+            raise ParseError("bad initializer bytes", lineno, col)
+        data = bytes.fromhex(hexs)
+        if len(data) > size_of(ty):
+            raise ParseError("initializer longer than type size", lineno,
+                             col)
+    if gname in m.globals:
+        raise ParseError("duplicate global '@%s'" % gname, lineno,
+                         len(raw) + 1)
+    m.globals[gname] = Global(gname, ty, data)
+
+
 def parse_module(text: str) -> Module:
     m = Module()
-    lines = text.splitlines()
-    i = 0
+    fn = block = None       # the function being read and its last block
+    operands = {}
     iid = 0
-
-    def strip(line):
+    lineno = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
         k = line.find(";")
-        return line[:k] if k >= 0 else line
-
-    while i < len(lines):
-        raw = strip(lines[i])
-        lineno = i + 1
-        i += 1
+        raw = line[:k] if k >= 0 else line
         if not raw.strip():
             continue
-        cur = _Cursor(raw, lineno)
 
-        if cur.accept("global"):
-            cur.expect("@")
-            gname = cur.name("global name")
-            cur.expect(":")
-            ty = cur.type_()
-            init = None
-            if cur.accept("="):
-                cur.skip_ws()
-                hexs = raw[cur.pos:].strip()
-                # whole byte pairs; a repeated group here would make the
-                # regex engine keep state per pair of a 64 KiB table
-                if not hexs or len(hexs) % 2 or not _HEX.fullmatch(hexs):
-                    cur.error("bad initializer bytes")
-                init = bytes.fromhex(hexs)
-                if len(init) > size_of(ty):
-                    cur.error("initializer longer than type size")
-                cur.pos = len(raw)
-            cur.end()
-            if gname in m.globals:
-                cur.error("duplicate global '@%s'" % gname)
-            m.globals[gname] = Global(gname, ty, init)
+        if fn is not None:
+            # block label: name ':' at start of line, nothing else
+            mlab = ":" in raw and _LABEL.match(raw)
+            if mlab:
+                lbl = mlab.group(1)
+                if lbl in fn.blocks:
+                    raise ParseError("duplicate label '%s'" % lbl, lineno,
+                                     len(raw) - len(raw.lstrip(" \t")) + 1)
+                block = fn.blocks[lbl] = Block(lbl)
+                continue
+            cur = _Cursor(raw, lineno, operands)
+            if cur.accept("}"):
+                cur.end()
+                m.funcs[fn.name] = fn
+                fn = None
+                continue
+            if block is None:
+                cur.error("instruction before first label")
+            block.instrs.append(_parse_instr(cur, iid))
+            iid += 1
             continue
 
+        if raw.lstrip(" \t").startswith("global"):
+            _parse_global(m, raw, lineno)
+            continue
+
+        cur = _Cursor(raw, lineno)
         if cur.accept("harden"):
             m.harden = HardenInfo(**_read_fields(cur, _HARDEN_FIELDS))
             cur.end()
@@ -614,8 +736,7 @@ def parse_module(text: str) -> Module:
             continue
 
         if cur.accept("takenmap"):
-            cur.expect("@")
-            tm = m.takenmap[cur.name("function")] = {}
+            tm = m.takenmap[cur.ref("@", "function")] = {}
             cur.expect("{")
             while not cur.accept("}"):
                 a = cur.integer()
@@ -626,14 +747,12 @@ def parse_module(text: str) -> Module:
 
         if not cur.accept("func"):
             cur.error("expected global, func, or directive")
-        cur.expect("@")
-        fname = cur.name("function name")
+        fname = cur.ref("@", "function name")
         cur.expect("(")
         params = []
         if not cur.peek(")"):
             while True:
-                cur.expect("%")
-                pname = cur.name("parameter")
+                pname = cur.ref("%", "parameter")
                 cur.expect(":")
                 secret = bool(cur.accept("secret"))
                 params.append(Param(pname, cur.type_(), secret))
@@ -647,35 +766,10 @@ def parse_module(text: str) -> Module:
         if fname in m.funcs:
             raise ParseError("duplicate function '@%s'" % fname, lineno, 1)
         fn = Function(fname, params, ret_ty)
-
         block = None
-        while True:
-            if i >= len(lines):
-                raise ParseError("unterminated function '@%s'" % fname, lineno, 1)
-            raw = strip(lines[i])
-            lineno = i + 1
-            i += 1
-            if not raw.strip():
-                continue
-            cur = _Cursor(raw, lineno)
-            if cur.accept("}"):
-                cur.end()
-                break
-            # block label: name ':' at start of line, nothing else
-            mlab = re.match(r"\s*([A-Za-z_][A-Za-z0-9_.]*)\s*:\s*$", raw)
-            if mlab:
-                lbl = mlab.group(1)
-                if lbl in fn.blocks:
-                    cur.error("duplicate label '%s'" % lbl)
-                block = Block(lbl)
-                fn.blocks[lbl] = block
-                continue
-            if block is None:
-                cur.error("instruction before first label")
-            block.instrs.append(_parse_instr(cur, iid))
-            iid += 1
-        m.funcs[fname] = fn
 
+    if fn is not None:
+        raise ParseError("unterminated function '@%s'" % fn.name, lineno, 1)
     m.next_iid = iid
     return m
 
@@ -795,14 +889,16 @@ def reg_types(m: Module, fn: Function) -> dict:
 
 
 def validate(m: Module) -> list:
-    """Structural, SSA, and type diagnostics.  Empty list means well formed."""
-    diags = []
-    seen_iids = set()
-    for ins in m.instructions():
-        if ins.iid in seen_iids:
-            diags.append(Diagnostic("?", "duplicate instruction id %d" % ins.iid, ins.iid))
-        seen_iids.add(ins.iid)
+    """Structural, SSA, and type diagnostics.  Empty list means well formed.
 
+    Two passes over each function's instructions: one for structure,
+    ids, definitions and symbols, and, once the structure holds, one
+    for phi edges, dominance of uses and types.  Diagnostics come in a
+    fixed order: duplicate ids, then per function its structure, its
+    definitions, phi edges, uses and types, then unknown symbols.
+    """
+    dups, diags, unknown = [], [], []
+    seen_iids = set()
     for fn in m.funcs.values():
         def err(msg, iid=None, _fn=fn):
             diags.append(Diagnostic(_fn.name, msg, iid))
@@ -811,94 +907,112 @@ def validate(m: Module) -> list:
             err("function has no blocks")
             continue
 
-        # structural checks
+        # structure, ids, definitions and symbols
+        broken = False
+        params = {p.name for p in fn.params}
+        defs = {}        # register -> (block label, position of its def)
+        redefined = []
         for b in fn.blocks.values():
             if not b.instrs:
                 err("empty block '%s'" % b.label)
+                broken = True
                 continue
-            for ins in b.instrs[:-1]:
-                if ins.is_terminator():
-                    err("terminator in mid-block '%s'" % b.label, ins.iid)
-            if not b.terminator.is_terminator():
-                err("block '%s' lacks terminator" % b.label)
+            mid, late, bad = [], [], []
             in_body = False
-            for ins in b.instrs:
+            last = len(b.instrs) - 1
+            for k, ins in enumerate(b.instrs):
+                iid = ins.iid
+                if iid in seen_iids:
+                    dups.append(Diagnostic(
+                        "?", "duplicate instruction id %d" % iid, iid))
+                seen_iids.add(iid)
+                if k < last and ins.op in TERMINATORS:
+                    mid.append(iid)
                 if ins.op != "phi":
                     in_body = True
                 elif in_body:
-                    err("phi after non-phi in '%s'" % b.label, ins.iid)
-            for ins in b.instrs:
+                    late.append(iid)
                 for lbl in ins.labels:
                     if lbl not in fn.blocks:
-                        err("unknown label '%s'" % lbl, ins.iid)
-
-        if any(d.fn == fn.name for d in diags):
+                        bad.append((lbl, iid))
+                if ins.name is not None:
+                    if ins.name in params or ins.name in defs:
+                        redefined.append((ins.name, iid))
+                    defs[ins.name] = (b.label, k)
+                ops = ins.args
+                if ins.incoming:
+                    ops = ops + [v for _, v in ins.incoming]
+                for o in ops:
+                    if type(o) is Sym and o.name not in m.globals \
+                            and o.name not in m.funcs:
+                        unknown.append(Diagnostic(
+                            fn.name, "unknown symbol @%s" % o.name, iid))
+                if ins.op == "call" and ins.callee not in m.funcs \
+                        and ins.callee not in BUILTIN_FUNCS:
+                    unknown.append(Diagnostic(
+                        fn.name, "call to unknown @%s" % ins.callee, iid))
+            for iid in mid:
+                err("terminator in mid-block '%s'" % b.label, iid)
+            if not b.terminator.is_terminator():
+                err("block '%s' lacks terminator" % b.label)
+                broken = True
+            for iid in late:
+                err("phi after non-phi in '%s'" % b.label, iid)
+            for lbl, iid in bad:
+                err("unknown label '%s'" % lbl, iid)
+            broken = broken or bool(mid or late or bad)
+        if broken:
             continue  # skip deeper checks on broken structure
-
-        # SSA defs
-        params = {p.name for p in fn.params}
-        defs: dict[str, Instr] = {}
-        dup = False
-        for ins in fn.instructions():
-            if ins.name is None:
-                continue
-            if ins.name in params or ins.name in defs:
-                err("redefinition of %%%s" % ins.name, ins.iid)
-                dup = True
-            defs[ins.name] = ins
-        if dup:
+        for name, iid in redefined:
+            err("redefinition of %%%s" % name, iid)
+        if redefined:
             continue
+
+        # phi edges, dominance of uses, types
         types = reg_types(m, fn)
-
         graph = build_cfg(fn)
-        # iid -> (block label, position in the block)
-        where = {i.iid: (b.label, k) for b in fn.blocks.values()
-                 for k, i in enumerate(b.instrs)}
+        phi_errs, use_errs, type_errs = [], [], []
 
-        # phi edge agreement
+        def type_err(msg, iid, _fn=fn):
+            type_errs.append(Diagnostic(_fn.name, msg, iid))
+
         for b in fn.blocks.values():
-            preds = sorted(graph.preds[b.label])
-            for ph in b.phis():
-                labels = [l for l, _ in ph.incoming]
-                if sorted(labels) != preds:
-                    err("phi edges %s do not match preds %s" % (labels, preds), ph.iid)
-
-        # dominance of uses
-        def dominates_use(dname: str, user: Instr, via_label: str | None) -> bool:
-            d = defs.get(dname)
-            if d is None:
-                return True  # parameter
-            (dblk, dpos), (ublk, upos) = where[d.iid], where[user.iid]
-            if via_label is not None:
-                # phi use: def must dominate the end of the incoming block
-                return graph.dominates(dblk, via_label)
-            if dblk == ublk:
-                return dpos < upos
-            return graph.dominates(dblk, ublk)
-
-        for ins in fn.instructions():
-            uses = [(a, None) for a in ins.args if isinstance(a, Reg)]
-            uses += [(v, l) for l, v in ins.incoming if isinstance(v, Reg)]
-            for reg, via in uses:
-                if reg.name not in types:
-                    err("use of undefined %%%s" % reg.name, ins.iid)
-                elif not dominates_use(reg.name, ins, via):
-                    err("use of %%%s not dominated by its def" % reg.name, ins.iid)
-
-        _type_check(m, fn, types, err)
-
-    # global initializers already length-checked at parse; symbol resolution:
-    for fn in m.funcs.values():
-        for ins in fn.instructions():
-            ops = list(ins.args) + [v for _, v in ins.incoming]
-            for o in ops:
-                if isinstance(o, Sym) and o.name not in m.globals \
-                        and o.name not in m.funcs:
-                    diags.append(Diagnostic(fn.name, "unknown symbol @%s" % o.name, ins.iid))
-            if ins.op == "call" and ins.callee not in m.funcs \
-                    and ins.callee not in BUILTIN_FUNCS:
-                diags.append(Diagnostic(fn.name, "call to unknown @%s" % ins.callee, ins.iid))
-    return diags
+            here = b.label
+            for k, ins in enumerate(b.instrs):
+                if ins.op == "phi":
+                    preds = sorted(graph.preds[here])
+                    labels = [lbl for lbl, _ in ins.incoming]
+                    if sorted(labels) != preds:
+                        phi_errs.append(Diagnostic(
+                            fn.name, "phi edges %s do not match preds %s"
+                            % (labels, preds), ins.iid))
+                uses = [(a, None) for a in ins.args if type(a) is Reg]
+                if ins.incoming:
+                    uses += [(v, lbl) for lbl, v in ins.incoming
+                             if type(v) is Reg]
+                for reg, via in uses:
+                    d = defs.get(reg.name)
+                    if reg.name not in types:
+                        msg = "use of undefined %%%s"
+                    elif d is None:     # a parameter
+                        continue
+                    elif via is not None:
+                        # phi use: def must dominate the end of the
+                        # incoming block
+                        msg = None if graph.dominates(d[0], via) else \
+                            "use of %%%s not dominated by its def"
+                    elif d[0] == here:
+                        msg = None if d[1] < k else \
+                            "use of %%%s not dominated by its def"
+                    else:
+                        msg = None if graph.dominates(d[0], here) else \
+                            "use of %%%s not dominated by its def"
+                    if msg:
+                        use_errs.append(Diagnostic(
+                            fn.name, msg % reg.name, ins.iid))
+                _type_check(m, fn, ins, types, type_err)
+        diags += phi_errs + use_errs + type_errs
+    return dups + diags + unknown
 
 
 def _result_type(m: Module, ins: Instr, env) -> Type | None:
@@ -933,68 +1047,68 @@ def _operand_type(m: Module, o: Operand, env) -> Type | None:
     return None  # constants are polymorphic over int widths and addr
 
 
-def _type_check(m: Module, fn: Function, env, err):
+def _type_check(m: Module, fn: Function, ins: Instr, env, err):
+    """Type diagnostics of one instruction."""
     def want(o, t: Type | None, ins, what):
         if t is None:
             return
         got = _operand_type(m, o, env)
-        if got is not None and got != t:
+        if got is not None and got is not t and got != t:
             err("%s has type %s, expected %s" % (what, got, t), ins.iid)
 
-    for ins in fn.instructions():
-        op = ins.op
-        if op in BINOPS:
-            if ins.ty.kind != "int":
-                err("%s requires an integer type" % op, ins.iid)
-            want(ins.args[0], ins.ty, ins, "lhs")
-            want(ins.args[1], ins.ty, ins, "rhs")
-        elif op == "icmp":
-            ta = _operand_type(m, ins.args[0], env)
-            tb = _operand_type(m, ins.args[1], env)
-            if ta is not None and tb is not None and ta != tb:
-                err("icmp operand types differ (%s vs %s)" % (ta, tb), ins.iid)
-        elif op == "select":
-            want(ins.args[0], I1, ins, "select condition")
-            ta = _operand_type(m, ins.args[1], env)
-            tb = _operand_type(m, ins.args[2], env)
-            if ta is not None and tb is not None and ta != tb:
-                err("select arms differ (%s vs %s)" % (ta, tb), ins.iid)
-        elif op == "phi":
-            for _, v in ins.incoming:
-                want(v, ins.ty, ins, "phi incoming")
-        elif op == "load":
-            if not is_scalar(ins.ty):
-                err("load of non-scalar type", ins.iid)
-            want(ins.args[0], ADDR, ins, "load address")
-        elif op == "store":
-            if not is_scalar(ins.ty):
-                err("store of non-scalar type", ins.iid)
-            want(ins.args[0], ins.ty, ins, "stored value")
-            want(ins.args[1], ADDR, ins, "store address")
-        elif op == "gep":
-            want(ins.args[0], ADDR, ins, "gep base")
-            _, msg = gep_steps(ins.ty, ins.args[1:])
-            if msg:
-                err(msg, ins.iid)
-        elif op == "heapfree":
-            want(ins.args[0], ADDR, ins, "freed pointer")
-        elif op == "condbr":
-            want(ins.args[0], I1, ins, "branch condition")
-        elif op == "ret":
-            want(ins.args[0], fn.ret_ty, ins, "return value")
-        elif op == "call" and ins.callee in m.funcs:
-            callee = m.funcs[ins.callee]
-            if len(ins.args) != len(callee.params):
-                err("call passes %d args, @%s takes %d"
-                    % (len(ins.args), ins.callee, len(callee.params)), ins.iid)
-            else:
-                for a, p in zip(ins.args, callee.params):
-                    want(a, p.ty, ins, "argument %%%s" % p.name)
-        elif op == "icall":
-            want(ins.args[0], ADDR, ins, "icall target")
-        elif op == "secret":
-            if ins.ty.kind != "int":
-                err("secret requires an integer type", ins.iid)
-            if ins.args[0].value < 0:
-                err("secret index %d is negative" % ins.args[0].value,
-                    ins.iid)
+    op = ins.op
+    if op in BINOPS:
+        if ins.ty.kind != "int":
+            err("%s requires an integer type" % op, ins.iid)
+        want(ins.args[0], ins.ty, ins, "lhs")
+        want(ins.args[1], ins.ty, ins, "rhs")
+    elif op == "icmp":
+        ta = _operand_type(m, ins.args[0], env)
+        tb = _operand_type(m, ins.args[1], env)
+        if ta is not None and tb is not None and ta != tb:
+            err("icmp operand types differ (%s vs %s)" % (ta, tb), ins.iid)
+    elif op == "select":
+        want(ins.args[0], I1, ins, "select condition")
+        ta = _operand_type(m, ins.args[1], env)
+        tb = _operand_type(m, ins.args[2], env)
+        if ta is not None and tb is not None and ta != tb:
+            err("select arms differ (%s vs %s)" % (ta, tb), ins.iid)
+    elif op == "phi":
+        for _, v in ins.incoming:
+            want(v, ins.ty, ins, "phi incoming")
+    elif op == "load":
+        if not is_scalar(ins.ty):
+            err("load of non-scalar type", ins.iid)
+        want(ins.args[0], ADDR, ins, "load address")
+    elif op == "store":
+        if not is_scalar(ins.ty):
+            err("store of non-scalar type", ins.iid)
+        want(ins.args[0], ins.ty, ins, "stored value")
+        want(ins.args[1], ADDR, ins, "store address")
+    elif op == "gep":
+        want(ins.args[0], ADDR, ins, "gep base")
+        _, msg = gep_steps(ins.ty, ins.args[1:])
+        if msg:
+            err(msg, ins.iid)
+    elif op == "heapfree":
+        want(ins.args[0], ADDR, ins, "freed pointer")
+    elif op == "condbr":
+        want(ins.args[0], I1, ins, "branch condition")
+    elif op == "ret":
+        want(ins.args[0], fn.ret_ty, ins, "return value")
+    elif op == "call" and ins.callee in m.funcs:
+        callee = m.funcs[ins.callee]
+        if len(ins.args) != len(callee.params):
+            err("call passes %d args, @%s takes %d"
+                % (len(ins.args), ins.callee, len(callee.params)), ins.iid)
+        else:
+            for a, p in zip(ins.args, callee.params):
+                want(a, p.ty, ins, "argument %%%s" % p.name)
+    elif op == "icall":
+        want(ins.args[0], ADDR, ins, "icall target")
+    elif op == "secret":
+        if ins.ty.kind != "int":
+            err("secret requires an integer type", ins.iid)
+        if ins.args[0].value < 0:
+            err("secret index %d is negative" % ins.args[0].value,
+                ins.iid)

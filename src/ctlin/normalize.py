@@ -12,6 +12,10 @@ single-entry single-exit regions:
 
 Loops are given a dedicated preheader so the counter phis inserted later
 have a unique non-latch predecessor.
+
+The blocks and registers these passes add have fixed names (`exit.unified`,
+`ret.val`, `<header>.pre`, `<phi>.pre`, `<latch>.exitc`); where the input
+already uses one, the first free `.<n>` suffix of it is taken instead.
 """
 
 from __future__ import annotations
@@ -63,6 +67,22 @@ class RegionTree:
         return self.latches.get((fn, latch))
 
 
+def _fresh(name: str, taken) -> str:
+    """name, or its first `.<n>` suffix that taken does not hold."""
+    if name not in taken:
+        return name
+    k = 1
+    while "%s.%d" % (name, k) in taken:
+        k += 1
+    return "%s.%d" % (name, k)
+
+
+def _registers(fn) -> set:
+    """Names of fn's parameters and instruction results."""
+    return {p.name for p in fn.params} | \
+        {i.name for i in fn.instructions() if i.name is not None}
+
+
 # ---------------------------------------------------------------------------
 # exit unification
 
@@ -80,17 +100,19 @@ def unify_exits(m: Module) -> Module:
         if not ret_blocks:
             raise NormalizeError("@%s has no ret" % fn.name)
         if len(ret_blocks) > 1:
-            exit_b = Block(UNIFIED_EXIT)
+            exit_b = Block(_fresh(UNIFIED_EXIT, fn.blocks))
             incoming = []
             for b in sorted(ret_blocks, key=lambda b: b.label):
                 r = b.instrs.pop()
                 incoming.append((b.label, r.args[0]))
-                b.instrs.append(Instr(m.new_iid(), "br", labels=[UNIFIED_EXIT]))
-            phi = Instr(m.new_iid(), "phi", name="ret.val", ty=fn.ret_ty,
-                        incoming=incoming)
+                b.instrs.append(Instr(m.new_iid(), "br",
+                                      labels=[exit_b.label]))
+            phi = Instr(m.new_iid(), "phi", ty=fn.ret_ty, incoming=incoming,
+                        name=_fresh("ret.val", _registers(fn)))
             exit_b.instrs.append(phi)
-            exit_b.instrs.append(Instr(m.new_iid(), "ret", args=[Reg("ret.val")]))
-            fn.blocks[UNIFIED_EXIT] = exit_b
+            exit_b.instrs.append(Instr(m.new_iid(), "ret",
+                                       args=[Reg(phi.name)]))
+            fn.blocks[exit_b.label] = exit_b
 
         g = cfglib.build_cfg(fn)
         exit_label = [b for b in fn.blocks.values()
@@ -289,8 +311,8 @@ def _canonicalize_latch(m: Module, fn, latch: str, header: str, exit_t: str):
     term = b.terminator
     if term.labels == [exit_t, header]:
         return
-    neg = Instr(m.new_iid(), "xor", name="%s.exitc" % latch, ty=I1,
-                args=[term.args[0], Const(1)])
+    neg = Instr(m.new_iid(), "xor", ty=I1, args=[term.args[0], Const(1)],
+                name=_fresh("%s.exitc" % latch, _registers(fn)))
     b.instrs.insert(len(b.instrs) - 1, neg)
     term.args = [Reg(neg.name)]
     term.labels = [exit_t, header]
@@ -303,14 +325,17 @@ def _ensure_preheader(m: Module, fn, g, header: str, body: set):
         p = fn.blocks[outer_preds[0]]
         if p.terminator.op == "br" and p.label not in body:
             return
-    pre_lbl = header + ".pre"
+    pre_lbl = _fresh(header + ".pre", fn.blocks)
     pre = Block(pre_lbl)
+    regs = _registers(fn)
     for ph in hdr.phis():
         outer = [(l, v) for l, v in ph.incoming if l not in body]
         inner = [(l, v) for l, v in ph.incoming if l in body]
         if len(outer) > 1:
-            np = Instr(m.new_iid(), "phi", name=ph.name + ".pre", ty=ph.ty,
+            np = Instr(m.new_iid(), "phi", ty=ph.ty,
+                       name=_fresh(ph.name + ".pre", regs),
                        incoming=sorted(outer, key=lambda e: e[0]))
+            regs.add(np.name)
             pre.instrs.append(np)
             ph.incoming = sorted(inner + [(pre_lbl, Reg(np.name))],
                                  key=lambda e: e[0])

@@ -6,8 +6,11 @@ neither may the sequence of lambda-quantized memory window events.
 Each check runs the module over a batch of secret vectors and compares
 traces against the first one; any split is a finding, not a statistic.
 
-Each check decodes the module once (`interp.Code`) and runs its whole
-batch on that decoded form.
+`verify_module` decodes each module once per engine variant
+(`interp.Code`): the hardened module as plain code, which pc-security,
+obliviousness and equivalence share, and under `DecoyDecoder` for the
+decoy invariants; the original once, for equivalence.  A check called
+on its own decodes what it is not given.
 
 Verification quantum may be coarser than the hardening quantum, since
 identical fine-grained traces stay identical under any multiple.  The
@@ -18,6 +21,8 @@ specific cause deserves its own diagnosis: trip counts that profiling
 under-trained.  The hardened module then pads loops to a bound it has
 to grow at run time, which is visible as a bound cell larger than its
 baked-in value.  Verdicts carry that as a warning next to the failure.
+The sweep is then retried on the same decoded code, with those cells
+started at their grown values.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .interp import (DEFAULT_BUDGET, Code, DecoyDecoder, ExecInput, Machine,
-                     final_state)
+from .interp import (DEFAULT_BUDGET, Code, Decoder, DecoyDecoder, ExecInput,
+                     Machine, final_state)
 from .taint import input_shape
 
 SECRET_SPACE = 1 << 16
@@ -82,23 +87,38 @@ def public_batch(m, entry: str = "main", count: int = 3, seed: int = 0,
     return out
 
 
-def _grown_bounds(m, mach) -> dict:
-    """Trip cells above their stored value after a run."""
+def _bound_cells(code) -> list:
+    """(name, address) of each trip cell of the decoded module."""
+    return [(name, code.global_addr[name]) for name in code.m.globals
+            if name.startswith("cfl.k.")]
+
+
+def _grown_bounds(cells, starts, mach) -> dict:
+    """Trip cells above their start value after a run."""
     out = {}
-    for name, g in m.globals.items():
-        if not name.startswith("cfl.k."):
-            continue
-        cur = mach.mem.read(mach.global_addr[name], 8)
-        init = int.from_bytes(g.init or b"\x00" * 8, "little")
-        if cur > init:
+    for name, addr in cells:
+        cur = mach.mem.read(addr, 8)
+        if cur > starts[name]:
             out[name] = cur
     return out
 
 
-def _run(code, pub, sec, entry, lam, budget):
+def _run(code, pub, sec, entry, lam, budget, seeds=()):
+    """One run on decoded code; each (address, value) of seeds is written
+    over the 8-byte cell's initializer first."""
     mach = Machine(code.m, lam=lam, budget=budget, code=code)
+    for addr, v in seeds:
+        mach.mem.write(addr, 8, v)
     tr = mach.run(ExecInput(list(pub), list(sec)), entry=entry)
     return mach, tr
+
+
+def _plain(m, code):
+    """m decoded as plain code: the caller's, checked, or decoded here."""
+    code = code or Code(m)
+    if code.m is not m or type(code.decoder) is not Decoder:
+        raise ValueError("code is not m decoded as plain code")
+    return code
 
 
 def _first_divergence(a, b) -> int:
@@ -108,35 +128,32 @@ def _first_divergence(a, b) -> int:
     return min(len(a), len(b))
 
 
-def _with_bounds(m, grown):
-    """Module copy whose trip cells start at the grown values."""
-    from .ir import parse_module, print_module
-    m2 = parse_module(print_module(m))
-    for name, v in grown.items():
-        m2.globals[name].init = int(v).to_bytes(8, "little")
-    return m2
-
-
-def _compare_traces(m, entry, lam, pairs, seed, space, budget, check, sig):
+def _compare_traces(code, entry, lam, pairs, seed, space, budget, check,
+                    sig):
     """Fixed public, all secrets, trace signature must not move.
 
     A split that goes away once the trip cells keep their grown values
     is the one-off bound adaptation, reported as a warning on a passing
     verdict: the adversary sees one perturbation per deployment, not a
-    per-secret signal.  Splits that survive retraining fail, with the
-    first divergence index as witness.
+    per-secret signal.  The retry runs the same decoded code with the
+    cells started at those values.  Splits that survive retraining
+    fail, with the first divergence index as witness.
     """
+    m = code.m
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
+    cells = _bound_cells(code)
+    starts = {name: int.from_bytes(m.globals[name].init or b"", "little")
+              for name, _ in cells}
+    seeds = []      # cells started above their initializers, on a retry
     warnings = []
     for _ in range(4):
         grown = {}
         mismatch = None
-        code = Code(m)
         for pub in pubs:
             ref = ref_sec = None
             for sv in secs:
-                mach, tr = _run(code, pub, sv, entry, lam, budget)
+                mach, tr = _run(code, pub, sv, entry, lam, budget, seeds)
                 if tr.abort is not None:
                     return Verdict(check, False,
                                    "abort '%s' under secrets %s"
@@ -145,7 +162,7 @@ def _compare_traces(m, entry, lam, pairs, seed, space, budget, check, sig):
                     return Verdict(check, False,
                                    "striding violation %r under secrets %s"
                                    % (tr.violations[0], sv), warnings)
-                grown.update(_grown_bounds(m, mach))
+                grown.update(_grown_bounds(cells, starts, mach))
                 cur = sig(tr)
                 if ref is None:
                     ref, ref_sec = cur, sv
@@ -164,10 +181,12 @@ def _compare_traces(m, entry, lam, pairs, seed, space, budget, check, sig):
                            "trace differs at index %d between secrets %s "
                            "and %s (public %s)" % (idx, a, b, pub),
                            warnings)
-        cells = ", ".join("%s=%d" % (n, v) for n, v in sorted(grown.items()))
+        grown_text = ", ".join("%s=%d" % (n, v)
+                               for n, v in sorted(grown.items()))
         warnings.append("trip counts under-trained; bound cells grew to "
-                        "%s and the sweep was retried" % cells)
-        m = _with_bounds(m, grown)
+                        "%s and the sweep was retried" % grown_text)
+        starts.update(grown)
+        seeds = [(addr, starts[name]) for name, addr in cells]
     a, b, pub, idx = mismatch
     return Verdict(check, False,
                    "bound cells kept growing; trace still differs at index "
@@ -177,18 +196,26 @@ def _compare_traces(m, entry, lam, pairs, seed, space, budget, check, sig):
 
 def check_pc_security(m, entry: str = "main", pairs: int = 100,
                       seed: int = 0, space: int = SECRET_SPACE,
-                      budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Executed-instruction trace is the same for every secret."""
+                      budget: int = DEFAULT_BUDGET,
+                      code: Code | None = None) -> Verdict:
+    """Executed-instruction trace is the same for every secret.
+
+    `code` is m decoded as plain code by the caller, as in `Machine`.
+    """
     lam = m.harden.lam if m.harden else 64
-    return _compare_traces(m, entry, lam, pairs, seed, space, budget,
-                           "pc-security", lambda tr: tuple(tr.instrs))
+    return _compare_traces(_plain(m, code), entry, lam, pairs, seed, space,
+                           budget, "pc-security", lambda tr: tuple(tr.instrs))
 
 
 def check_obliviousness(m, lam: int | None = None, entry: str = "main",
                         pairs: int = 100, seed: int = 0,
                         space: int = SECRET_SPACE,
-                        budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Memory window event trace at quantum lam is secret-independent."""
+                        budget: int = DEFAULT_BUDGET,
+                        code: Code | None = None) -> Verdict:
+    """Memory window event trace at quantum lam is secret-independent.
+
+    `code` is m decoded as plain code by the caller, as in `Machine`.
+    """
     lam_h = m.harden.lam if m.harden else 64
     lam_v = lam_h if lam is None else lam
     if lam_v <= 0:
@@ -198,18 +225,21 @@ def check_obliviousness(m, lam: int | None = None, entry: str = "main",
         return Verdict(check, False,
                        "verify quantum %d is not a multiple of hardening "
                        "quantum %d" % (lam_v, lam_h))
-    return _compare_traces(m, entry, lam_h, pairs, seed, space, budget,
-                           check, lambda tr: tuple(tr.requantize(lam_v)))
+    return _compare_traces(_plain(m, code), entry, lam_h, pairs, seed, space,
+                           budget, check,
+                           lambda tr: tuple(tr.requantize(lam_v)))
 
 
 def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
                       seed: int = 0, space: int = SECRET_SPACE,
-                      budget: int = DEFAULT_BUDGET) -> Verdict:
+                      budget: int = DEFAULT_BUDGET,
+                      code: Code | None = None) -> Verdict:
     """Hardened module computes what the original does, abort for abort.
 
     Compared per input: entry return value, bytes of every non-reserved
     global, live heap payloads in allocation order, and the abort kind
-    when either side stops early.
+    when either side stops early.  `code` is hard decoded as plain code
+    by the caller; the original is decoded here, once.
     """
     npub, nsec = input_shape(orig, entry)
     rng = random.Random(seed ^ 0x517CC1B7)
@@ -217,7 +247,7 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
     for _ in range(samples):
         inputs.append(([rng.randrange(space) for _ in range(npub)],
                        [rng.randrange(space) for _ in range(nsec)]))
-    orig_code, hard_code = Code(orig), Code(hard)
+    orig_code, hard_code = Code(orig), _plain(hard, code)
     for pub, sec in inputs:
         inp = ExecInput(list(pub), list(sec))
         to, go, ho = final_state(orig, inp, entry=entry, budget=budget,
@@ -244,18 +274,22 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
 
 def check_decoy_invariants(m, entry: str = "main", pairs: int = 100,
                            seed: int = 0, space: int = SECRET_SPACE,
-                           budget: int = DEFAULT_BUDGET) -> Verdict:
+                           budget: int = DEFAULT_BUDGET,
+                           code: Code | None = None) -> Verdict:
     """Decoy execution leaves no mark: no store lands under a decoy
     shadow, no access escapes its plan portions, nothing aborts.
 
     Runs with the shadow tracker on; stores whose data carries a decoy
     shadow are reported unless they belong to the transforms' own
-    bookkeeping cells.
+    bookkeeping cells.  `code` is m decoded under `DecoyDecoder` by the
+    caller.
     """
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
     lam = m.harden.lam if m.harden else 64
-    code = Code(m, DecoyDecoder())
+    code = code or Code(m, DecoyDecoder())
+    if code.m is not m or not isinstance(code.decoder, DecoyDecoder):
+        raise ValueError("code is not m decoded under DecoyDecoder")
     n = 0
     for pub in pubs:
         for sv in secs:
@@ -282,16 +316,17 @@ def verify_module(orig, hard, entry: str = "main", lams=None,
     """All checks in report order; extra quanta verify coarser views."""
     if budget < 1:      # equivalence would pass comparing two aborts
         raise ValueError("budget %d runs no instruction" % budget)
-    out = [check_pc_security(hard, entry, pairs, seed, space, budget),
+    plain = Code(hard)
+    out = [check_pc_security(hard, entry, pairs, seed, space, budget, plain),
            check_obliviousness(hard, None, entry, pairs, seed, space,
-                               budget)]
+                               budget, plain)]
     lam_h = hard.harden.lam if hard.harden else 64
     for lv in sorted(set(lams or [])):
         if lv != lam_h:
             out.append(check_obliviousness(hard, lv, entry, pairs, seed,
-                                           space, budget))
+                                           space, budget, plain))
     out.append(check_equivalence(orig, hard, entry, max(10, pairs // 2),
-                                 seed, space, budget))
+                                 seed, space, budget, plain))
     out.append(check_decoy_invariants(hard, entry, pairs, seed, space,
-                                      budget))
+                                      budget, Code(hard, DecoyDecoder())))
     return out

@@ -82,10 +82,125 @@ class TestParseErrors:
             parse_module("func @f() -> i64 {\nentry:\n  %s\n}\n" % line)
         assert "names no result" in str(ei.value)
 
+    def test_leading_zero_integer(self, tmp_path, capsys):
+        # int(_, 0) refuses "007"; it used to escape as a ValueError
+        text = "func @main() -> i64 {\nentry:\n  ret 007\n}\n"
+        with pytest.raises(ParseError) as ei:
+            parse_module(text)
+        assert str(ei.value) == "line 3 col 7: bad integer '007'"
+        from ctlin.cli import EXIT_INPUT, main
+        src = tmp_path / "zero.ir"
+        src.write_text(text)
+        assert main(["harden", str(src)]) == EXIT_INPUT
+        assert "bad integer" in capsys.readouterr().err
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as ei:
             parse_module("func @f() -> i64 {\nentry:\n  %x = bogus 1\n}\n")
         assert "line 3" in str(ei.value)
+
+
+def in_main(line: str) -> str:
+    return ("func @main(%a: i64) -> i64 {\nentry:\n" + line
+            + "\n  ret %a\n}\n")
+
+
+_META = ("dflmeta 0 access=1 kind=load lambda=64 ty=i64 natural=0 "
+         "entries=[%s]")
+_ENTRY = "(site=%s, off=0, len=8, stride=8, handler=simple)"
+
+# Malformed text and the full ParseError it raises: line, column and
+# message, as the character-stepping parser reported them.
+PINNED_ERRORS = [
+    ("global @g : i65", "line 1 col 16: unknown type 'i65'"),
+    ("global @g : [4 x i8] = 0g", "line 1 col 24: bad initializer bytes"),
+    ("global @g : [2 x i8] = 000102",
+     "line 1 col 24: initializer longer than type size"),
+    ("global @g : i64\nglobal @g : i64 ; dup",
+     "line 2 col 17: duplicate global '@g'"),
+    ("global @g : [4 x i8 = 00", "line 1 col 21: expected ']'"),
+    ("globalx @g : i64", "line 1 col 7: expected '@'"),
+    ("harden scheme=5 lambda=", "line 1 col 24: expected integer"),
+    ("harden scheme =5 lambda=4", "line 1 col 8: expected 'scheme='"),
+    ("harden scheme=5 lambda=4 extra", "line 1 col 26: trailing tokens"),
+    (_META % (_ENTRY % "q:1"),
+     "line 1 col 72: expected site class g:, s: or h:"),
+    (_META % (_ENTRY % "s:0x1"), "line 1 col 75: expected 'off='"),
+    (_META % (_ENTRY % "s:1" + ", " + _ENTRY % "g: @t"),
+     "line 1 col 124: expected site class g:, s: or h:"),
+    ("takenmap @main { 1:2 3 }", "line 1 col 24: expected ':'"),
+    ("bogus line", "line 1 col 1: expected global, func, or directive"),
+    ("func @main(%a: i64) -> i64\n", "line 1 col 27: expected '{'"),
+    ("func @main(%a i64) -> i64 {\n}", "line 1 col 15: expected ':'"),
+    ("func @main(%a: i64) -> i64 {\nentry:\n  ret %a\n",
+     "line 3 col 1: unterminated function '@main'"),
+    ("funcs @main() -> i64 {", "line 1 col 5: expected '@'"),
+    ("func @main() - > i64 {", "line 1 col 14: expected '->'"),
+    ("func @main() -> {a: i64, b i8} {", "line 1 col 28: expected ':'"),
+    ("func @main() -> i64 { x", "line 1 col 23: trailing tokens"),
+    (in_main("  %x = frob i64 %a, 1"),
+     "line 3 col 12: unknown opcode 'frob'"),
+    (in_main("  store i64 %a, %a extra"), "line 3 col 20: trailing tokens"),
+    (in_main("  %x = store i64 %a, %a"),
+     "line 3 col 13: store names no result"),
+    (in_main("  %x = icmp foo %a, 1"),
+     "line 3 col 16: unknown icmp predicate 'foo'"),
+    (in_main("  %x = add i64 %a 1"), "line 3 col 19: expected ','"),
+    (in_main("  %x = add i65 %a, 1"), "line 3 col 15: unknown type 'i65'"),
+    (in_main("  %x = phi i64 [entry %a]"), "line 3 col 23: expected ':'"),
+    (in_main("  %x = call main(%a)"), "line 3 col 13: expected '@'"),
+    (in_main("  %x = load i64, %"), "line 3 col 19: expected register"),
+    (in_main("  %x = add i64 %a, ->"), "line 3 col 20: expected integer"),
+    (in_main("  %x = add i64 %a, 0x"), "line 3 col 21: trailing tokens"),
+    (in_main("  %x = gep [4 x 8] %a, 0"), "line 3 col 17: expected type"),
+    ("func @main(%a: i64) -> i64 {\n  %x = add i64 %a, 1\n}",
+     "line 2 col 3: instruction before first label"),
+    ("func @main(%a: i64) -> i64 {\nentry:\n  ret %a\n\tentry :\n"
+     "  ret %a\n}", "line 4 col 2: duplicate label 'entry'"),
+    ("func @main(%a: i64) -> i64 {\nentry:\n  ret %a\n}\n"
+     "func @main(%a: i64) -> i64 {\nentry:\n  ret %a\n}",
+     "line 5 col 1: duplicate function '@main'"),
+]
+
+# Text the parser takes although the printer never writes it that way:
+# a literal may end inside a name (`hardenscheme=`, `secreti64`, `4xi8`),
+# and blanks between tokens are optional.  Paired with the printed form.
+PINNED_ACCEPTED = [
+    ("hardenscheme=1 lambda=4", "harden scheme=1 lambda=4\n"),
+    ("global @g : [4 x i8]\t= 0102 ", "global @g : [4 x i8] = 0102\n"),
+    ("func @f(%a: secreti64) -> i64 {\nentry:\n  ret %a\n}",
+     "\nfunc @f(%a: secret i64) -> i64 {\nentry:\n  ret %a\n}\n"),
+    (in_main("  %x = gep [4xi8] %a, 0"),
+     "\n" + in_main("  %x = gep [4 x i8] %a, 0")),
+    (in_main("  %x = add i64 %a,-0x1f ; comment"),
+     "\n" + in_main("  %x = add i64 %a, -31")),
+    (in_main("  %x = phi i64 [entry: 0,entry:%a]"),
+     "\n" + in_main("  %x = phi i64 [entry: 0, entry: %a]")),
+    (_META % (_ENTRY % "s:12" + ", " + _ENTRY % "g:@t.x"),
+     _META % (_ENTRY % "s:12" + ", " + _ENTRY % "g:@t.x") + "\n"),
+    ("takenmap @main { 1:2 3:4 }", "takenmap @main { 1:2 3:4 }\n"),
+]
+
+
+class TestParserPins:
+    """What the parser reads and how it fails, fixed before its rewrite."""
+
+    @pytest.mark.parametrize("text,error", PINNED_ERRORS)
+    def test_error_text(self, text, error):
+        with pytest.raises(ParseError) as ei:
+            parse_module(text)
+        assert str(ei.value) == error
+
+    @pytest.mark.parametrize("text,printed", PINNED_ACCEPTED)
+    def test_accepted_text(self, text, printed):
+        assert print_module(parse_module(text)) == printed
+
+    @pytest.mark.parametrize("lam", [1, 4, 64])
+    def test_printed_texts_are_fixpoints(self, corpus_names, lam):
+        for name in corpus_names:
+            for m in (load(name), hardened(name, lam=lam)[0]):
+                text = print_module(m)
+                assert print_module(parse_module(text)) == text, name
 
 
 class TestValidate:

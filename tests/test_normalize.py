@@ -287,3 +287,76 @@ class TestPreheaders:
         verdicts = verify_module(parse_module(src), hm, pairs=8)
         assert len(verdicts) == 4
         assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+
+
+# The input already holds each name the passes add: the exit block and
+# its phi, a preheader label, a preheader phi and a latch condition.
+EXIT_NAMES_TAKEN = """\
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %b = and i64 %s, 1
+  %c = icmp eq %b, 0
+  condbr %c, one, two
+one:
+  ret 1
+two:
+  %ret.val = add i64 %p, 2
+  br exit.unified
+exit.unified:
+  ret 2
+}
+"""
+
+LOOP_NAMES_TAKEN = """\
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %t = and i64 %s, 7
+  %c = icmp eq %p, 0
+  condbr %c, head.pre, head
+head.pre:
+  %i.pre = add i64 %p, 1
+  br head
+head:
+  %i = phi i64 [entry: 0, head.pre: %i.pre, head: %i.n]
+  %i.n = add i64 %i, 1
+  %head.exitc = icmp lt %i.n, %t
+  condbr %head.exitc, head, out
+out:
+  ret %i.n
+}
+"""
+
+
+class TestNamesTaken:
+    @pytest.mark.parametrize("src", [EXIT_NAMES_TAKEN, LOOP_NAMES_TAKEN],
+                             ids=["exit", "loop"])
+    def test_harden_and_verify_pass(self, tmp_path, capsys, src):
+        from ctlin.cli import EXIT_OK, main
+        orig, hard = tmp_path / "p.ir", tmp_path / "p.hard.ir"
+        orig.write_text(src)
+        assert main(["harden", str(orig), "--emit", str(hard)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(orig), str(hard), "--pairs", "8",
+                     "--space", "64"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("PASS ") for line in lines), lines
+
+    def test_fresh_names_only_where_taken(self):
+        m = parse_module(LOOP_NAMES_TAKEN)
+        unify_exits(m)
+        normalize_regions(m)
+        fn = m.funcs["main"]
+        assert "head.pre.1" in fn.blocks
+        assert [i.name for i in fn.blocks["head.pre.1"].phis()] == \
+            ["i.pre.1"]
+        assert "head.exitc.1" in {i.name for i in fn.instructions()}
+        assert validate(m) == []
+        m = parse_module(EXIT_NAMES_TAKEN)
+        unify_exits(m)
+        fn = m.funcs["main"]
+        assert "exit.unified.1" in fn.blocks
+        assert fn.blocks["exit.unified.1"].phis()[0].name == "ret.val.1"
+        for s in range(4):
+            assert interpret(m, ExecInput([0], [s])).output == \
+                (1 if s % 2 == 0 else 2)

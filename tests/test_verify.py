@@ -166,6 +166,61 @@ class TestBoundRetraining:
         eq = check_equivalence(load("jit_trip"), hm, samples=100, space=64)
         assert eq.passed, eq.detail
 
+    # verdict lines, with pc-security's warnings, of the retry path as
+    # it read when each retry parsed a printed copy of the module
+    GROWN = ("trip counts under-trained; bound cells grew to "
+             "cfl.k.main.loop=%d and the sweep was retried")
+    RETRIED = [
+        ((4, 8, [128]), 8, ["PASS obliviousness@64: 8 secret vectors x 1 "
+                            "public vectors",
+                            "PASS obliviousness@128: 8 secret vectors x 1 "
+                            "public vectors",
+                            "PASS equivalence: 11 inputs",
+                            "PASS decoy-invariants: 8 runs clean"], [8]),
+        ((100, 1 << 16, None), 202,
+         ["PASS obliviousness@64: 202 secret vectors x 1 public vectors",
+          "PASS equivalence: 51 inputs",
+          "PASS decoy-invariants: 202 runs clean"], [5, 7, 8]),
+    ]
+
+    @pytest.mark.parametrize("args,nsec,rest,grew", RETRIED)
+    def test_retry_decodes_each_module_once(self, monkeypatch, args, nsec,
+                                            rest, grew):
+        import ctlin.interp
+        import ctlin.verify
+        from ctlin.interp import Code
+
+        made = []
+
+        class Counted(Code):
+            def __init__(self, m, decoder=None):
+                made.append((id(m), type(decoder).__name__))
+                super().__init__(m, decoder)
+
+        monkeypatch.setattr(ctlin.verify, "Code", Counted)
+        monkeypatch.setattr(ctlin.interp, "Code", Counted)
+        orig, hm = load("jit_trip"), self.harden_trained(2)
+        pairs, space, lams = args
+        out = verify_module(orig, hm, pairs=pairs, space=space, lams=lams)
+        assert [v.line() for v in out] == [
+            "PASS pc-security: %d secret vectors x 1 public vectors" % nsec
+        ] + rest
+        assert out[0].warnings == [self.GROWN % n for n in grew]
+        assert all(not v.warnings for v in out[1:])
+        assert sorted(made) == sorted([(id(hm), "NoneType"),
+                                       (id(orig), "NoneType"),
+                                       (id(hm), "DecoyDecoder")])
+
+    def test_checks_refuse_code_of_another_variant(self):
+        from ctlin.interp import Code, DecoyDecoder
+        hm = self.harden_trained(2)
+        with pytest.raises(ValueError, match="plain"):
+            check_pc_security(hm, code=Code(hm, DecoyDecoder()))
+        with pytest.raises(ValueError, match="plain"):
+            check_equivalence(load("jit_trip"), hm, code=Code(load("jit_trip")))
+        with pytest.raises(ValueError, match="DecoyDecoder"):
+            check_decoy_invariants(hm, code=Code(hm))
+
 
 class TestBatches:
     def test_exhaustive_small_space(self):
