@@ -26,6 +26,10 @@ from .normalize import RegionTree
 
 M64 = (1 << 64) - 1
 
+# name prefix of a loop's bound cell, the global that holds the trip
+# count it pads to: cfl.k.<function>.<header>
+BOUND_CELL = "cfl.k."
+
 # calls whose first argument is a pointer that must become null on decoy
 # paths; a null never matches any striding window and never frees
 _PTR_WRAP = ("ct_load", "ct_store", "ct_load_nat", "ct_store_nat",
@@ -304,7 +308,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
         raise LinearizeError("loop %s lacks a unique preheader" % H)
     P = preds[0]
 
-    cell = "cfl.k.%s.%s" % (fn.name, H)
+    cell = "%s%s.%s" % (BOUND_CELL, fn.name, H)
     m.globals[cell] = Global(cell, I64, int(k).to_bytes(8, "little"))
     kld = Instr(m.new_iid(), "load", name="cfl.kld." + H, ty=I64,
                 args=[Sym(cell)])

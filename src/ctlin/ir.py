@@ -670,16 +670,18 @@ def _parse_global(m: Module, raw: str, lineno: int):
     cur.end()
     data = None
     if eq:
-        col = len(head) + len(init) - len(init.lstrip(" \t")) + 2
         hexs = init.strip()
         # whole byte pairs; a repeated group here would make the
         # regex engine keep state per pair of a 64 KiB table
+        err = None
         if not hexs or len(hexs) % 2 or not _HEX.fullmatch(hexs):
-            raise ParseError("bad initializer bytes", lineno, col)
+            err = "bad initializer bytes"
+        elif len(hexs) // 2 > size_of(ty):
+            err = "initializer longer than type size"
+        if err:
+            col = len(head) + len(init) - len(init.lstrip(" \t")) + 2
+            raise ParseError(err, lineno, col)
         data = bytes.fromhex(hexs)
-        if len(data) > size_of(ty):
-            raise ParseError("initializer longer than type size", lineno,
-                             col)
     if gname in m.globals:
         raise ParseError("duplicate global '@%s'" % gname, lineno,
                          len(raw) + 1)

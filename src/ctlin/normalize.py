@@ -83,6 +83,17 @@ def _registers(fn) -> set:
         {i.name for i in fn.instructions() if i.name is not None}
 
 
+def _bases(names) -> set:
+    """Each proper `.`-prefix of names: the bases some name is under."""
+    out = set()
+    for n in names:
+        k = n.find(".")
+        while k > 0:
+            out.add(n[:k])
+            k = n.find(".", k + 1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # exit unification
 
@@ -144,10 +155,12 @@ def promote_indirect_calls(m: Module, targets) -> Module:
     One pass per function: the chain's blocks follow the block it split,
     and the scan goes on in its join block, which holds the rest.  Each
     chain is named after the block the scan started in and the icall's
-    id, so labels keep their length however many icalls a block holds.
+    id, so labels keep their length however many icalls a block holds;
+    a base some label or register of fn is already under gets a `.<n>`.
     """
     for fn in list(m.funcs.values()):
         out = []
+        taken = None        # bases in use, gathered at fn's first icall
         for b in list(fn.blocks.values()):
             out.append(b)
             origin, k = b.label, 0
@@ -161,19 +174,22 @@ def promote_indirect_calls(m: Module, targets) -> Module:
                     raise NormalizeError(
                         "@%s: icall #%d has no resolvable targets"
                         % (fn.name, ins.iid))
-                out += _expand_icall(m, fn, b, k - 1, ins, cands, origin)
+                if taken is None:
+                    taken = _bases(list(fn.blocks) + list(_registers(fn)))
+                base = _fresh("%s.ic%d" % (origin, ins.iid), taken)
+                taken |= _bases([base + ".join"])
+                out += _expand_icall(m, fn, b, k - 1, ins, cands, base)
                 b, k = out[-1], 0
         fn.blocks = {b.label: b for b in out}
     return m
 
 
 def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands,
-                  origin: str):
-    """Split b at its icall ins[k] into a chain named after block origin;
-    returns the new blocks, join last."""
+                  base: str):
+    """Split b at its icall ins[k] into a chain of blocks and registers
+    named `<base>.*`; returns the new blocks, join last."""
     fp = ins.args[0]
     call_args = ins.args[1:]
-    base = "%s.ic%d" % (origin, ins.iid)
     join_lbl = base + ".join"
     fail_lbl = base + ".fail"
 

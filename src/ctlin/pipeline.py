@@ -182,7 +182,8 @@ def module_stats(m: Module) -> dict:
         "handlers": handlers,
         "plan_cost": round(sum(dfl.plan_cost(r) for r in plans), 4),
         "taken_tracked": sum(len(v) for v in m.takenmap.values()),
-        "bound_cells": sum(1 for n in m.globals if n.startswith("cfl.k.")),
+        "bound_cells": sum(1 for n in m.globals
+                           if n.startswith(cfl.BOUND_CELL)),
     }
     if m.harden:
         out["scheme"] = m.harden.scheme

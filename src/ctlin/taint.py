@@ -437,14 +437,7 @@ def close_sensitivity(m: Module, report: TaintReport,
             raise ProfileError("sensitive loop %r has no region" % (key,))
         seeds.append(r)
 
-    regs = set()
-    stack = list(seeds)
-    while stack:
-        r = stack.pop()
-        if r.rid in regs:
-            continue
-        regs.add(r.rid)
-        stack.extend(r.children)
+    regs = {d.rid for r in seeds for d in (r, *r.descendants())}
 
     # blocks that may execute as decoys; a branch entry runs either way
     guarded = defaultdict(set)

@@ -21,8 +21,10 @@ specific cause deserves its own diagnosis: trip counts that profiling
 under-trained.  The hardened module then pads loops to a bound it has
 to grow at run time, which is visible as a bound cell larger than its
 baked-in value.  Verdicts carry that as a warning next to the failure.
-The sweep is then retried on the same decoded code, with those cells
-started at their grown values.
+The sweep is then retried once on the same decoded code, each cell
+started at the largest value any run left in it.  That is enough: a
+run ends with its cell at max(start, the trips it needs), so no run
+of the retry grows a cell, and every run pads to the same bound.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .cfl import BOUND_CELL
 from .interp import (DEFAULT_BUDGET, Code, Decoder, DecoyDecoder, ExecInput,
                      Machine, final_state)
 from .taint import input_shape
@@ -87,30 +90,22 @@ def public_batch(m, entry: str = "main", count: int = 3, seed: int = 0,
     return out
 
 
-def _bound_cells(code) -> list:
-    """(name, address) of each trip cell of the decoded module."""
-    return [(name, code.global_addr[name]) for name in code.m.globals
-            if name.startswith("cfl.k.")]
+def _sweep(code, entry, lam, budget, pubs, secs, seeds=()):
+    """Yield (public, secrets, machine, trace) of each run of the grid on
+    decoded code, public vectors outermost; each (address, value) of
+    seeds is written over the 8-byte cell's initializer first."""
+    for pub in pubs:
+        for sv in secs:
+            mach = Machine(code.m, lam=lam, budget=budget, code=code)
+            for addr, v in seeds:
+                mach.mem.write(addr, 8, v)
+            yield pub, sv, mach, mach.run(ExecInput(list(pub), list(sv)),
+                                          entry=entry)
 
 
-def _grown_bounds(cells, starts, mach) -> dict:
-    """Trip cells above their start value after a run."""
-    out = {}
-    for name, addr in cells:
-        cur = mach.mem.read(addr, 8)
-        if cur > starts[name]:
-            out[name] = cur
-    return out
-
-
-def _run(code, pub, sec, entry, lam, budget, seeds=()):
-    """One run on decoded code; each (address, value) of seeds is written
-    over the 8-byte cell's initializer first."""
-    mach = Machine(code.m, lam=lam, budget=budget, code=code)
-    for addr, v in seeds:
-        mach.mem.write(addr, 8, v)
-    tr = mach.run(ExecInput(list(pub), list(sec)), entry=entry)
-    return mach, tr
+def _lam_h(m) -> int:
+    """The quantum m was hardened at; 64 for an unhardened module."""
+    return m.harden.lam if m.harden else 64
 
 
 def _plain(m, code):
@@ -135,63 +130,53 @@ def _compare_traces(code, entry, lam, pairs, seed, space, budget, check,
     A split that goes away once the trip cells keep their grown values
     is the one-off bound adaptation, reported as a warning on a passing
     verdict: the adversary sees one perturbation per deployment, not a
-    per-secret signal.  The retry runs the same decoded code with the
-    cells started at those values.  Splits that survive retraining
-    fail, with the first divergence index as witness.
+    per-secret signal.  One retry, each cell started at the largest
+    value a run of the first sweep left in it, grows nothing (see the
+    module docstring); splits that survive it fail, with the first
+    divergence index as witness.
     """
     m = code.m
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
-    cells = _bound_cells(code)
-    starts = {name: int.from_bytes(m.globals[name].init or b"", "little")
-              for name, _ in cells}
-    seeds = []      # cells started above their initializers, on a retry
-    warnings = []
-    for _ in range(4):
-        grown = {}
-        mismatch = None
-        for pub in pubs:
-            ref = ref_sec = None
-            for sv in secs:
-                mach, tr = _run(code, pub, sv, entry, lam, budget, seeds)
-                if tr.abort is not None:
-                    return Verdict(check, False,
-                                   "abort '%s' under secrets %s"
-                                   % (tr.abort, sv), warnings)
-                if tr.violations:
-                    return Verdict(check, False,
-                                   "striding violation %r under secrets %s"
-                                   % (tr.violations[0], sv), warnings)
-                grown.update(_grown_bounds(cells, starts, mach))
-                cur = sig(tr)
-                if ref is None:
-                    ref, ref_sec = cur, sv
-                elif mismatch is None and cur != ref:
-                    # sweep on: later secrets may still grow trip cells,
-                    # and a retry only converges with all of that growth
-                    mismatch = (ref_sec, sv, pub,
-                                _first_divergence(ref, cur))
+    cells = {code.global_addr[n]: n for n in m.globals
+             if n.startswith(BOUND_CELL)}
+    start = {addr: int.from_bytes(m.globals[n].init or b"", "little")
+             for addr, n in cells.items()}
+    top = dict(start)       # largest value each cell ended a run with
+    seeds, warnings = (), []
+    while True:
+        ref_pub = mismatch = None
+        for pub, sv, mach, tr in _sweep(code, entry, lam, budget, pubs,
+                                        secs, seeds):
+            if tr.abort is not None:
+                return Verdict(check, False, "abort '%s' under secrets %s"
+                               % (tr.abort, sv), warnings)
+            if tr.violations:
+                return Verdict(check, False,
+                               "striding violation %r under secrets %s"
+                               % (tr.violations[0], sv), warnings)
+            for addr in top:
+                top[addr] = max(top[addr], mach.mem.read(addr, 8))
+            cur = sig(tr)
+            if pub is not ref_pub:
+                ref, ref_pub, ref_sec = cur, pub, sv
+            elif mismatch is None and cur != ref:
+                # sweep on: the retry needs every run's growth
+                mismatch = (ref_sec, sv, pub, _first_divergence(ref, cur))
         if mismatch is None:
             return Verdict(check, True,
                            "%d secret vectors x %d public vectors"
                            % (len(secs), len(pubs)), warnings)
-        if not grown:
-            a, b, pub, idx = mismatch
-            return Verdict(check, False,
-                           "trace differs at index %d between secrets %s "
-                           "and %s (public %s)" % (idx, a, b, pub),
-                           warnings)
-        grown_text = ", ".join("%s=%d" % (n, v)
-                               for n, v in sorted(grown.items()))
+        grown = sorted((cells[a], v) for a, v in top.items() if v > start[a])
+        if warnings or not grown:
+            break
         warnings.append("trip counts under-trained; bound cells grew to "
-                        "%s and the sweep was retried" % grown_text)
-        starts.update(grown)
-        seeds = [(addr, starts[name]) for name, addr in cells]
+                        "%s and the sweep was retried"
+                        % ", ".join("%s=%d" % g for g in grown))
+        seeds = list(top.items())
     a, b, pub, idx = mismatch
-    return Verdict(check, False,
-                   "bound cells kept growing; trace still differs at index "
-                   "%d between secrets %s and %s (public %s)"
-                   % (idx, a, b, pub), warnings)
+    return Verdict(check, False, "trace differs at index %d between secrets "
+                   "%s and %s (public %s)" % (idx, a, b, pub), warnings)
 
 
 def check_pc_security(m, entry: str = "main", pairs: int = 100,
@@ -202,9 +187,9 @@ def check_pc_security(m, entry: str = "main", pairs: int = 100,
 
     `code` is m decoded as plain code by the caller, as in `Machine`.
     """
-    lam = m.harden.lam if m.harden else 64
-    return _compare_traces(_plain(m, code), entry, lam, pairs, seed, space,
-                           budget, "pc-security", lambda tr: tuple(tr.instrs))
+    return _compare_traces(_plain(m, code), entry, _lam_h(m), pairs, seed,
+                           space, budget, "pc-security",
+                           lambda tr: tuple(tr.instrs))
 
 
 def check_obliviousness(m, lam: int | None = None, entry: str = "main",
@@ -216,7 +201,7 @@ def check_obliviousness(m, lam: int | None = None, entry: str = "main",
 
     `code` is m decoded as plain code by the caller, as in `Machine`.
     """
-    lam_h = m.harden.lam if m.harden else 64
+    lam_h = _lam_h(m)
     lam_v = lam_h if lam is None else lam
     if lam_v <= 0:
         raise ValueError("verify quantum %d is not positive" % lam_v)
@@ -286,27 +271,23 @@ def check_decoy_invariants(m, entry: str = "main", pairs: int = 100,
     """
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
-    lam = m.harden.lam if m.harden else 64
     code = code or Code(m, DecoyDecoder())
     if code.m is not m or not isinstance(code.decoder, DecoyDecoder):
         raise ValueError("code is not m decoded under DecoyDecoder")
-    n = 0
-    for pub in pubs:
-        for sv in secs:
-            _, tr = _run(code, pub, sv, entry, lam, budget)
-            where = "under secrets %s" % (sv,)
-            if tr.decoy_violations:
-                return Verdict("decoy-invariants", False, "%r %s"
-                               % (tr.decoy_violations[0], where))
-            if tr.violations:
-                return Verdict("decoy-invariants", False,
-                               "access outside plan portions %r %s"
-                               % (tr.violations[0], where))
-            if tr.abort is not None:
-                return Verdict("decoy-invariants", False,
-                               "abort '%s' %s" % (tr.abort, where))
-            n += 1
-    return Verdict("decoy-invariants", True, "%d runs clean" % n)
+    for _, sv, _, tr in _sweep(code, entry, _lam_h(m), budget, pubs, secs):
+        where = "under secrets %s" % (sv,)
+        if tr.decoy_violations:
+            return Verdict("decoy-invariants", False, "%r %s"
+                           % (tr.decoy_violations[0], where))
+        if tr.violations:
+            return Verdict("decoy-invariants", False,
+                           "access outside plan portions %r %s"
+                           % (tr.violations[0], where))
+        if tr.abort is not None:
+            return Verdict("decoy-invariants", False,
+                           "abort '%s' %s" % (tr.abort, where))
+    return Verdict("decoy-invariants", True,
+                   "%d runs clean" % (len(pubs) * len(secs)))
 
 
 def verify_module(orig, hard, entry: str = "main", lams=None,
@@ -320,9 +301,8 @@ def verify_module(orig, hard, entry: str = "main", lams=None,
     out = [check_pc_security(hard, entry, pairs, seed, space, budget, plain),
            check_obliviousness(hard, None, entry, pairs, seed, space,
                                budget, plain)]
-    lam_h = hard.harden.lam if hard.harden else 64
     for lv in sorted(set(lams or [])):
-        if lv != lam_h:
+        if lv != _lam_h(hard):
             out.append(check_obliviousness(hard, lv, entry, pairs, seed,
                                            space, budget, plain))
     out.append(check_equivalence(orig, hard, entry, max(10, pairs // 2),

@@ -327,9 +327,37 @@ out:
 """
 
 
+# The icall (iid 7) would name its chain entry.ic7.*, and the input
+# already holds a block entry.ic7.join.
+ICALL_NAMES_TAKEN = """\
+func @f(%x: i64) -> i64 {
+entry:
+  %r = add i64 %x, 10
+  ret %r
+}
+func @g(%x: i64) -> i64 {
+entry:
+  %r = mul i64 %x, 3
+  ret %r
+}
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %c = icmp eq %p, 0
+  %fp = select %c, @f, @g
+  %s1 = add i64 %s, 1
+  %v = icall %fp(%s1)
+  br entry.ic7.join
+entry.ic7.join:
+  %w = add i64 %v, 1
+  ret %w
+}
+"""
+
+
 class TestNamesTaken:
-    @pytest.mark.parametrize("src", [EXIT_NAMES_TAKEN, LOOP_NAMES_TAKEN],
-                             ids=["exit", "loop"])
+    @pytest.mark.parametrize("src", [EXIT_NAMES_TAKEN, LOOP_NAMES_TAKEN,
+                                     ICALL_NAMES_TAKEN],
+                             ids=["exit", "loop", "icall"])
     def test_harden_and_verify_pass(self, tmp_path, capsys, src):
         from ctlin.cli import EXIT_OK, main
         orig, hard = tmp_path / "p.ir", tmp_path / "p.hard.ir"

@@ -70,6 +70,25 @@ class TestProfile:
         assert keys <= rep.loops
         assert all(rep.loop_bounds[k] >= 2 for k in keys)
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_select_taint(self, p):
+        # a secret condition taints the result whatever it picks; a public
+        # one passes on the taint of the arm it picks
+        src = ("global @o: i64\n"
+               "func @main(%p: i64, %s: secret i64) -> i64 {\nentry:\n"
+               "  %sc = icmp eq %s, 0\n  %v = select %sc, 1, 2\n"
+               "  store i64 %v, @o\n"
+               "  %pc = icmp eq %p, 0\n  %w = select %pc, %s, %p\n"
+               "  store i64 %w, @o\n"
+               "  %u = select %pc, %p, %s\n  store i64 %u, @o\n"
+               "  ret 0\n}\n")
+        m, rt, rep = profiled(parse_module(src), [ExecInput([p], [5])])
+        sv, sw, su = [i.iid for i in m.funcs["main"].instructions()
+                      if i.op == "store"]
+        assert sv in rep.writes
+        assert (sw in rep.writes) == (p == 0)
+        assert (su in rep.writes) == (p != 0)
+
     def test_tainted_divisor(self):
         src = ("func @main(%a: i64, %k: secret i64) -> i64 {\n"
                "entry:\n  %d = and i64 %k, 7\n  %d1 = add i64 %d, 1\n"

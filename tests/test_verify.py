@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import hardened, load
+from conftest import corpus_src, hardened, load
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import Reg, parse_module, print_module
 from ctlin.pipeline import PipelineConfig, harden_module
@@ -132,6 +132,74 @@ class TestMissedProtection:
         assert src is not None
 
 
+DIV_BY_SECRET = """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %q = div i64 100, %s
+  ret %q
+}
+"""
+
+
+def stores_global(v):
+    return ("global @g: i64\nfunc @main(%%s: secret i64) -> i64 {\nentry:\n"
+            "  store i64 %d, @g\n  ret 0\n}\n" % v)
+
+
+def keeps_heap(v):
+    return ("func @main(%%s: secret i64) -> i64 {\nentry:\n"
+            "  %%h = heapalloc i64\n  store i64 %d, %%h\n  ret 0\n}\n" % v)
+
+
+def shrunk_portion():
+    """Hardened table_lookup whose @tableB plan covers 64 bytes only."""
+    hm, _ = harden_module(load("table_lookup"), PipelineConfig())
+    hm.dflmeta[0].entries[0].length = 64
+    return hm
+
+
+class TestFailureVerdicts:
+    # each failure path of every check, with its full verdict line
+    DIV = [
+        (check_pc_security, "FAIL pc-security: abort 'div_zero' under "
+                            "secrets [0]"),
+        (check_obliviousness, "FAIL obliviousness@64: abort 'div_zero' "
+                              "under secrets [0]"),
+        (check_decoy_invariants, "FAIL decoy-invariants: abort 'div_zero' "
+                                 "under secrets [0]"),
+    ]
+
+    @pytest.mark.parametrize("check,line", DIV)
+    def test_abort_fails_trace_checks(self, check, line):
+        assert check(parse_module(DIV_BY_SECRET), pairs=4,
+                     space=8).line() == line
+
+    MISS = "('miss', 0, 73856) under secrets [64]"
+
+    @pytest.mark.parametrize("check,line", [
+        (check_pc_security, "FAIL pc-security: striding violation " + MISS),
+        (check_obliviousness,
+         "FAIL obliviousness@64: striding violation " + MISS),
+        (check_decoy_invariants,
+         "FAIL decoy-invariants: access outside plan portions " + MISS),
+    ])
+    def test_pointer_outside_portions(self, check, line):
+        assert check(shrunk_portion(), pairs=4, space=SPACE).line() == line
+
+    @pytest.mark.parametrize("orig,hard,line", [
+        (DIV_BY_SECRET, DIV_BY_SECRET.replace("div", "add"),
+         "abort 'div_zero' vs 'None' (public [] secrets [0])"),
+        (stores_global(1), stores_global(2),
+         "globals differ at @g (public [] secrets [0])"),
+        (keeps_heap(1), keeps_heap(2),
+         "live heap contents differ (public [] secrets [0])"),
+    ], ids=["abort", "globals", "heap"])
+    def test_equivalence_differences(self, orig, hard, line):
+        v = check_equivalence(parse_module(orig), parse_module(hard),
+                              samples=4, space=8)
+        assert v.line() == "FAIL equivalence: " + line
+
+
 class TestBoundRetraining:
     def harden_trained(self, upto):
         import os
@@ -166,8 +234,8 @@ class TestBoundRetraining:
         eq = check_equivalence(load("jit_trip"), hm, samples=100, space=64)
         assert eq.passed, eq.detail
 
-    # verdict lines, with pc-security's warnings, of the retry path as
-    # it read when each retry parsed a printed copy of the module
+    # verdict lines, with pc-security's warnings, of the retry path: one
+    # retry, with the cell started at the largest value any run left
     GROWN = ("trip counts under-trained; bound cells grew to "
              "cfl.k.main.loop=%d and the sweep was retried")
     RETRIED = [
@@ -180,7 +248,7 @@ class TestBoundRetraining:
         ((100, 1 << 16, None), 202,
          ["PASS obliviousness@64: 202 secret vectors x 1 public vectors",
           "PASS equivalence: 51 inputs",
-          "PASS decoy-invariants: 202 runs clean"], [5, 7, 8]),
+          "PASS decoy-invariants: 202 runs clean"], [8]),
     ]
 
     @pytest.mark.parametrize("args,nsec,rest,grew", RETRIED)
@@ -210,6 +278,30 @@ class TestBoundRetraining:
         assert sorted(made) == sorted([(id(hm), "NoneType"),
                                        (id(orig), "NoneType"),
                                        (id(hm), "DecoyDecoder")])
+
+    def test_retry_starts_cells_at_their_largest_growth(self, tmp_path,
+                                                        capsys):
+        # trained on secrets 0 and 1, the bound is 2; the secrets of the
+        # batch need up to 32 trips, in no order, so a retry that starts
+        # the cell at the last run's value grows it again
+        from ctlin.cli import EXIT_OK, main
+        from ctlin.interp import format_suite
+        orig, hard = tmp_path / "p.ir", tmp_path / "p.hard.ir"
+        suite = tmp_path / "p.suite"
+        orig.write_text(corpus_src("jit_trip").replace(
+            "%n = and i64 %s, 7", "%n = and i64 %s, 31"))
+        suite.write_text(format_suite([ExecInput([], [0]),
+                                       ExecInput([], [1])]))
+        assert main(["harden", str(orig), "--suite", str(suite),
+                     "--emit", str(hard)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(orig), str(hard), "--pairs", "4"]) \
+            == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "PASS pc-security: 10 secret vectors x 1 public vectors\n"
+            "  warning: " + self.GROWN % 32 + "\n"), out
+        assert out.count("warning") == 1
 
     def test_checks_refuse_code_of_another_variant(self):
         from ctlin.interp import Code, DecoyDecoder
