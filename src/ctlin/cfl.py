@@ -498,12 +498,17 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
         root_tp = Reg(t0.name) if fully else Const(1)
         nb = nl = 0
 
-        def visit(r):
-            nonlocal nb, nl
-            for c in r.children:
-                visit(c)
+        # regions innermost first, children in order (a postorder), as
+        # the reverse of a right-to-left preorder; a stack, not
+        # recursion, so nesting depth is not bounded by Python's stack
+        order, stack = [], [rt.roots[fn.name]]
+        while stack:
+            r = stack.pop()
+            order.append(r)
+            stack.extend(r.children)
+        for r in reversed(order):
             if r.rid not in fnregs:
-                return
+                continue
             if r.parent is not None and r.parent.kind != "linear" \
                     and r.parent.rid in fnregs:
                 ph = "cfl.tp.%s.%s" % (r.kind[0], r.entry)
@@ -524,7 +529,6 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             if ph is not None:
                 ctx["pending"].append((r.entry, ph))
 
-        visit(rt.roots[fn.name])
         if ctx["pending"]:
             raise LinearizeError(
                 "unplaced nested regions: %r" % ctx["pending"])

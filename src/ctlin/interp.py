@@ -29,11 +29,18 @@ per register that a variant keeps.
 The variant is the `Decoder` the code was built with:
 
 - `Decoder`, the plain machine: values, memory, events and traces.
-- `DecoyDecoder`, the decoy shadow: aux marks registers holding decoy
-  values, and stores, ct_stores and returns that let one escape are
-  recorded as decoy violations (`Code(m, DecoyDecoder())`).
-- `taint.TaintDecoder`, the taint profiler: aux marks secret-dependent
-  registers, and the handlers report sensitive program points.
+- `FlagDecoder`, the flag core of the two shadow variants: aux flags a
+  result when a register among its operands is flagged or its guard
+  register holds 0, with one rule each for select, the phi copy, `ret`
+  and call results, parameters, `secret` and builtin results.
+- `DecoyDecoder`, the decoy shadow on the flag core: the guard is the
+  takenmap's taken predicate, and stores, ct_stores and the entry's
+  `ret` that let a decoy value escape are recorded as decoy violations
+  (`Code(m, DecoyDecoder())`).
+- `taint.TaintDecoder`, the taint profiler on the flag core: flags mark
+  secret-dependent registers, with no guard; it adds memory taint, join
+  conditions, loop trips and argument flow into callees, and reports
+  sensitive program points per calling context.
 
 Steps are counted and the instruction trace extended once per run of
 handlers; a run that would cross the step budget, or that aborts part
@@ -306,29 +313,12 @@ class DBlock:
         self.term = (_TRAP, "block fell through")
 
 
-def _icall_target(mach, fp, nargs) -> DFunc:
-    callee = mach.code.by_addr.get(fp)
-    if callee is None:
-        raise AbortError("bad_icall", "0x%x" % fp)
-    if nargs != len(callee.params):
-        raise AbortError("bad_icall", "arity")
-    return callee
-
-
 def _run(iids, hs, ends=None):
     """(iids, n, handlers, ends) of a run of handlers; by default handler
     j covers iid j, and a terminator without a handler comes last."""
     if ends is None:
         ends = range(1, len(hs) + 1)
     return tuple(iids), len(iids), tuple(hs), tuple(ends)
-
-
-def _then_flag(h, d, flag):
-    """h, then aux[d] = flag."""
-    def hf(mach, regs, aux):
-        h(mach, regs, aux)
-        aux[d] = flag
-    return hf
 
 
 def _trap(detail):
@@ -359,8 +349,9 @@ class Code:
 class Decoder:
     """Decodes the plain machine: values, memory and traces only."""
 
-    decoys = False      # ct_stores read the decoy flag of their value;
-                        # without it they read the key "", held by no frame
+    decoys = False      # ct_stores read the decoy flag of their value
+                        # (else the key "", held by no frame), and a
+                        # flagged `ret` of the entry is a decoy violation
 
     def decode(self, code: Code):
         self.code = code
@@ -699,46 +690,46 @@ class Decoder:
         return lambda mach, aux, argk, callee: {}
 
     def leave(self, ins):
-        """(machine, aux, result register or None) after a call returns,
-        or None when the variant has nothing to do there."""
+        """(machine, aux) after a call returns, or None when the variant
+        has nothing to do there."""
         return None
 
-    def call(self, fn, ins, callee: DFunc):
-        """Handler of a direct call; it finds the callee by name at run
-        time, so recursion leaves no cycle in the decoded code."""
-        d, name = ins.name, callee.name
-        argk = tuple(self.key(a) for a in ins.args)
-        masks = callee.masks
+    def call(self, fn, ins, callee: DFunc | None = None):
+        """Handler of a call: a direct call finds its callee by name at
+        run time, so recursion leaves no cycle in the decoded code; an
+        icall (no callee) by the address its first operand holds.  The
+        result takes the flag of the callee's `ret` operand."""
+        d = ins.name
+        if callee is None:
+            fk, name, args = self.key(ins.args[0]), None, ins.args[1:]
+        else:
+            fk, name, args = None, callee.name, ins.args
+        argk = tuple(self.key(a) for a in args)
         enter, leave = self.enter(ins), self.leave(ins)
 
         def h(mach, regs, aux):
-            callee = mach.code.funcs[name]
-            r = mach._call(callee,
-                           [regs[k] & mk for k, mk in zip(argk, masks)],
-                           enter(mach, aux, argk, callee))
+            if fk is None:
+                callee = mach.code.funcs[name]
+                args = [regs[k] & mk for k, mk in zip(argk, callee.masks)]
+            else:
+                fp = regs[fk]
+                vals = [regs[k] for k in argk]
+                callee = mach.code.by_addr.get(fp)
+                if callee is None:
+                    raise AbortError("bad_icall", "0x%x" % fp)
+                if len(vals) != len(callee.params):
+                    raise AbortError("bad_icall", "arity")
+                args = [v & mk for v, mk in zip(vals, callee.masks)]
+            r = mach._call(callee, args, enter(mach, aux, argk, callee))
             if d is not None:
                 regs[d] = r
+                aux[d] = mach.ret_flag
             if leave is not None:
-                leave(mach, aux, d)
+                leave(mach, aux)
         return h
 
     def _op_icall(self, fn, ins):
-        d, fk = ins.name, self.key(ins.args[0])
-        argk = tuple(self.key(a) for a in ins.args[1:])
-        enter, leave = self.enter(ins), self.leave(ins)
-
-        def h(mach, regs, aux):
-            fp = regs[fk]
-            args = [regs[k] for k in argk]
-            callee = _icall_target(mach, fp, len(args))
-            r = mach._call(callee,
-                           [v & mk for v, mk in zip(args, callee.masks)],
-                           enter(mach, aux, argk, callee))
-            if d is not None:
-                regs[d] = r
-            if leave is not None:
-                leave(mach, aux, d)
-        return h
+        return self.call(fn, ins)
 
     # -- builtins ------------------------------------------------------------
 
@@ -838,70 +829,77 @@ class Decoder:
         return h
 
 
-class DecoyDecoder(Decoder):
-    """Decodes the decoy shadow: aux[r] is true when r holds a value
-    computed on a decoy path, from decoy inputs or under a false taken
-    predicate (the takenmap).  Bookkeeping stores to cfl.*/dfl.* cells
-    are decoy-neutral by construction and never flagged."""
+class FlagDecoder(Decoder):
+    """A flag per register in aux.  A result is flagged when a register
+    among its operands is flagged, or when its guard register holds 0
+    (binops, icmp, gep, load, alloca, heapalloc; `select` reads its
+    condition and picked arm, a phi its incoming value).  A call's
+    result takes the flag of the callee's `ret` operand, unguarded.
+    Builtin results are unflagged, and so are `secret` results and
+    entry parameters unless the variant flags secrets."""
 
-    decoys = True
+    secrets = False     # `secret` results and secret entry parameters
+    operand_rule = frozenset(BINOPS) | {"icmp", "gep", "load", "alloca",
+                                        "heapalloc"}
 
-    def prepare(self):
-        self.taken = {}     # fn name -> {iid: taken register name}
-        for fname, tm in self.m.takenmap.items():
-            fn = self.m.funcs.get(fname)
-            if fn is None:
-                continue
-            by_iid = {ins.iid: ins for ins in fn.instructions()}
-            self.taken[fname] = {
-                iid: by_iid[tid].name for iid, tid in tm.items()
-                if tid in by_iid and by_iid[tid].name}
+    def guard(self, fn, ins) -> str:
+        """Guard register of ins, or "", which no frame holds, so
+        `not regs.get(t, 1) & 1` reads as false for unguarded code."""
+        return ""
+
+    def join_conds(self, fn, b) -> tuple:
+        """Registers whose flags every phi of block b also takes."""
+        return ()
+
+    def fixed(self, h, d, flag):
+        """h, then aux[d] = flag, for a builtin or `secret` result."""
+        def hf(mach, regs, aux):
+            h(mach, regs, aux)
+            aux[d] = flag
+        return hf
 
     def entry_aux(self, df: DFunc):
-        return dict.fromkeys(df.params, False)
-
-    def _taken(self, fn, ins) -> str:
-        """Taken register guarding ins, or "", which no frame holds, so
-        `not regs.get(t, 1) & 1` reads as false for unguarded code."""
-        return self.taken.get(fn.name, {}).get(ins.iid) or ""
-
-    def _inputs(self, fn, ins):
-        """(two operand keys, or None past two; the operand keys; taken
-        register): ins computes a decoy value when a register among its
-        operands holds one, or when its taken predicate is false."""
-        keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
-        pair = (keys + ("", ""))[:2] if len(keys) <= 2 else None
-        return pair, keys, self._taken(fn, ins)
+        return dict(zip(df.params, df.secret)) if self.secrets else {}
 
     def op(self, fn, ins):
         h = super().op(fn, ins)
-        if ins.op == "secret" or (ins.op == "call" and ins.callee in (
-                "ct_load", "ct_load_nat")):
-            return _then_flag(h, ins.name, False)
-        if ins.op not in BINOPS and ins.op not in (
-                "icmp", "gep", "load", "alloca", "heapalloc"):
+        op, d = ins.op, ins.name
+        if d is None:
             return h
-        d = ins.name
-        pair, keys, t = self._inputs(fn, ins)
-        if pair is None:
-            def hd(mach, regs, aux):
-                sh = any(map(aux.get, keys)) or not regs.get(t, 1) & 1
-                h(mach, regs, aux)
-                aux[d] = sh
-            return hd
-        k0, k1 = pair
+        if op in self.operand_rule:
+            return self.flagged(fn, ins, h)
+        if op == "secret" or op == "call" and ins.callee not in self.m.funcs:
+            return self.fixed(h, d, op == "secret" and self.secrets)
+        return h        # icall, select and calls flag their own results
 
-        def hd(mach, regs, aux):
-            sh = aux.get(k0, False) or aux.get(k1, False) \
-                or not regs.get(t, 1) & 1
+    def flagged(self, fn, ins, h):
+        """h, then aux[d] = the operand rule, read before h runs."""
+        d, t = ins.name, self.guard(fn, ins)
+        keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
+        if len(keys) > 2:
+            def hf(mach, regs, aux):
+                f = any(map(aux.get, keys)) or not regs.get(t, 1) & 1
+                h(mach, regs, aux)
+                aux[d] = f
+            return hf
+        k0, k1 = (keys + ("", ""))[:2]
+        if t:
+            def hf(mach, regs, aux):
+                f = aux.get(k0, False) or aux.get(k1, False) \
+                    or not regs.get(t, 1) & 1
+                h(mach, regs, aux)
+                aux[d] = f
+            return hf
+
+        def hf(mach, regs, aux):
+            f = aux.get(k0, False) or aux.get(k1, False)
             h(mach, regs, aux)
-            aux[d] = sh
-        return hd
+            aux[d] = f
+        return hf
 
     def _op_select(self, fn, ins):
-        d = ins.name
+        d, t = ins.name, self.guard(fn, ins)
         c, x, y = (self.key(a) for a in ins.args[:3])
-        t = self._taken(fn, ins)
 
         def h(mach, regs, aux):
             pick = x if regs[c] & 1 else y
@@ -910,11 +908,68 @@ class DecoyDecoder(Decoder):
                 or not regs.get(t, 1) & 1
         return h
 
+    def phi_copy(self, fn, b, copies, trap):
+        names = tuple(ph.name for ph, _ in copies)
+        srcs = tuple(k for _, k in copies)
+        masks = tuple(_mask(ph.ty) for ph, _ in copies)
+        guards = tuple(self.guard(fn, ph) for ph, _ in copies)
+        conds = self.join_conds(fn, b)
+
+        def act(mach, regs, aux):
+            # in parallel: every phi reads the values and flags from
+            # before the copy; guards and join conditions are read as
+            # the copy goes
+            vals = list(map(regs.__getitem__, srcs))
+            flags = list(map(aux.get, srcs))
+            for d, v, mk, f, t in zip(names, vals, masks, flags, guards):
+                regs[d] = v & mk
+                aux[d] = f or not regs.get(t, 1) & 1 \
+                    or any(map(aux.get, conds))
+            if trap:
+                raise AbortError("trap", "phi without incoming edge")
+        return act
+
+    def terminal(self, fn, b, ins):
+        if ins.op != "ret":
+            return None
+        k = self.key(ins.args[0])
+
+        def h(mach, regs, aux):
+            mach.ret_flag = aux.get(k, False)
+        return h
+
+
+class DecoyDecoder(FlagDecoder):
+    """Decodes the decoy shadow: aux[r] is true when r holds a value
+    computed on a decoy path, from decoy inputs or under a false taken
+    predicate; the guard is the taken register the takenmap names.
+    Stores, ct_stores and the entry's `ret` that let a decoy value
+    escape are recorded as decoy violations.  Bookkeeping stores to
+    cfl.*/dfl.* cells are decoy-neutral by construction and never
+    flagged."""
+
+    decoys = True
+
+    def decode_function(self, fn, df: DFunc):
+        self.tm = self.m.takenmap.get(fn.name, {})   # iid -> taken iid
+        self.names = {ins.iid: ins.name for ins in fn.instructions()}
+        super().decode_function(fn, df)
+
+    def guard(self, fn, ins) -> str:
+        return self.names.get(self.tm.get(ins.iid)) or ""
+
+    def fixed(self, h, d, flag):
+        # flag is False, and only a register's own definition writes its
+        # decoy flag, so it stays unwritten; ct_select's handler flags
+        # the arm it picks
+        return h
+
     def _op_store(self, fn, ins):
         p = ins.args[1]
         if isinstance(p, Sym) and is_reserved_name(p.name):
             return super()._op_store(fn, ins)
-        (k0, k1), _, t = self._inputs(fn, ins)
+        k0, k1 = (self.key(a) if isinstance(a, Reg) else "" for a in ins.args)
+        t = self.guard(fn, ins)
         fname, iid, size = fn.name, ins.iid, size_of(ins.ty)
         vk, pk = self.key(ins.args[0]), self.key(p)
 
@@ -930,18 +985,6 @@ class DecoyDecoder(Decoder):
             mach._log_access(iid, p, size)
         return h
 
-    def enter(self, ins):
-        return lambda mach, aux, argk, callee: dict.fromkeys(callee.params,
-                                                             False)
-
-    def leave(self, ins):
-        if ins.name is None:
-            return None
-
-        def leave(mach, aux, d):
-            aux[d] = mach._ret_shadow
-        return leave
-
     def _bi_ct_select(self, fn, ins):
         h, d = super()._bi_ct_select(fn, ins), ins.name
         tk, ak, bk = (self.key(a) for a in ins.args[:3])
@@ -950,31 +993,6 @@ class DecoyDecoder(Decoder):
             h(mach, regs, aux)
             aux[d] = aux.get(ak if regs[tk] & 1 else bk, False)
         return hd
-
-    def phi_copy(self, fn, b, copies, trap):
-        names = tuple(ph.name for ph, _ in copies)
-        srcs = tuple(k for _, k in copies)
-        masks = tuple(_mask(ph.ty) for ph, _ in copies)
-        takens = tuple(self._taken(fn, ph) for ph, _ in copies)
-
-        def act(mach, regs, aux):
-            vals = [regs[s] for s in srcs]
-            shs = [aux.get(s, False) for s in srcs]
-            for d, v, mk, sh, t in zip(names, vals, masks, shs, takens):
-                regs[d] = v & mk
-                aux[d] = sh or not regs.get(t, 1) & 1
-            if trap:
-                raise AbortError("trap", "phi without incoming edge")
-        return act
-
-    def terminal(self, fn, b, ins):
-        if ins.op != "ret":
-            return None
-        k = self.key(ins.args[0])
-
-        def h(mach, regs, aux):
-            mach._ret_shadow = aux.get(k, False)
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1028,7 @@ class Machine:
         self.steps = 0
         self.frames = []
         self.site_cells, self.global_addr = _lay_out(code, self.mem)
-        self._ret_shadow = False
+        self.ret_flag = False   # flag of the operand of the last `ret`
 
     # -- events -----------------------------------------------------------
 
@@ -1053,7 +1071,7 @@ class Machine:
         try:
             self.trace.output = self._call(df, args,
                                            self.code.decoder.entry_aux(df))
-            if self._ret_shadow:
+            if self.ret_flag and self.code.decoder.decoys:
                 self.trace.decoy_violations.append(("ret", entry, None))
         except AbortError as e:
             self.trace.abort = e.code

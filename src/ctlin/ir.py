@@ -25,7 +25,9 @@ from .cfg import build_cfg, dfs
 # ---------------------------------------------------------------------------
 # types
 
-INT_BITS = {"i1": 1, "i8": 8, "i32": 32, "i64": 64}
+# array and aggregate types nest at most this deep; each level is a few
+# frames of the recursive parser, printer and layout code
+MAX_TYPE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -531,19 +533,22 @@ class _Cursor:
         self.expect(":")
         return key, read()
 
-    def type_(self) -> Type:
+    def type_(self, depth: int = 0) -> Type:
         t = _SCALARS.get(self.parts[self.i])
         if t is not None:
             self.i += 2
             return t
+        if depth == MAX_TYPE_DEPTH and self.parts[self.i] in ("[", "{"):
+            self.error("type nested deeper than %d levels" % MAX_TYPE_DEPTH)
         if self.accept("["):
             count = self.integer()
             self.expect("x")
-            elem = self.type_()
+            elem = self.type_(depth + 1)
             self.expect("]")
             return Type("array", elem=elem, count=count)
         if self.accept("{"):
-            fields = self.commas(lambda: self.keyed("field name", self.type_))
+            fields = self.commas(lambda: self.keyed(
+                "field name", lambda: self.type_(depth + 1)))
             self.expect("}")
             return Type("agg", fields=tuple(fields))
         self.refuse("unknown type '%s'" % self.name("type"))

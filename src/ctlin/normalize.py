@@ -46,9 +46,13 @@ class Region:
         return (self.fn, self.kind, self.entry)
 
     def descendants(self):
-        for c in self.children:
-            yield c
-            yield from c.descendants()
+        """Every region below this one, in preorder, walked with a stack
+        so nesting depth is not bounded by Python's."""
+        stack = self.children[::-1]
+        while stack:
+            r = stack.pop()
+            yield r
+            stack.extend(reversed(r.children))
 
 
 @dataclass

@@ -27,9 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .cfg import reachable
-from .interp import (DEFAULT_BUDGET, AbortError, Code, Decoder, ExecInput,
-                     Machine, _then_flag)
-from .ir import BINOPS, Module, Reg, size_of
+from .interp import DEFAULT_BUDGET, Code, ExecInput, FlagDecoder, Machine
+from .ir import Module, Reg, size_of
 from .normalize import RegionTree
 
 
@@ -71,15 +70,6 @@ class TaintReport:
             k = key(k)
             bounds[k] = max(bounds.get(k, 1), n)
 
-    def summary(self) -> dict:
-        return {
-            "branches": len(self.branches),
-            "loops": len(self.loops),
-            "reads": len(self.reads),
-            "writes": len(self.writes),
-            "divrem": len(self.divrem),
-        }
-
 
 @dataclass
 class SensitiveSet:
@@ -108,9 +98,14 @@ class Context:
         self.children = {}      # (call site iid, callee) -> Context
 
 
-class TaintDecoder(Decoder):
+class TaintDecoder(FlagDecoder):
     """Decodes the taint variant: aux[r] is true when r depends on a
-    secret.  The handlers add what they find to the machine's report."""
+    secret.  On top of the flag rules, phis at a branch join take the
+    taint of the branch conditions, loads the taint of the memory they
+    read, callee parameters the taint of their arguments, and the
+    handlers add what they find to the machine's report."""
+
+    secrets = True
 
     def __init__(self, rt: RegionTree):
         self.rt = rt
@@ -125,39 +120,13 @@ class TaintDecoder(Decoder):
             if isinstance(cond, Reg):      # constants carry no taint
                 self.joins[(r.fn, r.exit)].append(cond.name)
 
-    def entry_aux(self, df):
-        return dict(zip(df.params, df.secret))
-
-    # -- flow rules --------------------------------------------------------
-
-    def phi_copy(self, fn, b, copies, trap):
-        copy = super().phi_copy(fn, b, copies, False)
-        names = tuple(ph.name for ph, _ in copies)
-        srcs = tuple(k for _, k in copies)
-        conds = tuple(self.joins.get((fn.name, b.label), ()))
-
-        def act(mach, regs, t):
-            # phis copy in parallel; every phi reads pre-copy taints,
-            # join conditions read the taints as the copy goes
-            snap = [t.get(s, False) for s in srcs]
-            copy(mach, regs, t)
-            for d, r in zip(names, snap):
-                for c in conds:
-                    r = r or t.get(c, False)
-                t[d] = r
-            if trap:
-                raise AbortError("trap", "phi without incoming edge")
-        return act
+    def join_conds(self, fn, b):
+        return tuple(self.joins.get((fn.name, b.label), ()))
 
     def terminal(self, fn, b, ins):
-        if ins.op == "br":
-            return None
-        k = self.key(ins.args[0])
-        if ins.op == "ret":
-            def h(mach, regs, t):
-                mach._ret_taint = t.get(k, False)
-            return h
-        iid = ins.iid
+        if ins.op != "condbr":
+            return super().terminal(fn, b, ins)
+        k, iid = self.key(ins.args[0]), ins.iid
         loop = self.rt.loop_of_latch(fn.name, b.label)
         if loop is None:
             def h(mach, regs, t):
@@ -187,46 +156,20 @@ class TaintDecoder(Decoder):
                     t[name] = True
         return h
 
-    def op(self, fn, ins):
-        h = super().op(fn, ins)
-        op, d = ins.op, ins.name
-        if op == "icall" or d is None:
-            return h
-        if op == "call":
-            # a module function's result takes the taint of its return;
-            # builtins return public values
-            return h if ins.callee in self.m.funcs else \
-                _then_flag(h, d, False)
-        if op in BINOPS or op == "icmp":
-            a, b = self.key(ins.args[0]), self.key(ins.args[1])
-            iid = ins.iid if op in ("div", "rem") else None
-
-            def ht(mach, regs, t):
-                h(mach, regs, t)
-                r = t.get(a, False) or t.get(b, False)
-                if r and iid is not None:
-                    mach.report.divrem.add(iid)
-                t[d] = r
-            return ht
-        if op == "gep":
-            keys = tuple(self.key(a) for a in ins.args
-                         if isinstance(a, Reg))
-
-            def ht(mach, regs, t):
-                h(mach, regs, t)
-                t[d] = any(map(t.get, keys))
-            return ht
-        if op in ("secret", "alloca", "heapalloc"):
-            return _then_flag(h, d, op == "secret")
-        return h
-
-    def _op_select(self, fn, ins):
-        h, d = super()._op_select(fn, ins), ins.name
-        c, x, y = (self.key(a) for a in ins.args[:3])
+    def flagged(self, fn, ins, h):
+        if ins.op == "load":
+            return h        # `_op_load` flags its result itself
+        if ins.op not in ("div", "rem"):
+            return super().flagged(fn, ins, h)
+        d, iid = ins.name, ins.iid
+        a, b = self.key(ins.args[0]), self.key(ins.args[1])
 
         def ht(mach, regs, t):
             h(mach, regs, t)
-            t[d] = t.get(c, False) or t.get(x if regs[c] & 1 else y, False)
+            r = t.get(a, False) or t.get(b, False)
+            if r:
+                mach.report.divrem.add(iid)
+            t[d] = r
         return ht
 
     # no one reads a profiling run's trace, so plain accesses skip the
@@ -279,14 +222,12 @@ class TaintDecoder(Decoder):
         return enter
 
     def leave(self, ins):
-        def leave(mach, t, d):
+        def leave(mach, t):
             ctx = mach.ctx
             ctx.pop()
             mach.report = ctx[-1].report
             mach.trips.pop()
             mach.tflags.pop()
-            if d is not None:
-                t[d] = mach._ret_taint
         return leave
 
 
@@ -308,7 +249,6 @@ class TaintMachine(Machine):
         self.trips = [{}]       # (fn, header) -> live trip count, per frame
         self.tflags = [{}]      # (fn, header) -> latch cond ever tainted
         self.mtaint = set()     # tainted byte addresses
-        self._ret_taint = False
 
     def descend(self, site: int, fn: str):
         """Enter fn through call site `site` of the running context."""

@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hardened, load
+from ctlin import cfl
 from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
 from ctlin.ir import parse_module, print_module, validate
@@ -273,3 +275,40 @@ def test_linearized_roundtrip_stays_linear():
     hm, _ = hardened("table_lookup")
     m2 = parse_module(print_module(hm))
     assert trace_classes(m2, (0, 1, 4095, 4096, 65535)) == 1
+
+
+def nested_chain(n: int) -> str:
+    """@main with n secret branches, each in the true arm of the last."""
+    lines = ["func @main(%s: secret i64) -> i64 {", "entry:", "  br e0"]
+    for i in range(n):
+        arm = "e%d" % (i + 1) if i + 1 < n else "inner"
+        lines += ["e%d:" % i, "  %%c%d = icmp gt %%s, %d" % (i, i),
+                  "  condbr %%c%d, %s, j%d" % (i, arm, i)]
+    lines += ["inner:", "  br j%d" % (n - 1)]
+    for i in range(n - 1, 0, -1):
+        lines += ["j%d:" % i, "  br j%d" % (i - 1)]
+    return "\n".join(lines + ["j0:", "  ret 0", "}", ""])
+
+
+def _stack_depth() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+def test_linearize_walks_deep_nests_without_recursion(monkeypatch):
+    # the region tree is n deep; linearize gets half that many frames
+    n = 120
+    real = cfl.linearize
+
+    def linearize(*args, **kw):
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + n // 2)
+        try:
+            return real(*args, **kw)
+        finally:
+            sys.setrecursionlimit(old)
+    monkeypatch.setattr(cfl, "linearize", linearize)
+    _, rep = harden_module(parse_module(nested_chain(n)))
+    assert rep["branches_linearized"] == n

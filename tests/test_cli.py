@@ -11,7 +11,7 @@ import ctlin
 from conftest import RECURSIVE, corpus_path
 from ctlin.cli import (EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, EXIT_VERIFY,
                        main)
-from ctlin.ir import parse_module, validate
+from ctlin.ir import MAX_TYPE_DEPTH, parse_module, validate
 
 
 def run(argv, capsys):
@@ -95,6 +95,38 @@ class TestErrors:
         rc, _, err = run(["harden", str(bad), "--emit", "-"], capsys)
         assert rc == EXIT_INPUT
         assert "undefined" in err
+
+    @staticmethod
+    def nested_type(tmp_path, depth, agg):
+        ty = "i64"
+        for _ in range(depth):
+            ty = "{f: %s}" % ty if agg else "[1 x %s]" % ty
+        path = tmp_path / ("t%d%s.ir" % (depth, "s" if agg else "a"))
+        path.write_text("global @g: %s\nfunc @main() -> i64 {\n"
+                        "entry:\n  ret 0\n}\n" % ty)
+        return str(path)
+
+    @pytest.mark.parametrize("agg", [False, True])
+    @pytest.mark.parametrize("depth", [MAX_TYPE_DEPTH + 1, 500])
+    def test_deeply_nested_type_is_an_input_error(self, tmp_path, depth,
+                                                  agg, capsys):
+        deep = self.nested_type(tmp_path, depth, agg)
+        ok = self.nested_type(tmp_path, MAX_TYPE_DEPTH, agg)
+        for argv in (["harden", deep, "--emit", "-"],
+                     ["verify", deep, ok], ["verify", ok, deep]):
+            rc, out, err = run(argv, capsys)
+            assert rc == EXIT_INPUT, argv
+            assert out == ""
+            assert "line 1 col " in err
+            assert "nested deeper than %d" % MAX_TYPE_DEPTH in err
+
+    @pytest.mark.parametrize("agg", [False, True])
+    def test_type_at_the_nesting_limit_hardens(self, tmp_path, agg, capsys):
+        ok = self.nested_type(tmp_path, MAX_TYPE_DEPTH, agg)
+        hard = tmp_path / "h.ir"
+        assert run(["harden", ok, "--emit", str(hard)], capsys)[0] == EXIT_OK
+        rc, out, _ = run(["verify", ok, str(hard), "--pairs", "2"], capsys)
+        assert rc == EXIT_OK and "FAIL" not in out
 
     def test_malformed_suite_is_an_input_error(self, tmp_path, capsys):
         suite = tmp_path / "bad.suite"

@@ -1,6 +1,7 @@
 """Exit unification, region recovery, latch and dispatch rewrites."""
 
 import hashlib
+import sys
 import time
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import load
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import parse_module, print_module, validate
-from ctlin.normalize import (NormalizeError, normalize_regions,
+from ctlin.normalize import (NormalizeError, Region, normalize_regions,
                              promote_indirect_calls, unify_exits)
 from ctlin.pipeline import harden_module
 from ctlin.pta import andersen_solve, resolve_indirect_targets
@@ -388,3 +389,27 @@ class TestNamesTaken:
         for s in range(4):
             assert interpret(m, ExecInput([0], [s])).output == \
                 (1 if s % 2 == 0 else 2)
+
+
+class TestRegionWalk:
+    def test_descendants_in_preorder(self):
+        root = Region("linear", "f", "entry", None, set())
+        regions = {"": root}
+        for name in ("a", "ab", "ac", "d", "de"):
+            parent = regions[name[:-1]]
+            regions[name] = Region("branch", "f", name, None, set(),
+                                   parent=parent)
+            parent.children.append(regions[name])
+        assert [r.entry for r in root.descendants()] == \
+            ["a", "ab", "ac", "d", "de"]
+        assert [r.entry for r in regions["a"].descendants()] == ["ab", "ac"]
+
+    def test_descendants_of_a_chain_deeper_than_the_stack(self):
+        n = sys.getrecursionlimit() + 100
+        root = cur = Region("linear", "f", "entry", None, set())
+        for i in range(n):
+            r = Region("branch", "f", "b%d" % i, None, set(), parent=cur)
+            cur.children.append(r)
+            cur = r
+        assert [r.entry for r in root.descendants()] == \
+            ["b%d" % i for i in range(n)]

@@ -1,0 +1,59 @@
+"""Checks over the source tree itself rather than over what it does."""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "ctlin")
+SEARCHED = (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench"))
+# decoder handlers, looked up by name through getattr
+DISPATCHED = ("_op_", "_bi_")
+
+
+def _sources(*dirs):
+    for d in dirs:
+        for dirpath, _, files in os.walk(d):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    path = os.path.join(dirpath, f)
+                    with open(path) as fh:
+                        yield path, ast.parse(fh.read(), path)
+
+
+def _defined(tree):
+    """Functions, classes and constants a module binds at top level, and
+    the methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            yield node.target.id
+        if isinstance(node, ast.ClassDef):
+            yield from (f.name for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+
+
+def _read(tree):
+    """Identifiers a file reads: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_definition_is_referenced():
+    used = set()
+    for _, tree in _sources(*SEARCHED):
+        used.update(_read(tree))
+    unused = sorted(
+        "%s: %s" % (os.path.basename(path), name)
+        for path, tree in _sources(SRC) for name in _defined(tree)
+        if name not in used and not name.startswith(DISPATCHED)
+        and not (name.startswith("__") and name.endswith("__")))
+    assert unused == []
