@@ -10,8 +10,9 @@ Plans reference allocation sites, not addresses.  Stack and heap sites
 under a plan are interposed so live instances sit on per-site lists the
 wrapper can walk; sites whose frame cannot recurse are promoted to
 module scope instead, which shrinks the walk to a fixed single portion.
-Accesses whose pointer never tainted during profiling keep their own
-address sequence and touch one window per execution.
+Accesses whose address the sensitivity closure marks public keep their
+own address sequence and touch one window per execution; that choice is
+made as they are wrapped, before control flow is merged.
 """
 
 from __future__ import annotations
@@ -192,47 +193,27 @@ def wrap_accesses(m: Module) -> int:
     return n
 
 
-def optimize_natural_striding(m: Module, report) -> int:
-    """Let public-address accesses keep their own stride.
+def optimize_natural_striding(m: Module, ss) -> int:
+    """Let public-address accesses keep their own stride; returns count.
 
-    When profiling never saw the pointer tainted, the address sequence
-    is already secret-independent and replaying it verbatim reveals
-    nothing new; the wrapper then touches the one window under the raw
-    pointer instead of sweeping the portion.  Runs after control-flow
-    linearization so it can look through the decoy select guarding the
-    pointer: the pre-select value is the raw address, and the selected
-    one still decides whether the access is live.  Single-portion
-    global plans only; instance lists can change shape between runs.
+    An access in `ss.public_addr` already has a secret-independent
+    address sequence, and replaying it verbatim reveals nothing new: the
+    wrapper then touches the one window under the raw pointer instead
+    of sweeping the portion.  The pointer is passed twice, `ct_load_nat
+    p, p, mid`; linearization null-selects only the first on decoy
+    paths, so the second stays the raw address and the first still
+    decides whether the access is live.  Single-portion global plans
+    only; instance lists can change shape between runs.
     """
+    where = m.instr_index()
     n = 0
-    for f in m.funcs.values():
-        sels = None     # ct_select results by name, built on first use
-        for ins in f.instructions():
-            if ins.op != "call" or ins.callee not in ("ct_load", "ct_store"):
-                continue
-            rec = m.dflmeta.get(ins.args[-1].value)
-            if rec is None or len(rec.entries) != 1:
-                continue
-            if rec.entries[0].site_kind() != "g":
-                continue
-            if rec.access in report.addr_tainted:
-                continue
-            p_sel = ins.args[0]
-            p_raw = p_sel
-            if isinstance(p_sel, Reg):
-                if sels is None:
-                    sels = {i.name: i for i in f.instructions()
-                            if i.op == "call" and i.callee == "ct_select"}
-                d = sels.get(p_sel.name)
-                if d is not None and isinstance(d.args[2], Const) \
-                        and d.args[2].value == 0:
-                    p_raw = d.args[1]
-            if ins.callee == "ct_load":
-                ins.callee = "ct_load_nat"
-                ins.args = [p_sel, p_raw, ins.args[1]]
-            else:
-                ins.callee = "ct_store_nat"
-                ins.args = [p_sel, p_raw, ins.args[1], ins.args[2]]
-            rec.natural = True
-            n += 1
+    for rec in m.dflmeta.values():
+        if rec.access not in ss.public_addr or len(rec.entries) != 1 \
+                or rec.entries[0].site_kind() != "g":
+            continue
+        ins = where[rec.access][2]      # the wrapped access, id kept
+        ins.callee += "_nat"
+        ins.args.insert(0, ins.args[0])
+        rec.natural = True
+        n += 1
     return n

@@ -401,27 +401,22 @@ def _branch_span(fn, g, entry: str, join: str) -> set:
 
 
 def _nest(regions, root):
-    """Attach regions by span containment; reject partial overlaps."""
-    for r in regions:
-        r.children = []
-        r.parent = None
-    ordered = sorted(regions, key=lambda r: len(r.blocks))
-    for i, r in enumerate(ordered):
-        parent = None
-        for q in ordered[i + 1:]:
-            if r is q:
-                continue
-            inter = r.blocks & q.blocks
-            if not inter:
-                continue
-            if not r.blocks <= q.blocks:
+    """Attach regions by span containment; reject partial overlaps.
+
+    Largest first, each block is owned by the smallest region placed so
+    far that holds it; a region must lie wholly in its entry's owner.
+    """
+    owner = dict.fromkeys(root.blocks, root)
+    for r in sorted(regions, key=lambda r: len(r.blocks), reverse=True):
+        parent = owner[r.entry]
+        for b in r.blocks:
+            if owner[b] is not parent:
+                q = owner[b] if b in parent.blocks else parent
                 raise NormalizeError(
                     "regions at '%s' and '%s' overlap without nesting"
                     % (r.entry, q.entry))
-            if parent is None:
-                parent = q
-        target = parent or root
-        r.parent = target
-        target.children.append(r)
+            owner[b] = r
+        r.parent = parent
+        parent.children.append(r)
     for r in regions + [root]:
         r.children.sort(key=lambda c: (c.entry, c.kind))

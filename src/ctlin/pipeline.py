@@ -5,10 +5,10 @@ indirect calls become direct before regions are shaped, profiling and
 closure decide what is sensitive, cloning splits calling contexts and
 the profile's facts follow each call path onto its clone, striding
 plans are built and accesses wrapped while loads and stores still look
-like loads and stores, division is rewritten while branches still
-exist, and control flow merges last.
-Natural striding runs after the merge because it must look through the
-decoy selects the merge installed.  Instruction ids are renumbered at
+like loads and stores, wrapped accesses with a public address keep
+their own stride, division is rewritten while branches still exist,
+and control flow merges last.  After the closure every pass reads the
+sensitive set, not the raw profile.  Instruction ids are renumbered at
 the end so emitted modules are stable.
 """
 
@@ -147,13 +147,13 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
     rep["promoted"] = dfl.promote_stack_objects(m) if cfg.promotion else 0
     rep["interposed"] = dfl.interpose_allocations(m)
     rep["wrapped"] = dfl.wrap_accesses(m)
+    rep["natural"] = (dfl.optimize_natural_striding(m, ss)
+                      if cfg.natural else 0)
     rep["div_rewritten"] = cfl.sanitize_div_rem(m, ss)
 
     stats = cfl.linearize(m, ss, rt, scheme=cfg.scheme, lam=cfg.lam)
     rep["branches_linearized"] = sum(s["branches"] for s in stats.values())
     rep["loops_linearized"] = sum(s["loops"] for s in stats.values())
-    rep["natural"] = (dfl.optimize_natural_striding(m, report)
-                      if cfg.natural else 0)
 
     m.renumber()
     diags = validate(m)

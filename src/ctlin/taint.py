@@ -80,6 +80,7 @@ class SensitiveSet:
     accesses: set = field(default_factory=set)   # load/store iids for DFL
     divrem: set = field(default_factory=set)     # div/rem iids to sanitize
     bounds: dict = field(default_factory=dict)   # (fn, header) -> k
+    public_addr: set = field(default_factory=set)  # of them, public address
 
 
 class Context:
@@ -358,9 +359,9 @@ def close_sensitivity(m: Module, report: TaintReport,
     Functions called from guarded code run under decoys, so their entire
     bodies join the set.  Every access or division reachable under a
     decoy needs protection even when its own operands never carried
-    taint: it executes with garbage on decoy paths.
+    taint: it executes with garbage on decoy paths.  Of the accesses,
+    those whose address no profiling run saw tainted are public.
     """
-    ss = SensitiveSet(bounds=dict(report.loop_bounds))
     where = m.instr_index()
 
     seeds = []
@@ -377,7 +378,12 @@ def close_sensitivity(m: Module, report: TaintReport,
             raise ProfileError("sensitive loop %r has no region" % (key,))
         seeds.append(r)
 
-    regs = {d.rid for r in seeds for d in (r, *r.descendants())}
+    regs = set()        # each subtree once, however the seeds nest
+    while seeds:
+        r = seeds.pop()
+        if r.rid not in regs:
+            regs.add(r.rid)
+            seeds.extend(r.children)
 
     # blocks that may execute as decoys; a branch entry runs either way
     guarded = defaultdict(set)
@@ -406,8 +412,5 @@ def close_sensitivity(m: Module, report: TaintReport,
                 elif i.op in ("div", "rem"):
                     dr.add(i.iid)
 
-    ss.regions = regs
-    ss.functions = funcs
-    ss.accesses = acc
-    ss.divrem = dr
-    return ss
+    return SensitiveSet(regs, funcs, acc, dr, dict(report.loop_bounds),
+                        acc - report.addr_tainted)

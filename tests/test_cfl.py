@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from ctlin import cfl
 from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
 from ctlin.ir import parse_module, print_module, validate
+from ctlin.normalize import normalize_regions
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.verify import verify_module
 
@@ -312,3 +314,18 @@ def test_linearize_walks_deep_nests_without_recursion(monkeypatch):
     monkeypatch.setattr(cfl, "linearize", linearize)
     _, rep = harden_module(parse_module(nested_chain(n)))
     assert rep["branches_linearized"] == n
+
+
+def test_region_tree_of_a_deep_nest_builds_in_bounded_time():
+    # nesting by block ownership is linear in the summed region sizes;
+    # comparing each region with every larger one took over 20 s on a
+    # 2-vCPU machine
+    m = parse_module(nested_chain(1000))
+    t0 = time.perf_counter()
+    rt = normalize_regions(m)
+    assert time.perf_counter() - t0 < 8.0
+    r, depth = rt.roots["main"], 0
+    while r.children:
+        (r,) = r.children
+        depth += 1
+    assert depth == 1000

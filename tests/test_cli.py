@@ -222,6 +222,58 @@ class TestErrors:
             assert rc == EXIT_INPUT
             assert frag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text,diag", [
+        ("func @main() -> i64 {\n}\n", "@main: function has no blocks"),
+        ("func @main() -> i64 {\nentry:\n  br next\nnext:\nlast:\n"
+         "  ret 0\n}\n", "@main: empty block 'next'"),
+        ("func @main() -> i64 {\nentry:\n  ret 0\n  ret 1\n}\n",
+         "@main #0: terminator in mid-block 'entry'"),
+        ("func @main(%a: i64) -> i64 {\nentry:\n  br next\nnext:\n"
+         "  %x = add i64 %a, 1\n  %p = phi i64 [entry: 0]\n  ret %p\n}\n",
+         "@main #2: phi after non-phi in 'next'"),
+        ("func @main() -> i64 {\nentry:\n  br nowhere\n}\n",
+         "@main #0: unknown label 'nowhere'"),
+        ("func @main(%a: i64) -> i64 {\nentry:\n  %x = add i64 %a, 1\n"
+         "  %x = add i64 %a, 2\n  ret %x\n}\n",
+         "@main #1: redefinition of %x"),
+        ("func @main() -> i64 {\nentry:\n  store i64 1, @nope\n  ret 0\n}\n",
+         "@main #0: unknown symbol @nope"),
+        ("func @main() -> i64 {\nentry:\n  %x = call @nope()\n  ret %x\n}\n",
+         "@main #0: call to unknown @nope"),
+        ("func @main(%p: addr) -> i64 {\nentry:\n  %x = add addr %p, 1\n"
+         "  ret 0\n}\n", "@main #0: add requires an integer type"),
+        ("func @main() -> i64 {\nentry:\n  %x = secret addr 0\n  ret 0\n}\n",
+         "@main #0: secret requires an integer type"),
+        ("func @main(%a: i64, %b: i32) -> i64 {\nentry:\n"
+         "  %c = icmp eq %a, %b\n  ret 0\n}\n",
+         "@main #0: icmp operand types differ (i64 vs i32)"),
+        ("func @main(%c: i1, %a: i64, %b: i32) -> i64 {\nentry:\n"
+         "  %x = select %c, %a, %b\n  ret 0\n}\n",
+         "@main #0: select arms differ (i64 vs i32)"),
+        ("global @g: [2 x i64]\nfunc @main() -> i64 {\nentry:\n"
+         "  %x = load [2 x i64], @g\n  ret 0\n}\n",
+         "@main #0: load of non-scalar type"),
+        ("global @g: [2 x i64]\nfunc @main() -> i64 {\nentry:\n"
+         "  store [2 x i64] 0, @g\n  ret 0\n}\n",
+         "@main #0: store of non-scalar type"),
+        ("func @f(%a: i64) -> i64 {\nentry:\n  ret %a\n}\n"
+         "func @main() -> i64 {\nentry:\n  %x = call @f(1, 2)\n  ret %x\n}\n",
+         "@main #1: call passes 2 args, @f takes 1"),
+        ("func @main(%a: i64) -> i64 {\nentry:\n  heapfree %a\n  ret 0\n}\n",
+         "@main #0: freed pointer has type i64, expected addr"),
+    ], ids=["no-blocks", "empty-block", "mid-block-terminator", "late-phi",
+            "unknown-label", "redefinition", "unknown-symbol",
+            "unknown-callee", "binop-type", "secret-type", "icmp-types",
+            "select-arms", "load-aggregate", "store-aggregate", "arg-count",
+            "freed-pointer"])
+    def test_invalid_module_diagnostic(self, tmp_path, text, diag, capsys):
+        src = tmp_path / "bad.ir"
+        src.write_text(text)
+        rc, out, err = run(["harden", str(src), "--emit", "-"], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "%s: %s\n" % (src, diag)
+
     def test_zero_budget_is_an_input_error(self, capsys):
         rc, out, err = run(["harden", corpus_path("table_lookup"),
                             "--budget", "0", "--emit", "-"], capsys)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import hardened, load
+from ctlin import cfl, pipeline
 from ctlin.dfl import (HANDLER_WEIGHTS, DflError, build_metadata,
                        choose_handler, plan_cost)
 from ctlin.interp import ExecInput, Machine, final_state, interpret
@@ -233,6 +234,39 @@ class TestNaturalStriding:
         assert len(call.args) == 3
         rec = nat.dflmeta[call.args[2].value]
         assert rec.natural
+
+    def test_decided_before_the_merge(self, monkeypatch):
+        # the pointer goes in twice; linearization null-selects only
+        # the first on decoy paths, so the second stays raw
+        seen = []
+        real = cfl.linearize
+
+        def linearize(m, *args, **kw):
+            seen.extend(i.args[:2] for i in m.instructions()
+                        if i.op == "call" and i.callee.endswith("_nat"))
+            return real(m, *args, **kw)
+        monkeypatch.setattr(cfl, "linearize", linearize)
+        hm, rep = harden_module(load("covering_loop"), PipelineConfig(lam=4))
+        assert rep["natural"] == len(seen) >= 1
+        assert all(p == raw for p, raw in seen)
+        sel = {i.name: i.args[1] for i in hm.instructions()
+               if i.op == "call" and i.callee == "ct_select"}
+        for i in hm.instructions():
+            if i.op == "call" and i.callee == "ct_load_nat":
+                assert sel[i.args[0].name] == i.args[1]
+
+    def test_only_the_closure_decides(self, monkeypatch):
+        # an access the closure does not mark public keeps its sweep
+        real = pipeline.close_sensitivity
+
+        def close(*args):
+            ss = real(*args)
+            ss.public_addr = set()
+            return ss
+        monkeypatch.setattr(pipeline, "close_sensitivity", close)
+        hm, rep = harden_module(load("covering_loop"), PipelineConfig(lam=4))
+        assert rep["natural"] == 0
+        assert not any(r.natural for r in hm.dflmeta.values())
 
     def test_tainted_address_never_natural(self):
         hm, _ = hardened("table_lookup")

@@ -275,6 +275,26 @@ class TestDecoyShadow:
         assert tr.decoy_violations == [("store", "main", 4)]
 
 
+    @pytest.mark.parametrize("body,meta,record", [
+        ("  ret %v\n", "", ("ret", "main", None)),
+        ("  %p = gep i64 @g, 2\n  call @ct_store(%p, %v, 0)\n  ret 0\n",
+         "dflmeta 0 access=3 kind=store lambda=64 ty=i64 natural=0 "
+         "entries=[(site=g:@g, off=0, len=32, stride=8, handler=simple)]\n",
+         ("ct_store", 0, 3)),
+    ], ids=["ret", "ct_store"])
+    def test_decoy_value_escaping_is_recorded(self, body, meta, record):
+        # %v is computed under a false taken predicate, then leaves the
+        # entry as its result or lands in memory through a wrapped store
+        m = parse_module(
+            "global @g: [4 x i64]\nfunc @main() -> i64 {\nentry:\n"
+            "  %live = icmp eq 1, 0\n  %v = add i64 1, 1\n" + body + "}\n"
+            "takenmap @main { 1:0 }\n" + meta)
+        tr = Machine(m, code=Code(m, DecoyDecoder())).run(ExecInput([], []))
+        assert tr.abort is None and tr.violations == []
+        assert tr.decoy_violations == [record]
+        assert Machine(m).run(ExecInput([], [])).decoy_violations == []
+
+
 class TestTrace:
     def test_requantize_window_merge(self):
         t = Trace(lam=1)

@@ -261,6 +261,14 @@ class TestValidate:
         m = self.wrap("entry:\n  %x = call @gone()\n  ret %x\n")
         assert any("unknown @gone" in d.msg for d in validate(m))
 
+    def test_duplicate_instruction_id(self):
+        # text always numbers instructions afresh; only a pass can clash
+        m = self.wrap("entry:\n  %x = add i64 1, 1\n  ret %x\n")
+        add, ret = m.funcs["main"].instructions()
+        ret.iid = add.iid
+        assert [str(d) for d in validate(m)] == \
+            ["@? #%d: duplicate instruction id %d" % (add.iid, add.iid)]
+
 
 class TestTypes:
     def test_scalar_sizes(self):

@@ -9,8 +9,9 @@ import pytest
 from conftest import load
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import parse_module, print_module, validate
-from ctlin.normalize import (NormalizeError, Region, normalize_regions,
-                             promote_indirect_calls, unify_exits)
+from ctlin.normalize import (NormalizeError, Region, _nest,
+                             normalize_regions, promote_indirect_calls,
+                             unify_exits)
 from ctlin.pipeline import harden_module
 from ctlin.pta import andersen_solve, resolve_indirect_targets
 from ctlin.verify import verify_module
@@ -413,3 +414,26 @@ class TestRegionWalk:
             cur = r
         assert [r.entry for r in root.descendants()] == \
             ["b%d" % i for i in range(n)]
+
+    @staticmethod
+    def outer_and(entry, blocks):
+        root = Region("linear", "f", "e", None, set("abcde"))
+        outer = Region("branch", "f", "c", None, {"b", "c", "d"})
+        return root, outer, Region("branch", "f", entry, None, blocks)
+
+    def test_nest_by_containment(self):
+        root, outer, inner = self.outer_and("d", {"d"})
+        _nest([inner, outer], root)
+        assert (inner.parent, outer.parent) == (outer, root)
+        assert (root.children, outer.children) == ([outer], [inner])
+
+    @pytest.mark.parametrize("entry,blocks", [
+        ("a", {"a", "b"}),      # reaches into the other region
+        ("d", {"d", "e"}),      # starts inside it, ends outside
+    ])
+    def test_nest_refuses_partial_overlap(self, entry, blocks):
+        root, outer, inner = self.outer_and(entry, blocks)
+        with pytest.raises(NormalizeError) as ei:
+            _nest([inner, outer], root)
+        assert str(ei.value) == \
+            "regions at '%s' and 'c' overlap without nesting" % entry

@@ -53,6 +53,15 @@ class TestProfile:
         assert v.iid not in rep.addr_tainted
         assert len(rep.branches) == 1
 
+    def test_secret_instruction_taints(self):
+        # the secret comes from a `secret` read, not an entry parameter
+        m, rt, rep = profiled(parse_module(
+            "func @main() -> i64 {\nentry:\n  %s = secret i64 0\n"
+            "  %c = icmp lt %s, 100\n  condbr %c, a, b\n"
+            "a:\n  br j\nb:\n  br j\nj:\n  ret 0\n}\n"))
+        assert rep.branches == {i.iid for i in m.instructions()
+                                if i.op == "condbr"}
+
     def test_loop_bound_training(self):
         m, rt, rep = profiled("jit_trip")
         assert rep.loop_bounds[("main", "loop")] == 8
@@ -303,6 +312,16 @@ class TestClosure:
         m, rt, rep = profiled(parse_module(src))
         ss = close_sensitivity(m, rep, rt)
         assert "leaf" in ss.functions
+
+    def test_public_addresses(self):
+        m, rt, rep = profiled("covering_loop")
+        ss = close_sensitivity(m, rep, rt)
+        assert instr_by_name(m, "main", "v").iid in ss.public_addr
+        m, rt, rep = profiled("table_lookup")
+        ss = close_sensitivity(m, rep, rt)
+        ta = instr_by_name(m, "main", "ta")
+        assert ta.iid in ss.accesses and ta.iid not in ss.public_addr
+        assert ss.public_addr == ss.accesses - rep.addr_tainted
 
     def test_bounds_carried_into_closure(self):
         m, rt, rep = profiled("jit_trip")

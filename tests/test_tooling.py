@@ -1,6 +1,7 @@
 """Checks over the source tree itself rather than over what it does."""
 
 import ast
+import importlib.util
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,3 +58,18 @@ def test_every_definition_is_referenced():
         if name not in used and not name.startswith(DISPATCHED)
         and not (name.startswith("__") and name.endswith("__")))
     assert unused == []
+
+
+def test_traced_functions_exist():
+    # perfbench/tracer.py wraps ctlin functions by name, so a rename
+    # here would otherwise only show when a traced benchmark run breaks
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        "%s.%s" % (mod, f) for mod, fnames in tracer.LAYERS.values()
+        for f in fnames
+        if not callable(getattr(importlib.import_module("ctlin." + mod), f,
+                                None))]
+    assert missing == []
