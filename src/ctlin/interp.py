@@ -19,12 +19,16 @@ first handler of the run entered over that edge.  Calls nest no deeper
 than MAX_CALL_DEPTH frames; past it a run aborts with stack_overflow.
 A run that reads past its input vectors, as entry arguments or through
 `secret`, aborts with short_input.
-Handlers are closures over what the instruction fixes: register
-names, constants and symbol addresses (held in a per-function constant
-pool, so every operand is a register lookup), widths, masks, compare
-bits, access sizes, metadata plans and the builtin to run.  A handler
-takes (machine, registers, aux), where aux is the frame's parallel flag
-per register that a variant keeps.
+Handlers are closures over what the instruction fixes: the frame slots
+of its operands and result, widths, masks, compare bits, access sizes,
+metadata plans and the builtin to run.  A frame is a list; each call
+copies its function's template, which holds constants and symbol
+addresses and leaves registers unset (None), so every operand is a list
+index.  A handler takes (machine, registers, aux), where aux is the
+frame's parallel list of the flags a variant keeps.  A read of an unset
+register traps: arithmetic on None raises TypeError, which the frame
+turns into the trap, and a handler that only copies a value checks it
+with `slot_value`.
 
 The variant is the `Decoder` the code was built with:
 
@@ -275,7 +279,12 @@ _BR, _CONDBR, _RET, _TRAP = range(4)
 
 
 class DFunc:
-    """A decoded function: parameters, constant pool and blocks.
+    """A decoded function: parameters, frame slots and blocks.
+
+    A frame is a list, one slot per register, constant and symbol named
+    in `names`; a fresh one is `template` (slot 0 holds 1, then come the
+    parameters, and constants and symbols hold their values), and its
+    flags are `flags`, all false.
 
     blocks[0] is the entry; the last block traps, and stands for every
     label that names no block.  Terminators and call handlers name
@@ -283,14 +292,16 @@ class DFunc:
     reference cycle and is freed as soon as its batch drops it.
     """
 
-    __slots__ = ("name", "params", "masks", "secret", "pool", "blocks")
+    __slots__ = ("name", "params", "masks", "secret", "template", "names",
+                 "flags", "blocks")
 
     def __init__(self, fn):
         self.name = fn.name
         self.params = tuple(p.name for p in fn.params)
         self.masks = tuple(_mask(p.ty) for p in fn.params)
         self.secret = tuple(p.secret for p in fn.params)
-        self.pool = {}       # operand key -> value, copied into each frame
+        self.template = [1] + [None] * len(self.params)
+        self.names = ["#1", *self.params]
         self.blocks = ()
 
 
@@ -327,6 +338,13 @@ def _trap(detail):
     return h
 
 
+def slot_value(v):
+    """v, or a trap for None, the value of an unset register's slot."""
+    if v is None:
+        raise AbortError("trap", "read of an unset register")
+    return v
+
+
 class Code:
     """A module decoded once for one variant; owned by the batch of runs
     that shares it.  Holds no state of any run."""
@@ -350,8 +368,8 @@ class Decoder:
     """Decodes the plain machine: values, memory and traces only."""
 
     decoys = False      # ct_stores read the decoy flag of their value
-                        # (else the key "", held by no frame), and a
-                        # flagged `ret` of the entry is a decoy violation
+                        # (else slot 0's, never set), and a flagged
+                        # `ret` of the entry is a decoy violation
 
     def decode(self, code: Code):
         self.code = code
@@ -367,7 +385,8 @@ class Decoder:
     # -- per function ------------------------------------------------------
 
     def decode_function(self, fn, df: DFunc):
-        self.pool = df.pool
+        self.df = df
+        self.slots = {k: i for i, k in enumerate(df.names)}
         self.types = reg_types(self.m, fn)
         index = {label: i for i, label in enumerate(fn.blocks)}
         nowhere = DBlock("")
@@ -378,26 +397,32 @@ class Decoder:
             self.decode_block(fn, b, db, index)
             blocks.append(db)
         df.blocks = tuple(blocks) + (nowhere,)
+        df.flags = [False] * len(df.template)
 
-    def key(self, o) -> str:
-        """Frame dictionary key of an operand; constants and known symbols
-        enter the pool.  An unknown symbol stays out, so reading it traps
-        like an unset register."""
+    def key(self, o) -> int:
+        """Frame slot of an operand.  An unknown symbol's slot holds None
+        and traps like an unset register.  Slot 0 holds 1 and is never
+        flagged: it is also a missing operand and "no guard"."""
         if isinstance(o, Reg):
-            return o.name
+            return self.slot(o.name)
         if isinstance(o, Const):
-            k = "#%d" % (o.value & M64)
-            self.pool[k] = o.value & M64
-            return k
+            v = o.value & M64
+            return self.slot("#%d" % v, v)
         if isinstance(o, Sym):
-            k = "@" + o.name
             code = self.code
-            if o.name in code.global_addr:
-                self.pool[k] = code.global_addr[o.name]
-            elif o.name in code.func_addr:
-                self.pool[k] = code.func_addr[o.name]
-            return k
+            return self.slot("@" + o.name, code.global_addr.get(
+                o.name, code.func_addr.get(o.name)))
         raise TypeError(o)
+
+    def slot(self, name, value=None):
+        """Slot of a register name, or `#value`/`@symbol` holding value;
+        None for no name."""
+        s = self.slots.get(name)
+        if s is None and name is not None:
+            s = self.slots[name] = len(self.df.names)
+            self.df.names.append(name)
+            self.df.template.append(value)
+        return s
 
     def decode_block(self, fn, b, db: DBlock, index):
         segs = []
@@ -460,7 +485,7 @@ class Decoder:
                 ) + segs[1:]
 
     def phi_copy(self, fn, b, copies, trap):
-        names = tuple(ph.name for ph, _ in copies)
+        names = tuple(self.slot(ph.name) for ph, _ in copies)
         srcs = tuple(k for _, k in copies)
         masks = tuple(_mask(ph.ty) for ph, _ in copies)
         if len(copies) == 1 and not trap:
@@ -483,8 +508,9 @@ class Decoder:
         return None
 
     def entry_aux(self, df: DFunc):
-        """aux of a run's entry frame."""
-        return {}
+        """aux of a run's entry frame.  Plain frames share df.flags: they
+        only write call results' flags, which no `ret` sets."""
+        return df.flags
 
     # -- per instruction ---------------------------------------------------
 
@@ -506,7 +532,7 @@ class Decoder:
         return h(fn, ins)
 
     def _binop(self, ins):
-        op, d, w = ins.op, ins.name, ins.ty.bits
+        op, d, w = ins.op, self.slot(ins.name), ins.ty.bits
         a, b = self.key(ins.args[0]), self.key(ins.args[1])
         mask = (1 << w) - 1
         if op == "add":
@@ -560,7 +586,7 @@ class Decoder:
     def _op_icmp(self, fn, ins):
         w = self._icmp_bits(ins)
         mask, sign = (1 << w) - 1, 1 << (w - 1)
-        d = ins.name
+        d = self.slot(ins.name)
         a, b = self.key(ins.args[0]), self.key(ins.args[1])
         pred = ins.pred
         if pred in ("gt", "ge"):
@@ -585,15 +611,15 @@ class Decoder:
         return h
 
     def _op_select(self, fn, ins):
-        d = ins.name
+        d = self.slot(ins.name)
         c, x, y = (self.key(a) for a in ins.args[:3])
 
         def h(mach, regs, aux):
-            regs[d] = regs[x] if regs[c] & 1 else regs[y]
+            regs[d] = slot_value(regs[x] if regs[c] & 1 else regs[y])
         return h
 
     def _op_load(self, fn, ins):
-        d, iid, size = ins.name, ins.iid, size_of(ins.ty)
+        d, iid, size = self.slot(ins.name), ins.iid, size_of(ins.ty)
         pk = self.key(ins.args[0])
 
         def h(mach, regs, aux):
@@ -608,15 +634,14 @@ class Decoder:
         vk, pk = self.key(ins.args[0]), self.key(ins.args[1])
 
         def h(mach, regs, aux):
-            v = regs[vk]
             p = regs[pk]
-            mach.mem.write(p, size, v)
+            mach.mem.write(p, size, slot_value(regs[vk]))
             mach.trace.events.append(("w", p // mach.lam))
             mach._log_access(iid, p, size)
         return h
 
     def _op_gep(self, fn, ins):
-        d, bk = ins.name, self.key(ins.args[0])
+        d, bk = self.slot(ins.name), self.key(ins.args[0])
         steps, err = gep_steps(ins.ty, ins.args[1:])
         if err:
             return _trap(err)
@@ -642,16 +667,18 @@ class Decoder:
         return h
 
     def _op_alloca(self, fn, ins):
-        d, size, site = ins.name, size_of(ins.ty), site_token("s", ins.iid)
+        d, size = self.slot(ins.name), size_of(ins.ty)
+        site = site_token("s", ins.iid)
 
         def h(mach, regs, aux):
             a = mach.mem.alloc("s", size, site=site)
-            mach.frames[-1].plain_stack.append(a)
+            mach.frames[-1][1].append(a)
             regs[d] = a.base
         return h
 
     def _op_heapalloc(self, fn, ins):
-        d, size, site = ins.name, size_of(ins.ty), site_token("h", ins.iid)
+        d, size = self.slot(ins.name), size_of(ins.ty)
+        site = site_token("h", ins.iid)
 
         def h(mach, regs, aux):
             a = mach.mem.alloc("h", size + 8, skew=8, site=site)
@@ -675,7 +702,7 @@ class Decoder:
         return h
 
     def _op_secret(self, fn, ins):
-        d, k, mask = ins.name, ins.args[0].value, _mask(ins.ty)
+        d, k, mask = self.slot(ins.name), ins.args[0].value, _mask(ins.ty)
 
         def h(mach, regs, aux):
             if k >= len(mach.secrets):
@@ -686,8 +713,8 @@ class Decoder:
     # -- calls ---------------------------------------------------------------
 
     def enter(self, ins):
-        """(machine, aux, argument keys, callee) -> the callee frame's aux."""
-        return lambda mach, aux, argk, callee: {}
+        """(machine, aux, argument slots, callee) -> the callee's aux."""
+        return lambda mach, aux, argk, callee: callee.flags
 
     def leave(self, ins):
         """(machine, aux) after a call returns, or None when the variant
@@ -699,7 +726,7 @@ class Decoder:
         run time, so recursion leaves no cycle in the decoded code; an
         icall (no callee) by the address its first operand holds.  The
         result takes the flag of the callee's `ret` operand."""
-        d = ins.name
+        d = self.slot(ins.name)
         if callee is None:
             fk, name, args = self.key(ins.args[0]), None, ins.args[1:]
         else:
@@ -712,8 +739,8 @@ class Decoder:
                 callee = mach.code.funcs[name]
                 args = [regs[k] & mk for k, mk in zip(argk, callee.masks)]
             else:
-                fp = regs[fk]
-                vals = [regs[k] for k in argk]
+                fp = slot_value(regs[fk])
+                vals = [slot_value(regs[k]) for k in argk]
                 callee = mach.code.by_addr.get(fp)
                 if callee is None:
                     raise AbortError("bad_icall", "0x%x" % fp)
@@ -745,7 +772,7 @@ class Decoder:
         return h
 
     def _bi_ct_select(self, fn, ins):
-        d, scheme = ins.name, self.code.scheme
+        d, scheme = self.slot(ins.name), self.code.scheme
         tk, ak, bk = (self.key(a) for a in ins.args[:3])
 
         def h(mach, regs, aux):
@@ -761,7 +788,7 @@ class Decoder:
         return self._dfl_alloc(ins, "h")
 
     def _dfl_alloc(self, ins, seg):
-        d, size = ins.name, ins.args[1].value
+        d, size = self.slot(ins.name), ins.args[1].value
         key = site_token(seg, ins.args[0].value)
         cell = self.code.site_cells.get(key)
         if cell is None:
@@ -786,10 +813,10 @@ class Decoder:
         mid, rec = self._meta(ins)
         if rec is None:
             return _trap("unknown dfl metadata %d" % mid)
-        d, pk = ins.name, self.key(ins.args[0])
+        d, pk = self.slot(ins.name), self.key(ins.args[0])
 
         def h(mach, regs, aux):
-            regs[d] = mach._ct_sweep(mid, rec, regs[pk])
+            regs[d] = mach._ct_sweep(mid, rec, slot_value(regs[pk]))
         return h
 
     def _bi_ct_store(self, fn, ins):
@@ -797,22 +824,22 @@ class Decoder:
         if rec is None:
             return _trap("unknown dfl metadata %d" % mid)
         iid, pk, vk = ins.iid, self.key(ins.args[0]), self.key(ins.args[1])
-        fk = vk if self.decoys else ""
+        fk = vk if self.decoys else 0
 
         def h(mach, regs, aux):
-            mach._ct_sweep(mid, rec, regs[pk],
-                           (regs[vk], iid, aux.get(fk, False)))
+            mach._ct_sweep(mid, rec, slot_value(regs[pk]),
+                           (slot_value(regs[vk]), iid, aux[fk]))
         return h
 
     def _bi_ct_load_nat(self, fn, ins):
         mid, rec = self._meta(ins)
         if rec is None:
             return _trap("unknown dfl metadata %d" % mid)
-        d = ins.name
+        d = self.slot(ins.name)
         sk, rk = self.key(ins.args[0]), self.key(ins.args[1])
 
         def h(mach, regs, aux):
-            regs[d] = mach._ct_nat(mid, rec, regs[sk], regs[rk])
+            regs[d] = mach._ct_nat(mid, rec, slot_value(regs[sk]), regs[rk])
         return h
 
     def _bi_ct_store_nat(self, fn, ins):
@@ -821,18 +848,18 @@ class Decoder:
             return _trap("unknown dfl metadata %d" % mid)
         iid = ins.iid
         sk, rk, vk = (self.key(a) for a in ins.args[:3])
-        fk = vk if self.decoys else ""
+        fk = vk if self.decoys else 0
 
         def h(mach, regs, aux):
-            mach._ct_nat(mid, rec, regs[sk], regs[rk],
-                         (regs[vk], iid, aux.get(fk, False)))
+            mach._ct_nat(mid, rec, slot_value(regs[sk]), regs[rk],
+                         (slot_value(regs[vk]), iid, aux[fk]))
         return h
 
 
 class FlagDecoder(Decoder):
-    """A flag per register in aux.  A result is flagged when a register
-    among its operands is flagged, or when its guard register holds 0
-    (binops, icmp, gep, load, alloca, heapalloc; `select` reads its
+    """A flag per slot in aux.  A result is flagged when a register
+    among its operands is flagged, or when its guard register is set and
+    even (binops, icmp, gep, load, alloca, heapalloc; `select` reads its
     condition and picked arm, a phi its incoming value).  A call's
     result takes the flag of the callee's `ret` operand, unguarded.
     Builtin results are unflagged, and so are `secret` results and
@@ -842,13 +869,13 @@ class FlagDecoder(Decoder):
     operand_rule = frozenset(BINOPS) | {"icmp", "gep", "load", "alloca",
                                         "heapalloc"}
 
-    def guard(self, fn, ins) -> str:
-        """Guard register of ins, or "", which no frame holds, so
-        `not regs.get(t, 1) & 1` reads as false for unguarded code."""
-        return ""
+    def guard(self, fn, ins) -> int:
+        """Slot of the guard register of ins, or 0 for none: slot 0
+        holds 1, so it reads as taken."""
+        return 0
 
     def join_conds(self, fn, b) -> tuple:
-        """Registers whose flags every phi of block b also takes."""
+        """Slots of registers whose flags every phi of block b also takes."""
         return ()
 
     def fixed(self, h, d, flag):
@@ -859,11 +886,15 @@ class FlagDecoder(Decoder):
         return hf
 
     def entry_aux(self, df: DFunc):
-        return dict(zip(df.params, df.secret)) if self.secrets else {}
+        secret = df.secret if self.secrets else ()
+        return [False, *secret, *df.flags[len(secret) + 1:]]
+
+    def enter(self, ins):
+        return lambda mach, aux, argk, callee: callee.flags.copy()
 
     def op(self, fn, ins):
         h = super().op(fn, ins)
-        op, d = ins.op, ins.name
+        op, d = ins.op, self.slot(ins.name)
         if d is None:
             return h
         if op in self.operand_rule:
@@ -874,57 +905,67 @@ class FlagDecoder(Decoder):
 
     def flagged(self, fn, ins, h):
         """h, then aux[d] = the operand rule, read before h runs."""
-        d, t = ins.name, self.guard(fn, ins)
+        d, t = self.slot(ins.name), self.guard(fn, ins)
         keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
         if len(keys) > 2:
             def hf(mach, regs, aux):
-                f = any(map(aux.get, keys)) or not regs.get(t, 1) & 1
+                g = regs[t]
+                f = any(map(aux.__getitem__, keys)) \
+                    or g is not None and not g & 1
                 h(mach, regs, aux)
                 aux[d] = f
             return hf
-        k0, k1 = (keys + ("", ""))[:2]
+        k0, k1 = (keys + (0, 0))[:2]
         if t:
             def hf(mach, regs, aux):
-                f = aux.get(k0, False) or aux.get(k1, False) \
-                    or not regs.get(t, 1) & 1
+                g = regs[t]
+                f = aux[k0] or aux[k1] or g is not None and not g & 1
                 h(mach, regs, aux)
                 aux[d] = f
             return hf
 
         def hf(mach, regs, aux):
-            f = aux.get(k0, False) or aux.get(k1, False)
+            f = aux[k0] or aux[k1]
             h(mach, regs, aux)
             aux[d] = f
         return hf
 
     def _op_select(self, fn, ins):
-        d, t = ins.name, self.guard(fn, ins)
+        d, t = self.slot(ins.name), self.guard(fn, ins)
         c, x, y = (self.key(a) for a in ins.args[:3])
 
         def h(mach, regs, aux):
             pick = x if regs[c] & 1 else y
-            regs[d] = regs[pick]
-            aux[d] = aux.get(pick, False) or aux.get(c, False) \
-                or not regs.get(t, 1) & 1
+            regs[d], g = slot_value(regs[pick]), regs[t]
+            aux[d] = aux[pick] or aux[c] or g is not None and not g & 1
         return h
 
     def phi_copy(self, fn, b, copies, trap):
-        names = tuple(ph.name for ph, _ in copies)
+        names = tuple(self.slot(ph.name) for ph, _ in copies)
         srcs = tuple(k for _, k in copies)
         masks = tuple(_mask(ph.ty) for ph, _ in copies)
         guards = tuple(self.guard(fn, ph) for ph, _ in copies)
         conds = self.join_conds(fn, b)
+        if not (trap or conds or any(guards)):
+            def act(mach, regs, aux):
+                vals = list(map(regs.__getitem__, srcs))
+                flags = list(map(aux.__getitem__, srcs))
+                for d, v, mk, f in zip(names, vals, masks, flags):
+                    regs[d] = v & mk
+                    aux[d] = f
+            return act
 
         def act(mach, regs, aux):
             # in parallel: every phi reads the values and flags from
             # before the copy; guards and join conditions are read as
             # the copy goes
             vals = list(map(regs.__getitem__, srcs))
-            flags = list(map(aux.get, srcs))
+            flags = list(map(aux.__getitem__, srcs))
             for d, v, mk, f, t in zip(names, vals, masks, flags, guards):
                 regs[d] = v & mk
-                aux[d] = f or not regs.get(t, 1) & 1 \
-                    or any(map(aux.get, conds))
+                g = regs[t]
+                aux[d] = f or g is not None and not g & 1 \
+                    or any(map(aux.__getitem__, conds))
             if trap:
                 raise AbortError("trap", "phi without incoming edge")
         return act
@@ -935,7 +976,7 @@ class FlagDecoder(Decoder):
         k = self.key(ins.args[0])
 
         def h(mach, regs, aux):
-            mach.ret_flag = aux.get(k, False)
+            mach.ret_flag = aux[k]
         return h
 
 
@@ -955,8 +996,9 @@ class DecoyDecoder(FlagDecoder):
         self.names = {ins.iid: ins.name for ins in fn.instructions()}
         super().decode_function(fn, df)
 
-    def guard(self, fn, ins) -> str:
-        return self.names.get(self.tm.get(ins.iid)) or ""
+    def guard(self, fn, ins) -> int:
+        name = self.names.get(self.tm.get(ins.iid))
+        return self.slot(name) if name else 0
 
     def fixed(self, h, d, flag):
         # flag is False, and only a register's own definition writes its
@@ -968,15 +1010,15 @@ class DecoyDecoder(FlagDecoder):
         p = ins.args[1]
         if isinstance(p, Sym) and is_reserved_name(p.name):
             return super()._op_store(fn, ins)
-        k0, k1 = (self.key(a) if isinstance(a, Reg) else "" for a in ins.args)
+        k0, k1 = (self.key(a) if isinstance(a, Reg) else 0 for a in ins.args)
         t = self.guard(fn, ins)
         fname, iid, size = fn.name, ins.iid, size_of(ins.ty)
         vk, pk = self.key(ins.args[0]), self.key(p)
 
         def h(mach, regs, aux):
-            sh = aux.get(k0, False) or aux.get(k1, False) \
-                or not regs.get(t, 1) & 1
-            v = regs[vk]
+            g = regs[t]
+            sh = aux[k0] or aux[k1] or g is not None and not g & 1
+            v = slot_value(regs[vk])
             p = regs[pk]
             if sh:
                 mach.trace.decoy_violations.append(("store", fname, iid))
@@ -986,25 +1028,17 @@ class DecoyDecoder(FlagDecoder):
         return h
 
     def _bi_ct_select(self, fn, ins):
-        h, d = super()._bi_ct_select(fn, ins), ins.name
+        h, d = super()._bi_ct_select(fn, ins), self.slot(ins.name)
         tk, ak, bk = (self.key(a) for a in ins.args[:3])
 
         def hd(mach, regs, aux):
             h(mach, regs, aux)
-            aux[d] = aux.get(ak if regs[tk] & 1 else bk, False)
+            aux[d] = aux[ak if regs[tk] & 1 else bk]
         return hd
 
 
 # ---------------------------------------------------------------------------
 # running
-
-class _Frame:
-    __slots__ = ("dfl_stack", "plain_stack")
-
-    def __init__(self):
-        self.dfl_stack = []    # wrapped allocs, alloc order
-        self.plain_stack = []
-
 
 class Machine:
     """One run of a module.  Create fresh per interpretation.
@@ -1026,7 +1060,7 @@ class Machine:
         self.mem = Memory()
         self.trace = Trace(lam=lam)
         self.steps = 0
-        self.frames = []
+        self.frames = []    # (wrapped, plain) stack allocs of each frame
         self.site_cells, self.global_addr = _lay_out(code, self.mem)
         self.ret_flag = False   # flag of the operand of the last `ret`
 
@@ -1080,10 +1114,9 @@ class Machine:
     def _call(self, fn: DFunc, args, aux):
         if len(self.frames) >= MAX_CALL_DEPTH:
             raise AbortError("stack_overflow", "@" + fn.name)
-        regs = fn.pool.copy()
-        regs.update(zip(fn.params, args))
-        frame = _Frame()
-        self.frames.append(frame)
+        regs = fn.template.copy()
+        regs[1:len(args) + 1] = args
+        self.frames.append(([], []))
         extend = self.trace.instrs.extend
         budget = self.budget
         blocks = fn.blocks
@@ -1115,16 +1148,15 @@ class Machine:
                     prev = block.label
                     block = blocks[term[1]]
                 elif tag == _RET:
-                    ret = regs[term[1]]
+                    ret = slot_value(regs[term[1]])
                     self._pop_frame()
                     return ret
                 else:
                     raise AbortError("trap", term[1])
-        except KeyError as e:
+        except (KeyError, TypeError) as e:
             if running is not None:
                 self._unstep(running, h)
-            raise AbortError("trap", "read of unset %s" % e.args[0]) \
-                from None
+            raise AbortError("trap", "bad operand: %r" % e) from None
         except AbortError:
             if running is not None:
                 self._unstep(running, h)
@@ -1153,11 +1185,11 @@ class Machine:
                 h(self, regs, aux)
 
     def _pop_frame(self):
-        frame = self.frames.pop()
-        for a in reversed(frame.dfl_stack):
+        wrapped, plain = self.frames.pop()
+        for a in reversed(wrapped):
             self._unlink(a)
             self.mem.release(a)
-        for a in frame.plain_stack:
+        for a in plain:
             self.mem.release(a)
 
     def _log_access(self, iid, addr, size):
@@ -1182,7 +1214,7 @@ class Machine:
             self._write(cell + 0, 8, base)
         self._write(cell + 8, 8, base)
         if seg == "s":
-            self.frames[-1].dfl_stack.append(a)
+            self.frames[-1][0].append(a)
         return base + 32
 
     def _unlink(self, a: _Alloc):

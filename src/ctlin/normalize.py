@@ -305,15 +305,14 @@ def normalize_regions(m: Module) -> RegionTree:
             body = cfglib.natural_loop(g, latch, header)
             regions.append(Region("loop", fn.name, header, exit_t, set(body),
                                   latch=latch))
-        for b in fn.blocks.values():
-            if b.terminator.op != "condbr" or b.label in latch_set:
-                continue
-            join = g.ipdom.get(b.label)
+        joins = {b.label: g.ipdom.get(b.label) for b in fn.blocks.values()
+                 if b.terminator.op == "condbr" and b.label not in latch_set}
+        spans = _branch_spans(fn, g, joins)
+        for b, join in joins.items():
             if join is None:
                 raise NormalizeError(
-                    "@%s: condbr in '%s' has no join point" % (fn.name, b.label))
-            span = _branch_span(fn, g, b.label, join)
-            regions.append(Region("branch", fn.name, b.label, join, span))
+                    "@%s: condbr in '%s' has no join point" % (fn.name, b))
+            regions.append(Region("branch", fn.name, b, join, spans[b]))
 
         root = Region("linear", fn.name, fn.entry.label, None, set(fn.blocks))
         _nest(regions, root)
@@ -377,27 +376,46 @@ def _ensure_preheader(m: Module, fn, g, header: str, body: set):
     fn.blocks = rebuilt
 
 
-def _branch_span(fn, g, entry: str, join: str) -> set:
-    span = {entry}
-    work = [t for t in fn.blocks[entry].terminator.labels if t != join]
-    while work:
-        n = work.pop()
-        if n in span or n == join:
-            continue
-        if not g.dominates(entry, n):
-            raise NormalizeError(
-                "@%s: block '%s' enters branch at '%s' sideways"
-                % (fn.name, n, entry))
-        span.add(n)
-        for s in g.succs[n]:
-            work.append(s)
-    for n in span - {entry}:
-        for p in g.preds[n]:
-            if p not in span:
+def _branch_spans(fn, g, joins: dict) -> dict:
+    """entry -> blocks of the branch at entry up to its join, each one
+    dominated by the entry and entered only from the span.
+
+    Built inside out: a nested branch comes later in reverse postorder,
+    so walking entries backwards finds inner spans first, and an outer
+    walk takes an inner span whole (checked already) and goes on at its
+    join, unless the inner span holds the outer join.
+    """
+    order = {b: i for i, b in enumerate(g.rpo)}
+    spans = {}
+    for entry in sorted(filter(joins.get, joins),
+                        key=lambda b: order.get(b, -1), reverse=True):
+        join = joins[entry]
+        span, checked = {entry}, []
+        work = [t for t in fn.blocks[entry].terminator.labels if t != join]
+        while work:
+            n = work.pop()
+            if n in span or n == join:
+                continue
+            if not g.dominates(entry, n):
                 raise NormalizeError(
-                    "@%s: branch at '%s' is entered at '%s' from outside"
-                    % (fn.name, entry, n))
-    return span
+                    "@%s: block '%s' enters branch at '%s' sideways"
+                    % (fn.name, n, entry))
+            checked.append(n)
+            inner = spans.get(n)
+            if inner is not None and join not in inner:
+                span |= inner
+                work.append(joins[n])
+            else:
+                span.add(n)
+                work.extend(g.succs[n])
+        for n in checked:
+            for p in g.preds[n]:
+                if p not in span:
+                    raise NormalizeError(
+                        "@%s: branch at '%s' is entered at '%s' from outside"
+                        % (fn.name, entry, n))
+        spans[entry] = span
+    return spans
 
 
 def _nest(regions, root):

@@ -27,7 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .cfg import reachable
-from .interp import DEFAULT_BUDGET, Code, ExecInput, FlagDecoder, Machine
+from .interp import (DEFAULT_BUDGET, Code, ExecInput, FlagDecoder, Machine,
+                     slot_value)
 from .ir import Module, Reg, size_of
 from .normalize import RegionTree
 
@@ -122,7 +123,7 @@ class TaintDecoder(FlagDecoder):
                 self.joins[(r.fn, r.exit)].append(cond.name)
 
     def join_conds(self, fn, b):
-        return tuple(self.joins.get((fn.name, b.label), ()))
+        return tuple(map(self.slot, self.joins.get((fn.name, b.label), ())))
 
     def terminal(self, fn, b, ins):
         if ins.op != "condbr":
@@ -131,19 +132,18 @@ class TaintDecoder(FlagDecoder):
         loop = self.rt.loop_of_latch(fn.name, b.label)
         if loop is None:
             def h(mach, regs, t):
-                if t.get(k, False):
+                if t[k]:
                     mach.report.branches.add(iid)
             return h
         key = (fn.name, loop.entry)
         on_true, on_false = (lbl == loop.entry for lbl in ins.labels)
-        defs = tuple(sorted({i.name for lbl in loop.blocks
-                             for i in fn.blocks[lbl].instrs
-                             if i.name is not None}))
+        defs = tuple({self.slot(i.name) for lbl in loop.blocks
+                      for i in fn.blocks[lbl].instrs if i.name is not None})
 
         def h(mach, regs, t):
             back = on_true if regs[k] & 1 else on_false
             flags = mach.tflags[-1]
-            flags[key] = flags.get(key, False) or t.get(k, False)
+            flags[key] = flags.get(key, False) or t[k]
             trips = mach.trips[-1]
             if back:
                 trips[key] = trips.get(key, 1) + 1
@@ -153,8 +153,8 @@ class TaintDecoder(FlagDecoder):
             bounds[key] = max(bounds.get(key, 1), n)
             if flags.pop(key, False):
                 mach.report.loops.add(key)
-                for name in defs:
-                    t[name] = True
+                for s in defs:
+                    t[s] = True
         return h
 
     def flagged(self, fn, ins, h):
@@ -162,12 +162,12 @@ class TaintDecoder(FlagDecoder):
             return h        # `_op_load` flags its result itself
         if ins.op not in ("div", "rem"):
             return super().flagged(fn, ins, h)
-        d, iid = ins.name, ins.iid
+        d, iid = self.slot(ins.name), ins.iid
         a, b = self.key(ins.args[0]), self.key(ins.args[1])
 
         def ht(mach, regs, t):
             h(mach, regs, t)
-            r = t.get(a, False) or t.get(b, False)
+            r = t[a] or t[b]
             if r:
                 mach.report.divrem.add(iid)
             t[d] = r
@@ -176,17 +176,17 @@ class TaintDecoder(FlagDecoder):
     # no one reads a profiling run's trace, so plain accesses skip the
     # window events and access log of the plain handlers
     def _op_load(self, fn, ins):
-        d, iid = ins.name, ins.iid
+        d, iid = self.slot(ins.name), ins.iid
         pk, size = self.key(ins.args[0]), size_of(ins.ty)
 
         def ht(mach, regs, t):
             p = regs[pk]
             regs[d] = mach.mem.read(p, size)
-            tp = t.get(pk, False)
+            tp = t[pk]
             if tp:
                 mach.report.reads.add(iid)
                 mach.report.addr_tainted.add(iid)
-            t[d] = tp or any(a in mach.mtaint for a in range(p, p + size))
+            t[d] = tp or not mach.mtaint.isdisjoint(range(p, p + size))
         return ht
 
     def _op_store(self, fn, ins):
@@ -195,9 +195,9 @@ class TaintDecoder(FlagDecoder):
 
         def ht(mach, regs, t):
             p = regs[pk]
-            mach.mem.write(p, size, regs[vk])
-            tv = t.get(vk, False)
-            tp = t.get(pk, False)
+            mach.mem.write(p, size, slot_value(regs[vk]))
+            tv = t[vk]
+            tp = t[pk]
             if tv or tp:
                 mach.report.writes.add(iid)
             if tp:
@@ -218,8 +218,8 @@ class TaintDecoder(FlagDecoder):
             mach.descend(site, callee.name)
             mach.trips.append({})
             mach.tflags.append({})
-            return {p: t.get(k, False) or s
-                    for p, k, s in zip(callee.params, argk, callee.secret)}
+            return [False, *(t[k] or s for k, s in zip(argk, callee.secret)),
+                    *callee.flags[len(argk) + 1:]]
         return enter
 
     def leave(self, ins):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 import pytest
 
 from conftest import RECURSIVE, hardened, load
-from ctlin.interp import (MAX_CALL_DEPTH, Code, DecoyDecoder, ExecInput,
-                          Machine, SuiteError, Trace, final_state,
-                          format_suite, interpret, parse_suite)
+from ctlin.interp import (DEFAULT_BUDGET, MAX_CALL_DEPTH, Code,
+                          DecoyDecoder, ExecInput, Machine, SuiteError,
+                          Trace, final_state, format_suite, interpret,
+                          parse_suite)
 from ctlin.ir import parse_module
 from ctlin.normalize import normalize_regions, unify_exits
-from ctlin.taint import ProfileError, taint_profile
+from ctlin.taint import (Context, ProfileError, TaintDecoder, TaintMachine,
+                         taint_profile)
 
 M64 = (1 << 64) - 1
 
@@ -243,6 +245,83 @@ class TestShortInputs:
         assert run_expr(body, secrets=[7, 0, 5], sig="()").output == 12
 
 
+UNSET_MAIN = "func @main(%%a: i64) -> i64 {\nentry:\n%s}\n"
+SWEEP_META = ("dflmeta 0 access=1 kind=%s lambda=64 ty=i64 natural=0 "
+              "entries=[(site=g:@g, off=0, len=32, stride=8, "
+              "handler=simple)]\n")
+# each reads %u, which nothing defines, in one position; the modules are
+# never validated.  (source, len(trace.instrs), steps) of a run on a = 0
+UNSET_READS = {
+    "binop": (UNSET_MAIN % "  %x = add i64 %a, 1\n  %y = mul i64 %x, %u\n"
+              "  %z = add i64 %y, 1\n  ret %z\n", 2, 2),
+    "select_arm": (UNSET_MAIN % "  %c = icmp eq %a, 0\n"
+                   "  %y = select %c, %u, %a\n  %z = add i64 %y, 1\n"
+                   "  ret %z\n", 2, 2),
+    "select_cond": (UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                    "  %y = select %u, %x, %a\n  %z = add i64 %y, 1\n"
+                    "  ret %z\n", 2, 2),
+    "phi": (UNSET_MAIN % "  %c = icmp eq %a, 0\n  condbr %c, l, r\n"
+            "l:\n  br j\nr:\n  br j\n"
+            "j:\n  %p = phi i64 [l: %u, r: %a]\n  %q = add i64 %p, 1\n"
+            "  ret %q\n", 4, 4),
+    "call_arg": ("func @f(%x: i64) -> i64 {\nentry:\n  ret %x\n}\n"
+                 + UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                 "  %r = call @f(%u)\n  %z = add i64 %r, %x\n  ret %z\n",
+                 2, 2),
+    "icall_arg": ("func @f(%x: i64) -> i64 {\nentry:\n  ret %x\n}\n"
+                  + UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                  "  %r = icall @f(%u)\n  %z = add i64 %r, %x\n  ret %z\n",
+                  2, 2),
+    "condbr": (UNSET_MAIN % "  %x = add i64 %a, 1\n  condbr %u, l, r\n"
+               "l:\n  ret %x\nr:\n  ret 2\n", 2, 2),
+    "store_value": ("global @g: i64\n"
+                    + UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                    "  store i64 %u, @g\n  ret %x\n", 2, 2),
+    "ret": (UNSET_MAIN % "  %x = add i64 %a, 1\n  ret %u\n", 2, 2),
+    # beyond those: a store to a bad pointer, an icall target and the
+    # operands of the window sweeps, which do no arithmetic on them
+    "store_value_bad_pointer": (UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                                "  store i64 %u, %a\n  ret %x\n", 2, 2),
+    "icall_target": (UNSET_MAIN % "  %x = add i64 %a, 1\n"
+                     "  %r = icall %u(%x)\n  ret %r\n", 2, 2),
+    "ct_load_pointer": ("global @g: [4 x i64]\n" + UNSET_MAIN
+                        % "  %x = add i64 %a, 1\n"
+                        "  %v = call @ct_load(%u, 0)\n  ret %v\n"
+                        + SWEEP_META % "load", 2, 2),
+    "ct_store_value": ("global @g: [4 x i64]\n" + UNSET_MAIN
+                       % "  %p = gep i64 @g, 1\n"
+                       "  call @ct_store(%p, %u, 0)\n  ret 0\n"
+                       + SWEEP_META % "store", 2, 2),
+}
+
+
+def _unset_run(src: str, variant: str):
+    m = parse_module(src)
+    if variant == "plain":
+        mach = Machine(m)
+    elif variant == "decoy":
+        mach = Machine(m, code=Code(m, DecoyDecoder()))
+    else:
+        unify_exits(m)
+        code = Code(m, TaintDecoder(normalize_regions(m)))
+        mach = TaintMachine(m, [Context(None, None, "main")],
+                            DEFAULT_BUDGET, code)
+    return mach, mach.run(ExecInput([0], []))
+
+
+class TestUnsetReads:
+    """A read of a register no instruction has set traps at the reading
+    instruction, under every variant of the engine."""
+
+    @pytest.mark.parametrize("variant", ["plain", "decoy", "taint"])
+    @pytest.mark.parametrize("case", sorted(UNSET_READS))
+    def test_traps_where_read(self, case, variant):
+        src, n, steps = UNSET_READS[case]
+        mach, tr = _unset_run(src, variant)
+        assert tr.abort == "trap" and tr.output is None
+        assert (len(tr.instrs), mach.steps) == (n, steps)
+
+
 DECOY_RETURN = """\
 global @out: i64
 
@@ -274,6 +353,15 @@ class TestDecoyShadow:
         assert tr.abort is None
         assert tr.decoy_violations == [("store", "main", 4)]
 
+    def test_unset_guard_reads_as_taken(self):
+        # the guard of %x is defined after it, so it is unset when %x is
+        # computed: %x is no decoy, and storing it records nothing
+        m = parse_module(
+            "global @g: i64\nfunc @main(%a: i64) -> i64 {\nentry:\n"
+            "  %x = add i64 %a, 1\n  %t = icmp eq %a, 5\n"
+            "  store i64 %x, @g\n  ret %x\n}\ntakenmap @main { 0:1 }\n")
+        tr = Machine(m, code=Code(m, DecoyDecoder())).run(ExecInput([0], []))
+        assert (tr.abort, tr.output, tr.decoy_violations) == (None, 1, [])
 
     @pytest.mark.parametrize("body,meta,record", [
         ("  ret %v\n", "", ("ret", "main", None)),

@@ -15,7 +15,7 @@ from ctlin.ir import (ADDR, BINOPS, I1, I8, I32, I64, ICMP_PREDS, SYNTAX,
                       Reg, Sym, Type, _Cursor, _fmt_instr, _parse_instr,
                       field_offset, is_reserved_name, parse_module,
                       print_module, size_of, validate)
-from ctlin.normalize import NormalizeError, _branch_span
+from ctlin.normalize import NormalizeError, _branch_spans
 from ctlin.pipeline import harden_module
 from ctlin.taint import TaintDecoder
 from ctlin.verify import verify_module
@@ -502,11 +502,51 @@ class TestDominance:
                 if b.terminator.op != "condbr" or join is None:
                     continue
                 try:
-                    span = _branch_span(fn, g, b.label, join)
+                    span = _branch_spans(fn, g, {b.label: join})[b.label]
                 except NormalizeError as e:
                     span = "sideways" if "sideways" in str(e) else "entered"
                 assert span == chain_branch_span(fn, g, b.label, join)
         assert loops > 50
+
+    def test_inside_out_spans_match_walks(self):
+        # with every branch's spans built together, each inner one taken
+        # whole by the walks around it, a graph gets the reference spans,
+        # or the error of a branch whose reference walk fails
+        rng = random.Random(12)
+        nested = failed = 0
+        for _ in range(1000):
+            fn = random_reducible(rng)
+            g = build_cfg(fn)
+            joins = {b.label: g.ipdom.get(b.label)
+                     for b in fn.blocks.values()
+                     if b.terminator.op == "condbr"}
+            ref = {e: chain_branch_span(fn, g, e, j)
+                   for e, j in joins.items() if j is not None}
+            try:
+                spans = _branch_spans(fn, g, joins)
+            except NormalizeError as e:
+                kind = "sideways" if "sideways" in str(e) else "entered"
+                entry = str(e).split("branch at '")[1].split("'")[0]
+                assert ref[entry] == kind
+                failed += 1
+                continue
+            assert spans == ref
+            nested += any(a != b and a in ref[b] for a in ref for b in ref)
+        assert nested > 25 and failed > 300
+
+    @pytest.mark.parametrize("succs,entry,join,text", [
+        ({"b0": ["b1", "b2"], "b1": ["b2", "b3"], "b2": ["b3"], "b3": []},
+         "b1", "b3", "@f: block 'b2' enters branch at 'b1' sideways"),
+        ({"b0": ["b1", "b2"], "b1": ["b2", "b3"], "b2": ["b0"], "b3": []},
+         "b0", "b1", "@f: branch at 'b0' is entered at 'b2' from outside"),
+    ], ids=["sideways", "entered"])
+    def test_span_errors(self, succs, entry, join, text):
+        fn = cfg_function(succs)
+        g = build_cfg(fn)
+        assert g.ipdom[entry] == join
+        with pytest.raises(NormalizeError) as ei:
+            _branch_spans(fn, g, {entry: join})
+        assert str(ei.value) == text
 
     def test_long_secret_chain_hardens_and_verifies(self):
         hm, rep = harden_module(parse_module(br_chain(3000)))

@@ -1,12 +1,17 @@
 """Exit unification, region recovery, latch and dispatch rewrites."""
 
+import functools
 import hashlib
+import importlib.util
+import os
 import sys
 import time
 
 import pytest
 
-from conftest import load
+from conftest import corpus_src, load
+from ctlin import cfg as cfglib
+from ctlin import normalize
 from ctlin.interp import ExecInput, interpret
 from ctlin.ir import parse_module, print_module, validate
 from ctlin.normalize import (NormalizeError, Region, _nest,
@@ -15,6 +20,7 @@ from ctlin.normalize import (NormalizeError, Region, _nest,
 from ctlin.pipeline import harden_module
 from ctlin.pta import andersen_solve, resolve_indirect_targets
 from ctlin.verify import verify_module
+from test_cfl import nested_chain
 
 MULTI_RET = """\
 func @main(%s: secret i64) -> i64 {
@@ -437,3 +443,105 @@ class TestRegionWalk:
             _nest([inner, outer], root)
         assert str(ei.value) == \
             "regions at '%s' and 'c' overlap without nesting" % entry
+
+
+def walked_span(fn, g, entry: str, join: str) -> set:
+    """A branch span walked from scratch, one dominance query per block,
+    as normalize did before spans were built inside out."""
+    span = {entry}
+    work = [t for t in fn.blocks[entry].terminator.labels if t != join]
+    while work:
+        n = work.pop()
+        if n in span or n == join:
+            continue
+        if not g.dominates(entry, n):
+            raise NormalizeError(
+                "@%s: block '%s' enters branch at '%s' sideways"
+                % (fn.name, n, entry))
+        span.add(n)
+        for s in g.succs[n]:
+            work.append(s)
+    for n in span - {entry}:
+        for p in g.preds[n]:
+            if p not in span:
+                raise NormalizeError(
+                    "@%s: branch at '%s' is entered at '%s' from outside"
+                    % (fn.name, entry, n))
+    return span
+
+
+def _walked_spans(fn, g, joins):
+    return {e: walked_span(fn, g, e, j) for e, j in joins.items()
+            if j is not None}
+
+
+@functools.cache
+def _scale_programs() -> dict:
+    """The benchmark's `scale` programs at seed 7."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", (
+        os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                     "workloads.py")))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads    # for its dataclass
+    spec.loader.exec_module(workloads)
+    return {"scale." + j.name: j.text for j in workloads.scale_jobs(7)}
+
+
+def _tree(text: str) -> list:
+    m = parse_module(text)
+    unify_exits(m)
+    rt = normalize_regions(m)
+    return sorted((r.rid, r.exit, sorted(r.blocks), r.parent.rid,
+                   [c.rid for c in r.children]) for r in rt.by_id.values())
+
+
+class TestBranchSpans:
+    """Spans are built inside out, so a nest of n branches costs O(n)
+    dominance queries, and the regions and bytes are those of a walk
+    from scratch."""
+
+    def test_deep_nest_is_linear_in_queries(self, monkeypatch):
+        n = 1000
+        m = parse_module(nested_chain(n))
+        unify_exits(m)
+        calls = [0]
+        real = cfglib.CFG.dominates
+
+        def dominates(g, a, b):
+            calls[0] += 1
+            return real(g, a, b)
+
+        monkeypatch.setattr(cfglib.CFG, "dominates", dominates)
+        rt = normalize_regions(m)
+        assert len(rt.by_id) == n
+        assert calls[0] <= 10 * n
+
+    @pytest.mark.parametrize("name", sorted(
+        ["covering_loop", "exp_loop_pair", "fn_table_dispatch", "jit_trip",
+         "nested_branches", "store_sweep", "table_lookup", "two_context"]
+        + ["nested_chain.%d" % n for n in (1, 2, 3, 7, 20, 50)]
+        + ["scale.nested_branches", "scale.secret_loops", "scale.call_tree",
+           "scale.guarded_bump"]))
+    def test_same_regions_and_bytes_as_walks(self, name, monkeypatch):
+        if name.startswith("nested_chain."):
+            text = nested_chain(int(name.split(".")[1]))
+        elif name.startswith("scale."):
+            text = _scale_programs()[name]
+        else:
+            text = corpus_src(name)
+        tree = _tree(text)
+        hard = print_module(harden_module(parse_module(text))[0])
+        monkeypatch.setattr(normalize, "_branch_spans", _walked_spans)
+        assert _tree(text) == tree
+        assert print_module(harden_module(parse_module(text))[0]) == hard
+
+    def test_sideways_error_as_walked(self, monkeypatch):
+        src = ("func @main(%s: i64) -> i64 {\nb0:\n  %c0 = icmp eq %s, 0\n"
+               "  condbr %c0, b1, b2\nb1:\n  %c1 = icmp eq %s, 1\n"
+               "  condbr %c1, b2, b3\nb2:\n  br b3\nb3:\n  ret 0\n}\n")
+        text = "@main: block 'b2' enters branch at 'b1' sideways"
+        with pytest.raises(NormalizeError, match=text):
+            normalize_regions(parse_module(src))
+        monkeypatch.setattr(normalize, "_branch_spans", _walked_spans)
+        with pytest.raises(NormalizeError, match=text):
+            normalize_regions(parse_module(src))

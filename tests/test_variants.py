@@ -11,6 +11,8 @@ corpus it runs a few programs written for engine paths the corpus never
 takes.
 """
 
+import hashlib
+
 import pytest
 
 from conftest import corpus_src
@@ -18,8 +20,10 @@ from ctlin import pipeline
 from ctlin.interp import (DEFAULT_BUDGET, Code, DecoyDecoder, ExecInput,
                           Machine)
 from ctlin.ir import parse_module
+from ctlin.normalize import normalize_regions, unify_exits
 from ctlin.pipeline import PipelineConfig, harden_module
-from ctlin.taint import Context, TaintDecoder, TaintMachine
+from ctlin.taint import (Context, TaintDecoder, TaintMachine, default_suite,
+                         taint_profile)
 from ctlin.verify import public_batch, secret_batch
 
 NAMES = ("covering_loop", "exp_loop_pair", "fn_table_dispatch", "jit_trip",
@@ -97,8 +101,63 @@ done:
   ret %r
 }
 """,
+    # direct recursion, an icall, a callee with more registers than its
+    # caller, and a secret loop inside that callee
+    "call_paths": """\
+global @ops: [2 x addr] = %s
+
+func @sum(%%n: i64) -> i64 {
+entry:
+  %%z = icmp eq %%n, 0
+  condbr %%z, done, rec
+rec:
+  %%m = sub i64 %%n, 1
+  %%r = call @sum(%%m)
+  %%t = add i64 %%r, %%n
+  br done
+done:
+  %%v = phi i64 [entry: 0, rec: %%t]
+  ret %%v
+}
+
+func @mix(%%s: i64, %%x: i64) -> i64 {
+entry:
+  %%k = and i64 %%s, 7
+  %%x3 = mul i64 %%x, 3
+  br loop
+loop:
+  %%i = phi i64 [entry: 0, loop: %%i1]
+  %%acc = phi i64 [entry: %%x3, loop: %%acc2]
+  %%a1 = mul i64 %%acc, 5
+  %%a2 = xor i64 %%a1, %%i
+  %%acc2 = and i64 %%a2, 65535
+  %%i1 = add i64 %%i, 1
+  %%d = icmp gt %%i1, %%k
+  condbr %%d, out, loop
+out:
+  %%o1 = shl i64 %%acc2, 2
+  %%o2 = lshr i64 %%o1, 1
+  %%o3 = sub i64 %%o2, %%i1
+  %%o4 = or i64 %%o3, 1
+  ret %%o4
+}
+
+func @main(%%p: i64, %%s: secret i64) -> i64 {
+entry:
+  %%q = gep addr @ops, 1
+  store addr @mix, %%q
+  %%n = and i64 %%p, 7
+  %%r1 = call @sum(%%n)
+  %%fp = load addr, %%q
+  %%r2 = icall %%fp(%%s, %%r1)
+  %%r = add i64 %%r1, %%r2
+  ret %%r
+}
+""" % bytes(16).hex(),
 }
 PROGRAMS = NAMES + tuple(EXTRA)
+# cloning refuses a recursive callee under a sensitive root
+NO_CLONING = {"call_paths"}
 
 
 def _runs(m, machine) -> list:
@@ -138,7 +197,8 @@ def profiled_and_hardened():
     try:
         for name in PROGRAMS:
             src = EXTRA.get(name) or corpus_src(name)
-            hm, _ = harden_module(parse_module(src), PipelineConfig(lam=64))
+            hm, _ = harden_module(parse_module(src), PipelineConfig(
+                lam=64, cloning=name not in NO_CLONING))
             assert len(runs) == 1
             out[name] = runs.pop(), hm
     finally:
@@ -161,3 +221,51 @@ def test_decoy_variant_runs_as_plain(name, profiled_and_hardened):
     _, hm = profiled_and_hardened[name]
     code = Code(hm, DecoyDecoder())
     assert _runs(hm, lambda: Machine(hm, code=code)) == _plain(hm)
+
+
+# call_paths as recorded with the dict-framed engine: a digest of the
+# plain runs of the verify grid on the program as written (normalized,
+# its icall kept), as profiled (icall promoted) and hardened at lambda
+# 64, and its taint report on the default suite
+CALL_PATHS = {
+    "written": "3169abfa9721c72f",
+    "profiled": "77e878cbae8f02a0",
+    "hardened": "a6a1730d0d6e448b",
+}
+CALL_PATHS_REPORT = {
+    "branches": [], "loops": [("mix", "loop")], "reads": [], "writes": [],
+    "addr_tainted": [], "divrem": [],
+    "loop_bounds": [(("mix", "loop"), 8)],
+}
+
+
+def _digest(runs) -> str:
+    return hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+
+
+def _report(rep) -> dict:
+    return {f: sorted(getattr(rep, f)) for f in (
+        "branches", "loops", "reads", "writes", "addr_tainted", "divrem")} \
+        | {"loop_bounds": sorted(rep.loop_bounds.items())}
+
+
+def test_call_paths_as_recorded(profiled_and_hardened):
+    m = parse_module(EXTRA["call_paths"])
+    unify_exits(m)
+    rt = normalize_regions(m)
+    plain = _plain(m)
+    decoy, taint = Code(m, DecoyDecoder()), Code(m, TaintDecoder(rt))
+    contexts = [Context(None, None, "main")]
+    assert _runs(m, lambda: Machine(m, code=decoy)) == plain
+    assert _runs(m, lambda: TaintMachine(m, contexts, DEFAULT_BUDGET,
+                                         taint)) == plain
+    (profiled, _), hm = profiled_and_hardened["call_paths"]
+    hcode = Code(hm, DecoyDecoder())
+    for pub in public_batch(hm):
+        for sv in secret_batch(hm, pairs=8):
+            tr = Machine(hm, code=hcode).run(ExecInput(list(pub), list(sv)))
+            assert tr.decoy_violations == []
+    assert {"written": _digest(plain), "profiled": _digest(profiled),
+            "hardened": _digest(_plain(hm))} == CALL_PATHS
+    rep = taint_profile(m, default_suite(m), rt)
+    assert _report(rep) == CALL_PATHS_REPORT
