@@ -145,6 +145,15 @@ def _resolve_pending(fn: Function, ctx: dict, labels: set, new_op):
     ctx["pending"] = rest
 
 
+def _guard_blocks(m: Module, fn: Function, blks, tk: Instr, ctx: dict):
+    """Guard each block of blks that is not in ctx["claimed"], the
+    blocks that no merge changed since they were guarded."""
+    for blk in blks:
+        if blk.label not in ctx["claimed"]:
+            _guard_block(m, fn, blk, tk, ctx)
+            ctx["claimed"].add(blk.label)
+
+
 def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
     """Put every unclaimed instruction of blk under taken register tk.
 
@@ -239,9 +248,8 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
 
     _resolve_pending(fn, ctx, {b.label for b in twalk}, Reg(tthen.name))
     _resolve_pending(fn, ctx, {b.label for b in ewalk}, Reg(telse.name))
-    for blks, tk in ((twalk, tthen), (ewalk, telse)):
-        for blk in blks:
-            _guard_block(m, fn, blk, tk, ctx)
+    _guard_blocks(m, fn, twalk, tthen, ctx)
+    _guard_blocks(m, fn, ewalk, telse, ctx)
 
     # arm-entry phis had a single predecessor; once the else side hangs
     # off the then tail those labels lie, so fold them away
@@ -273,8 +281,9 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
                 if l not in (thenpred, elsepred)]
         ph.incoming = sorted(rest + [(lastb.label, Reg(sel.name))])
         uses.add(sel, ph)
-    if sels:
+    if sels:    # the entry, the only other block written, is unguarded
         lastb.instrs = lastb.instrs[:-1] + sels + [lastb.instrs[-1]]
+        ctx["claimed"].discard(lastb.label)
     for ph in list(jb.phis()):
         if len(ph.incoming) == 1:
             uses.replace(ph.name, ph.incoming[0][1])
@@ -326,9 +335,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     uses.add(cidx, kcur, tcur)
 
     _resolve_pending(fn, ctx, set(r.blocks), Reg(tcur.name))
-    for lbl, blk in fn.blocks.items():
-        if lbl in r.blocks:
-            _guard_block(m, fn, blk, tcur, ctx)
+    _guard_blocks(m, fn, [b for lbl, b in fn.blocks.items()
+                          if lbl in r.blocks], tcur, ctx)
 
     # live-outs freeze at the last real iteration: while taken, the exit
     # copy follows the body value; during padding it holds
@@ -389,6 +397,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     sidx = len(xb.phis())
     st = Instr(m.new_iid(), "store", ty=I64, args=[Reg(kn_n), Sym(cell)])
     xb.instrs.insert(sidx, st)
+    # of the blocks this merge wrote to, only the latch had been guarded
+    ctx["claimed"].discard(L)
     uses.add(st)
 
 
@@ -488,7 +498,8 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             continue
         tm = m.takenmap.setdefault(fn.name, {})
         ctx = {"tm": tm, "pending": [], "threaded": threaded,
-               "thr_done": thr_done, "skip": set(), "uses": _Uses(fn)}
+               "thr_done": thr_done, "skip": set(), "uses": _Uses(fn),
+               "claimed": set()}
         t0 = None
         if fully:
             t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
@@ -533,8 +544,7 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             raise LinearizeError(
                 "unplaced nested regions: %r" % ctx["pending"])
         if fully:
-            for blk in fn.blocks.values():
-                _guard_block(m, fn, blk, t0, ctx)
+            _guard_blocks(m, fn, fn.blocks.values(), t0, ctx)
         stats[fn.name] = {"branches": nb, "loops": nl}
 
     # calls into taken-reading functions from untouched code run for

@@ -15,20 +15,20 @@ run may start some globals elsewhere by writing its own memory before
 Decoding splits each block into runs
 of handlers that end at calls, with the terminator as a small tagged
 tuple; the parallel copy of the phis, one per predecessor label, is the
-first handler of the run entered over that edge.  Calls nest no deeper
-than MAX_CALL_DEPTH frames; past it a run aborts with stack_overflow.
-A run that reads past its input vectors, as entry arguments or through
-`secret`, aborts with short_input.
-Handlers are closures over what the instruction fixes: the frame slots
-of its operands and result, widths, masks, compare bits, access sizes,
-metadata plans and the builtin to run.  A frame is a list; each call
-copies its function's template, which holds constants and symbol
-addresses and leaves registers unset (None), so every operand is a list
-index.  A handler takes (machine, registers, aux), where aux is the
-frame's parallel list of the flags a variant keeps.  A read of an unset
-register traps: arithmetic on None raises TypeError, which the frame
-turns into the trap, and a handler that only copies a value checks it
-with `slot_value`.
+first handler of the run entered over that edge.  Handlers are closures
+over what the instruction fixes: the frame slots of its operands and
+result, widths, masks, compare bits, access sizes, metadata plans, the
+builtin to run, and a direct call's argument masks.  A frame is a list;
+a call copies its function's template, which holds constants and
+symbol addresses and leaves registers unset (None), so every operand
+is a list index, and pushes one record on `Machine.frames`, None until
+the frame allocates on the stack; its `ret` releases what it allocated.
+A handler takes (machine, registers, aux), where aux is the frame's
+parallel list of the flags a variant keeps.  Calls nest no deeper than
+MAX_CALL_DEPTH frames, or the run aborts with stack_overflow; one that
+reads past its input vectors aborts with short_input.  A read of an
+unset register traps: arithmetic on None raises TypeError, which the
+frame turns into the trap, and copying handlers check with `slot_value`.
 
 The variant is the `Decoder` the code was built with:
 
@@ -68,6 +68,7 @@ apart when freeing.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass, field
 
 from .cfl import ct_select, encode_taken
@@ -85,10 +86,14 @@ GUARD = 64
 
 DEFAULT_BUDGET = 10_000_000
 # IR call depth at which a run aborts with stack_overflow; each IR frame
-# takes two Python frames, so this stays well inside the default limit
+# takes two Python frames (the call's handler and `Machine._call`), so
+# this stays well inside the default recursion limit
 MAX_CALL_DEPTH = 256
 
 M64 = (1 << 64) - 1
+# the binops the flag variants run as one closure with their flag rule
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "and": operator.and_, "or": operator.or_, "xor": operator.xor}
 
 
 class AbortError(Exception):
@@ -281,10 +286,10 @@ _BR, _CONDBR, _RET, _TRAP = range(4)
 class DFunc:
     """A decoded function: parameters, frame slots and blocks.
 
-    A frame is a list, one slot per register, constant and symbol named
-    in `names`; a fresh one is `template` (slot 0 holds 1, then come the
-    parameters, and constants and symbols hold their values), and its
-    flags are `flags`, all false.
+    A frame is a list, one slot per name in `names`: registers, constants,
+    symbols and a variant's own; a fresh one is `template` (slot 0 holds
+    1, then the parameters; constants and symbols hold their values),
+    and its flags are `flags`, all false.
 
     blocks[0] is the entry; the last block traps, and stands for every
     label that names no block.  Terminators and call handlers name
@@ -370,6 +375,7 @@ class Decoder:
     decoys = False      # ct_stores read the decoy flag of their value
                         # (else slot 0's, never set), and a flagged
                         # `ret` of the entry is a decoy violation
+    fresh_aux = False   # each frame gets its own copy of the flags
 
     def decode(self, code: Code):
         self.code = code
@@ -415,8 +421,8 @@ class Decoder:
         raise TypeError(o)
 
     def slot(self, name, value=None):
-        """Slot of a register name, or `#value`/`@symbol` holding value;
-        None for no name."""
+        """Slot of a register name, or of `#value`, `@symbol` or a name of
+        the variant's (`trips:label`) holding value; None for no name."""
         s = self.slots.get(name)
         if s is None and name is not None:
             s = self.slots[name] = len(self.df.names)
@@ -507,8 +513,8 @@ class Decoder:
         """Variant work at a terminator, run once it has been stepped."""
         return None
 
-    def entry_aux(self, df: DFunc):
-        """aux of a run's entry frame.  Plain frames share df.flags: they
+    def entry_aux(self, df: DFunc, mach: "Machine"):
+        """aux of mach's entry frame.  Plain frames share df.flags: they
         only write call results' flags, which no `ret` sets."""
         return df.flags
 
@@ -583,31 +589,33 @@ class Decoder:
                 return 64
         return 64
 
-    def _op_icmp(self, fn, ins):
-        w = self._icmp_bits(ins)
-        mask, sign = (1 << w) - 1, 1 << (w - 1)
-        d = self.slot(ins.name)
-        a, b = self.key(ins.args[0]), self.key(ins.args[1])
+    def _icmp(self, ins):
+        """(a, b, ordered, e, mask, sign) of an icmp, or None.  Ordered,
+        it is x ^ sign < y ^ sign + e (lt, le; gt and ge swap a and b),
+        since x ^ sign orders w-bit values by their signed readings;
+        else (x == y) != e (eq, ne)."""
         pred = ins.pred
+        if pred not in ("lt", "le", "gt", "ge", "eq", "ne"):
+            return None
+        w = self._icmp_bits(ins)
+        a, b = self.key(ins.args[0]), self.key(ins.args[1])
         if pred in ("gt", "ge"):
-            a, b, pred = b, a, "lt" if pred == "gt" else "le"
-        # x ^ sign orders w-bit values as their signed readings do
-        if pred == "lt":
+            a, b = b, a
+        return a, b, pred not in ("eq", "ne"), \
+            int(pred in ("le", "ge", "ne")), (1 << w) - 1, 1 << (w - 1)
+
+    def _op_icmp(self, fn, ins):
+        d, cmp = self.slot(ins.name), self._icmp(ins)
+        if cmp is None:
+            return _trap("unknown icmp predicate %s" % ins.pred)
+        a, b, ordered, e, mask, sign = cmp
+        if ordered:
             def h(mach, regs, aux):
                 regs[d] = 1 if ((regs[a] & mask) ^ sign) \
-                    < ((regs[b] & mask) ^ sign) else 0
-        elif pred == "le":
-            def h(mach, regs, aux):
-                regs[d] = 1 if ((regs[a] & mask) ^ sign) \
-                    <= ((regs[b] & mask) ^ sign) else 0
-        elif pred == "eq":
-            def h(mach, regs, aux):
-                regs[d] = 1 if regs[a] & mask == regs[b] & mask else 0
-        elif pred == "ne":
-            def h(mach, regs, aux):
-                regs[d] = 1 if regs[a] & mask != regs[b] & mask else 0
+                    < ((regs[b] & mask) ^ sign) + e else 0
         else:
-            return _trap("unknown icmp predicate %s" % pred)
+            def h(mach, regs, aux):
+                regs[d] = 1 if (regs[a] & mask == regs[b] & mask) != e else 0
         return h
 
     def _op_select(self, fn, ins):
@@ -672,7 +680,7 @@ class Decoder:
 
         def h(mach, regs, aux):
             a = mach.mem.alloc("s", size, site=site)
-            mach.frames[-1][1].append(a)
+            mach._frame_allocs()[1].append(a)
             regs[d] = a.base
         return h
 
@@ -712,32 +720,29 @@ class Decoder:
 
     # -- calls ---------------------------------------------------------------
 
-    def enter(self, ins):
-        """(machine, aux, argument slots, callee) -> the callee's aux."""
-        return lambda mach, aux, argk, callee: callee.flags
-
-    def leave(self, ins):
-        """(machine, aux) after a call returns, or None when the variant
-        has nothing to do there."""
+    def enter(self, ins, argk):
+        """None, or (machine, aux, callee) -> the callee's aux."""
         return None
 
     def call(self, fn, ins, callee: DFunc | None = None):
         """Handler of a call: a direct call finds its callee by name at
         run time, so recursion leaves no cycle in the decoded code; an
         icall (no callee) by the address its first operand holds.  The
-        result takes the flag of the callee's `ret` operand."""
-        d = self.slot(ins.name)
+        result (in an unread slot if unnamed) takes the flag of the
+        callee's `ret` operand."""
+        d = self.slot(ins.name or "")
         if callee is None:
-            fk, name, args = self.key(ins.args[0]), None, ins.args[1:]
+            fk, name, args, masks = self.key(ins.args[0]), None, \
+                ins.args[1:], None
         else:
-            fk, name, args = None, callee.name, ins.args
+            fk, name, args, masks = None, callee.name, ins.args, callee.masks
         argk = tuple(self.key(a) for a in args)
-        enter, leave = self.enter(ins), self.leave(ins)
+        enter, fresh = self.enter(ins, argk), self.fresh_aux
 
         def h(mach, regs, aux):
             if fk is None:
                 callee = mach.code.funcs[name]
-                args = [regs[k] & mk for k, mk in zip(argk, callee.masks)]
+                args = [regs[k] & mk for k, mk in zip(argk, masks)]
             else:
                 fp = slot_value(regs[fk])
                 vals = [slot_value(regs[k]) for k in argk]
@@ -747,12 +752,10 @@ class Decoder:
                 if len(vals) != len(callee.params):
                     raise AbortError("bad_icall", "arity")
                 args = [v & mk for v, mk in zip(vals, callee.masks)]
-            r = mach._call(callee, args, enter(mach, aux, argk, callee))
-            if d is not None:
-                regs[d] = r
-                aux[d] = mach.ret_flag
-            if leave is not None:
-                leave(mach, aux)
+            regs[d] = mach._call(
+                callee, args, enter(mach, aux, callee) if enter
+                else callee.flags.copy() if fresh else callee.flags)
+            aux[d] = mach.ret_flag
         return h
 
     def _op_icall(self, fn, ins):
@@ -866,6 +869,7 @@ class FlagDecoder(Decoder):
     entry parameters unless the variant flags secrets."""
 
     secrets = False     # `secret` results and secret entry parameters
+    fresh_aux = True
     operand_rule = frozenset(BINOPS) | {"icmp", "gep", "load", "alloca",
                                         "heapalloc"}
 
@@ -885,28 +889,30 @@ class FlagDecoder(Decoder):
             aux[d] = flag
         return hf
 
-    def entry_aux(self, df: DFunc):
+    def entry_aux(self, df: DFunc, mach: "Machine"):
         secret = df.secret if self.secrets else ()
         return [False, *secret, *df.flags[len(secret) + 1:]]
 
-    def enter(self, ins):
-        return lambda mach, aux, argk, callee: callee.flags.copy()
-
     def op(self, fn, ins):
-        h = super().op(fn, ins)
         op, d = ins.op, self.slot(ins.name)
-        if d is None:
-            return h
-        if op in self.operand_rule:
-            return self.flagged(fn, ins, h)
-        if op == "secret" or op == "call" and ins.callee not in self.m.funcs:
+        if d is not None and op in self.operand_rule:
+            return self.flagged(fn, ins)
+        h = super().op(fn, ins)
+        if d is not None and (op == "secret" or op == "call"
+                              and ins.callee not in self.m.funcs):
             return self.fixed(h, d, op == "secret" and self.secrets)
         return h        # icall, select and calls flag their own results
 
-    def flagged(self, fn, ins, h):
-        """h, then aux[d] = the operand rule, read before h runs."""
+    def flagged(self, fn, ins):
+        """The handler of ins that also sets aux[d] by the operand rule,
+        read before the value: one closure for both where `fused` has
+        one, else a closure around the plain handler."""
         d, t = self.slot(ins.name), self.guard(fn, ins)
         keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
+        k0, k1 = (keys + (0, 0))[:2]
+        if not t and len(keys) < 3 and (hf := self.fused(ins, d, k0, k1)):
+            return hf
+        h = super().op(fn, ins)
         if len(keys) > 2:
             def hf(mach, regs, aux):
                 g = regs[t]
@@ -915,19 +921,38 @@ class FlagDecoder(Decoder):
                 h(mach, regs, aux)
                 aux[d] = f
             return hf
-        k0, k1 = (keys + (0, 0))[:2]
-        if t:
-            def hf(mach, regs, aux):
-                g = regs[t]
-                f = aux[k0] or aux[k1] or g is not None and not g & 1
-                h(mach, regs, aux)
-                aux[d] = f
-            return hf
 
         def hf(mach, regs, aux):
-            f = aux[k0] or aux[k1]
+            g = regs[t]
+            f = aux[k0] or aux[k1] or g is not None and not g & 1
             h(mach, regs, aux)
             aux[d] = f
+        return hf
+
+    def fused(self, ins, d, k0, k1):
+        """The unguarded operand-rule handler of an icmp, add, sub, mul,
+        and, or or xor as one closure, or None."""
+        if ins.op == "icmp" and (cmp := self._icmp(ins)):
+            a, b, ordered, e, mask, sign = cmp
+            if ordered:
+                def hf(mach, regs, aux):
+                    aux[d] = aux[k0] or aux[k1]
+                    regs[d] = 1 if ((regs[a] & mask) ^ sign) \
+                        < ((regs[b] & mask) ^ sign) + e else 0
+            else:
+                def hf(mach, regs, aux):
+                    aux[d] = aux[k0] or aux[k1]
+                    regs[d] = 1 if (regs[a] & mask == regs[b] & mask) \
+                        != e else 0
+            return hf
+        if ins.op not in _ARITH:
+            return None
+        a, b = self.key(ins.args[0]), self.key(ins.args[1])
+        op, mask = _ARITH[ins.op], (1 << ins.ty.bits) - 1
+
+        def hf(mach, regs, aux):
+            aux[d] = aux[k0] or aux[k1]
+            regs[d] = op(regs[a], regs[b]) & mask
         return hf
 
     def _op_select(self, fn, ins):
@@ -1060,7 +1085,7 @@ class Machine:
         self.mem = Memory()
         self.trace = Trace(lam=lam)
         self.steps = 0
-        self.frames = []    # (wrapped, plain) stack allocs of each frame
+        self.frames = []    # per frame: None or its (wrapped, plain) allocs
         self.site_cells, self.global_addr = _lay_out(code, self.mem)
         self.ret_flag = False   # flag of the operand of the last `ret`
 
@@ -1103,8 +1128,8 @@ class Machine:
             return self.trace
         df = self.code.funcs[entry]
         try:
-            self.trace.output = self._call(df, args,
-                                           self.code.decoder.entry_aux(df))
+            self.trace.output = self._call(
+                df, args, self.code.decoder.entry_aux(df, self))
             if self.ret_flag and self.code.decoder.decoys:
                 self.trace.decoy_violations.append(("ret", entry, None))
         except AbortError as e:
@@ -1116,7 +1141,7 @@ class Machine:
             raise AbortError("stack_overflow", "@" + fn.name)
         regs = fn.template.copy()
         regs[1:len(args) + 1] = args
-        self.frames.append(([], []))
+        self.frames.append(None)    # stack allocations: _frame_allocs
         extend = self.trace.instrs.extend
         budget = self.budget
         blocks = fn.blocks
@@ -1148,8 +1173,17 @@ class Machine:
                     prev = block.label
                     block = blocks[term[1]]
                 elif tag == _RET:
-                    ret = slot_value(regs[term[1]])
-                    self._pop_frame()
+                    ret = regs[term[1]]
+                    if ret is None:
+                        slot_value(ret)
+                    allocs = self.frames.pop()
+                    if allocs is not None:
+                        wrapped, plain = allocs
+                        for a in reversed(wrapped):
+                            self._unlink(a)
+                            self.mem.release(a)
+                        for a in plain:
+                            self.mem.release(a)
                     return ret
                 else:
                     raise AbortError("trap", term[1])
@@ -1184,13 +1218,12 @@ class Machine:
             if h is not None:
                 h(self, regs, aux)
 
-    def _pop_frame(self):
-        wrapped, plain = self.frames.pop()
-        for a in reversed(wrapped):
-            self._unlink(a)
-            self.mem.release(a)
-        for a in plain:
-            self.mem.release(a)
+    def _frame_allocs(self):
+        """(wrapped, plain) stack allocations of the running frame."""
+        allocs = self.frames[-1]
+        if allocs is None:
+            allocs = self.frames[-1] = ([], [])
+        return allocs
 
     def _log_access(self, iid, addr, size):
         a = self.mem.find(addr)
@@ -1214,7 +1247,7 @@ class Machine:
             self._write(cell + 0, 8, base)
         self._write(cell + 8, 8, base)
         if seg == "s":
-            self.frames[-1][0].append(a)
+            self._frame_allocs()[0].append(a)
         return base + 32
 
     def _unlink(self, a: _Alloc):

@@ -313,10 +313,10 @@ def aggressive_clone(m: Module, sens_fns: set) -> CloneMap:
 
     Roots are the sensitive functions not reachable from other sensitive
     functions; everything they transitively call gets split per path so
-    points-to facts never merge across calling contexts.  Recursion
-    under a root cannot be split this way and is an error.  Only roots
-    and clones have their call sites rewritten, so a clone always copies
-    an unedited original.
+    points-to facts never merge across calling contexts.  A recursive
+    callee outside sens_fns stays one shared copy; recursion within it
+    cannot be split this way and is an error.  Only roots and clones
+    have their call sites rewritten, so clones copy unedited originals.
     """
     cmap = CloneMap()
     if not sens_fns:
@@ -359,6 +359,8 @@ def aggressive_clone(m: Module, sens_fns: set) -> CloneMap:
             if ins.op != "call" or ins.callee not in m.funcs:
                 continue
             origin = cmap.get(ins.callee, ins.callee)
+            if origin not in sens_fns and origin in reachable(cg, [origin]):
+                continue
             if origin in path:
                 raise CloneError(
                     "recursive call into @%s under sensitive root" % origin)

@@ -17,11 +17,14 @@ induction variable stays public while the loop runs.
 Facts are kept per calling context (a calling-context tree, Ammons,
 Ball & Larus, PLDI 1997), so after cloning splits call paths into
 functions of their own, `translate_report` hands each clone the facts
-of the one path it stands for instead of profiling again.
+of the one path it stands for instead of profiling again.  Each frame
+carries its context, and per loop a slot with the trip count whose
+flag says the exit condition was tainted.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -133,44 +136,45 @@ class TaintDecoder(FlagDecoder):
         if loop is None:
             def h(mach, regs, t):
                 if t[k]:
-                    mach.report.branches.add(iid)
+                    t[-1].report.branches.add(iid)
             return h
         key = (fn.name, loop.entry)
         on_true, on_false = (lbl == loop.entry for lbl in ins.labels)
         defs = tuple({self.slot(i.name) for lbl in loop.blocks
                       for i in fn.blocks[lbl].instrs if i.name is not None})
+        n = self.slot("trips:" + loop.entry, 1)
 
+        # regs[n] counts the frame's trips through the loop and t[n] says
+        # the latch condition was tainted on one; both reset at the exit
         def h(mach, regs, t):
-            back = on_true if regs[k] & 1 else on_false
-            flags = mach.tflags[-1]
-            flags[key] = flags.get(key, False) or t[k]
-            trips = mach.trips[-1]
-            if back:
-                trips[key] = trips.get(key, 1) + 1
+            if t[k]:
+                t[n] = True
+            if on_true if regs[k] & 1 else on_false:
+                regs[n] += 1
                 return
-            n = trips.pop(key, 1)
-            bounds = mach.report.loop_bounds
-            bounds[key] = max(bounds.get(key, 1), n)
-            if flags.pop(key, False):
-                mach.report.loops.add(key)
+            report = t[-1].report
+            report.loop_bounds[key] = max(report.loop_bounds.get(key, 1),
+                                          regs[n])
+            regs[n] = 1
+            if t[n]:
+                t[n] = False
+                report.loops.add(key)
                 for s in defs:
                     t[s] = True
         return h
 
-    def flagged(self, fn, ins, h):
+    def flagged(self, fn, ins):
         if ins.op == "load":
-            return h        # `_op_load` flags its result itself
+            return self._op_load(fn, ins)    # it flags its result itself
+        h = super().flagged(fn, ins)
         if ins.op not in ("div", "rem"):
-            return super().flagged(fn, ins, h)
+            return h
         d, iid = self.slot(ins.name), ins.iid
-        a, b = self.key(ins.args[0]), self.key(ins.args[1])
 
         def ht(mach, regs, t):
             h(mach, regs, t)
-            r = t[a] or t[b]
-            if r:
-                mach.report.divrem.add(iid)
-            t[d] = r
+            if t[d]:
+                t[-1].report.divrem.add(iid)
         return ht
 
     # no one reads a profiling run's trace, so plain accesses skip the
@@ -184,9 +188,10 @@ class TaintDecoder(FlagDecoder):
             regs[d] = mach.mem.read(p, size)
             tp = t[pk]
             if tp:
-                mach.report.reads.add(iid)
-                mach.report.addr_tainted.add(iid)
-            t[d] = tp or not mach.mtaint.isdisjoint(range(p, p + size))
+                t[-1].report.reads.add(iid)
+                t[-1].report.addr_tainted.add(iid)
+            t[d] = tp or bool(mach.mtaint) \
+                and not mach.mtaint.isdisjoint(range(p, p + size))
         return ht
 
     def _op_store(self, fn, ins):
@@ -199,37 +204,34 @@ class TaintDecoder(FlagDecoder):
             tv = t[vk]
             tp = t[pk]
             if tv or tp:
-                mach.report.writes.add(iid)
-            if tp:
-                mach.report.addr_tainted.add(iid)
-            span = range(p, p + size)
-            if tv or tp:
-                mach.mtaint.update(span)
-            else:
-                mach.mtaint.difference_update(span)
+                t[-1].report.writes.add(iid)
+                if tp:
+                    t[-1].report.addr_tainted.add(iid)
+                mach.mtaint.update(range(p, p + size))
+            elif mach.mtaint:
+                mach.mtaint.difference_update(range(p, p + size))
         return ht
 
-    # -- frame discipline --------------------------------------------------
+    # -- frames: a frame's flags end with the context it runs in ------------
 
-    def enter(self, ins):
-        site = ins.iid
+    def entry_aux(self, df, mach):
+        return super().entry_aux(df, mach) + [mach.contexts[0]]
 
-        def enter(mach, t, argk, callee):
-            mach.descend(site, callee.name)
-            mach.trips.append({})
-            mach.tflags.append({})
-            return [False, *(t[k] or s for k, s in zip(argk, callee.secret)),
-                    *callee.flags[len(argk) + 1:]]
+    def enter(self, ins, argk):
+        # the callee's parameters take the taint of their arguments, and
+        # its frame runs in the child context of the caller's
+        site, n = ins.iid, len(argk) + 1
+        key = (site, ins.callee) if ins.op == "call" else None
+
+        def enter(mach, t, callee):
+            node = t[-1]
+            tc = callee.flags + [node.children.get(key or (site, callee.name))
+                                 or mach.descend(node, site, callee.name)]
+            tc[1:n] = map(t.__getitem__, argk)
+            if True in callee.secret:
+                tc[1:n] = map(operator.or_, tc[1:n], callee.secret)
+            return tc
         return enter
-
-    def leave(self, ins):
-        def leave(mach, t):
-            ctx = mach.ctx
-            ctx.pop()
-            mach.report = ctx[-1].report
-            mach.trips.pop()
-            mach.tflags.pop()
-        return leave
 
 
 class TaintMachine(Machine):
@@ -237,34 +239,27 @@ class TaintMachine(Machine):
 
     One machine profiles one input from the root context of a calling-
     context tree that accumulates across runs; new nodes are appended
-    to `contexts`.  The handlers write to `report`, the report of the
-    context running now.  `code` is the module decoded with
-    `TaintDecoder` once per suite.
+    to `contexts`.  Each frame's flag list ends with the context it
+    runs in, whose report its handlers write to.  `code` is the module
+    decoded with `TaintDecoder` once per suite.
     """
 
     def __init__(self, m: Module, contexts: list, budget: int, code: Code):
         super().__init__(m, lam=1, budget=budget, code=code)
         self.contexts = contexts
-        self.ctx = [contexts[0]]    # context of each live frame
-        self.report = contexts[0].report
-        self.trips = [{}]       # (fn, header) -> live trip count, per frame
-        self.tflags = [{}]      # (fn, header) -> latch cond ever tainted
         self.mtaint = set()     # tainted byte addresses
 
-    def descend(self, site: int, fn: str):
-        """Enter fn through call site `site` of the running context."""
-        node = self.ctx[-1]
-        child = node.children.get((site, fn))
+    def descend(self, node: Context, site: int, fn: str) -> Context:
+        """The context fn runs in when node calls it from `site`, found
+        on the first such call: a new child, or fn's ancestor."""
+        child = node
+        while child is not None and child.fn != fn:
+            child = child.parent
         if child is None:
-            child = node
-            while child is not None and child.fn != fn:
-                child = child.parent
-            if child is None:
-                child = Context(node, site, fn)
-                self.contexts.append(child)
-            node.children[(site, fn)] = child
-        self.ctx.append(child)
-        self.report = child.report
+            child = Context(node, site, fn)
+            self.contexts.append(child)
+        node.children[(site, fn)] = child
+        return child
 
 
 def input_shape(m: Module, entry: str = "main"):

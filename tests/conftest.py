@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -57,3 +60,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE:
             terminalreporter.write_line(line)
+
+
+@functools.cache
+def scale_programs(seed: int) -> dict:
+    """name -> text of the benchmark's `scale` programs at seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", (
+        os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                     "workloads.py")))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads    # for its dataclass
+    spec.loader.exec_module(workloads)
+    return {j.name: j.text for j in workloads.scale_jobs(seed)}

@@ -5,10 +5,11 @@ import random
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hardened, load
+from conftest import hardened, load, scale_programs
 from ctlin import cfl
 from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
@@ -329,3 +330,54 @@ def test_region_tree_of_a_deep_nest_builds_in_bounded_time():
         (r,) = r.children
         depth += 1
     assert depth == 1000
+
+
+# sha256 of the hardened bytes, recorded when every merge guarded every
+# block of its arms again
+MERGED_BYTES = {
+    "nested_chain.1": "1c6c3fa50d0a0f2c",
+    "nested_chain.2": "28efedad2fd031b6",
+    "nested_chain.3": "d3c56d422ee7c766",
+    "nested_chain.7": "c72e618e3db2bcdf",
+    "nested_chain.20": "e513e2dbb4b416a9",
+    "nested_chain.50": "6626ec30a325061c",
+    "nested_chain.200": "0a54cdf9ebde5967",
+    "scale7.call_tree": "4e4c1e7fab5c94b6",
+    "scale7.guarded_bump": "f2f6b5e529f5953d",
+    "scale7.nested_branches": "52bddac8476fdbfa",
+    "scale7.secret_loops": "48108c927a90d279",
+    "scale11.call_tree": "115e9338fd6e4080",
+    "scale11.guarded_bump": "f2f6b5e529f5953d",
+    "scale11.nested_branches": "8badf4c8736ff0ef",
+    "scale11.secret_loops": "4ae32733aaceddad",
+}
+
+
+class TestGuardOnce:
+    """Each merge guards only the blocks that hold unclaimed
+    instructions, so a nest of n branches guards O(n) blocks."""
+
+    def test_deep_nest_guards_each_block_once(self, monkeypatch):
+        n = 800
+        calls = [0]
+        real = cfl._guard_block
+
+        def guard(*a):
+            calls[0] += 1
+            return real(*a)
+
+        monkeypatch.setattr(cfl, "_guard_block", guard)
+        _, rep = harden_module(parse_module(nested_chain(n)))
+        assert rep["branches_linearized"] == n
+        assert calls[0] <= 4 * n
+
+    @pytest.mark.parametrize("name", list(MERGED_BYTES))
+    def test_bytes_as_recorded(self, name):
+        kind, arg = name.split(".")
+        if kind == "nested_chain":
+            text = nested_chain(int(arg))
+        else:
+            text = scale_programs(int(kind[5:]))[arg]
+        hard = print_module(harden_module(parse_module(text))[0])
+        assert hashlib.sha256(hard.encode()).hexdigest()[:16] \
+            == MERGED_BYTES[name]

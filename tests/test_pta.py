@@ -137,17 +137,25 @@ class TestCloning:
         assert any(i.op == "mul" for i in hm.funcs["pick.c1"].instructions())
         assert all(v.passed for v in verify_module(parse_module(src), hm))
 
+    RECURSIVE = (
+        "func @rec(%n: i64) -> i64 {\nentry:\n"
+        "  %c = icmp le %n, 0\n  condbr %c, base, more\n"
+        "base:\n  ret 0\n"
+        "more:\n  %n1 = sub i64 %n, 1\n  %r = call @rec(%n1)\n"
+        "  ret %r\n}\n"
+        "func @main(%s: secret i64) -> i64 {\nentry:\n"
+        "  %r = call @rec(%s)\n  ret %r\n}\n")
+
     def test_recursion_rejected(self):
-        m = parse_module(
-            "func @rec(%n: i64) -> i64 {\nentry:\n"
-            "  %c = icmp le %n, 0\n  condbr %c, base, more\n"
-            "base:\n  ret 0\n"
-            "more:\n  %n1 = sub i64 %n, 1\n  %r = call @rec(%n1)\n"
-            "  ret %r\n}\n"
-            "func @main(%s: secret i64) -> i64 {\nentry:\n"
-            "  %r = call @rec(%s)\n  ret %r\n}\n")
+        m = parse_module(self.RECURSIVE)
         with pytest.raises(CloneError):
             aggressive_clone(m, {"main", "rec"})
+
+    def test_recursion_outside_scope_stays_shared(self):
+        m = parse_module(self.RECURSIVE)
+        assert aggressive_clone(m, {"main"}) == {}
+        assert sorted(m.funcs) == ["main", "rec"]
+        assert m.callees() == {"main": {"rec"}, "rec": {"rec"}}
 
     def test_nothing_to_do(self):
         m = load("table_lookup")

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,3 +74,19 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module("ctlin." + mod), f,
                                 None))]
     assert missing == []
+
+
+def test_pair_ab_times_two_package_copies(capsys):
+    # tools/pair_ab.py loads a checkout's src/ctlin under a package name
+    # of its own; here both sides are this checkout (an A/A run)
+    spec = importlib.util.spec_from_file_location(
+        "pair_ab", os.path.join(ROOT, "tools", "pair_ab.py"))
+    pair_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pair_ab)
+    assert pair_ab.main([ROOT, ROOT, "--workload", "scale", "--seed", "7",
+                         "--stage", "taint_profile", "--rounds", "2"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["rounds"] == 2 and 0 <= result["b_faster_rounds"] <= 2
+    assert result["a_median_s"] > 0 and result["b_median_s"] > 0
+    assert 0 < result["ratio_q1"] <= result["ratio_median"] \
+        <= result["ratio_q3"]

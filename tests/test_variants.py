@@ -24,7 +24,7 @@ from ctlin.normalize import normalize_regions, unify_exits
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.taint import (Context, TaintDecoder, TaintMachine, default_suite,
                          taint_profile)
-from ctlin.verify import public_batch, secret_batch
+from ctlin.verify import public_batch, secret_batch, verify_module
 
 NAMES = ("covering_loop", "exp_loop_pair", "fn_table_dispatch", "jit_trip",
          "nested_branches", "store_sweep", "table_lookup", "two_context")
@@ -156,8 +156,67 @@ entry:
 """ % bytes(16).hex(),
 }
 PROGRAMS = NAMES + tuple(EXTRA)
-# cloning refuses a recursive callee under a sensitive root
-NO_CLONING = {"call_paths"}
+
+# a secret loop whose body calls the loop's own function: each frame's
+# trip count and latch taint have to outlive the nested frames of the
+# same function.  The first trip's bound is secret at the top and
+# public below, so only the top frame's loop exit taints what leaves
+# it, and the caller's branch on the result.  The hardened function
+# recurses on every decoy path, so this runs as written only.
+LOOP_RECURSION = """\
+func @walk(%d: i64, %s: i64) -> i64 {
+entry:
+  %k = and i64 %s, 7
+  %m = add i64 %d, 4
+  br loop
+loop:
+  %i = phi i64 [entry: 0, next: %i1]
+  %acc = phi i64 [entry: %d, next: %acc2]
+  %first = icmp eq %i, 0
+  %lim = select %first, %k, %m
+  %deep = icmp gt %d, 0
+  %late = icmp eq %i, 1
+  %go = and i1 %deep, %late
+  condbr %go, down, next
+down:
+  %d1 = sub i64 %d, 1
+  %r = call @walk(%d1, %d)
+  br next
+next:
+  %acc1 = mul i64 %acc, 3
+  %acc2 = add i64 %acc1, %i
+  %i1 = add i64 %i, 1
+  %stop = icmp ge %i1, %lim
+  condbr %stop, out, loop
+out:
+  %big = icmp gt %acc2, 100
+  condbr %big, hi, lo
+hi:
+  %h = and i64 %acc2, 255
+  br join
+lo:
+  br join
+join:
+  %o = phi i64 [hi: %h, lo: %acc2]
+  ret %o
+}
+
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %d = and i64 %p, 3
+  %r = call @walk(%d, %s)
+  %c = icmp gt %r, 50
+  condbr %c, a, b
+a:
+  %x = add i64 %r, 1
+  br j
+b:
+  br j
+j:
+  %y = phi i64 [a: %x, b: %r]
+  ret %y
+}
+"""
 
 
 def _runs(m, machine) -> list:
@@ -197,8 +256,7 @@ def profiled_and_hardened():
     try:
         for name in PROGRAMS:
             src = EXTRA.get(name) or corpus_src(name)
-            hm, _ = harden_module(parse_module(src), PipelineConfig(
-                lam=64, cloning=name not in NO_CLONING))
+            hm, _ = harden_module(parse_module(src), PipelineConfig(lam=64))
             assert len(runs) == 1
             out[name] = runs.pop(), hm
     finally:
@@ -226,7 +284,7 @@ def test_decoy_variant_runs_as_plain(name, profiled_and_hardened):
 # call_paths as recorded with the dict-framed engine: a digest of the
 # plain runs of the verify grid on the program as written (normalized,
 # its icall kept), as profiled (icall promoted) and hardened at lambda
-# 64, and its taint report on the default suite
+# 64 without cloning, and its taint report on the default suite
 CALL_PATHS = {
     "written": "3169abfa9721c72f",
     "profiled": "77e878cbae8f02a0",
@@ -259,7 +317,9 @@ def test_call_paths_as_recorded(profiled_and_hardened):
     assert _runs(m, lambda: Machine(m, code=decoy)) == plain
     assert _runs(m, lambda: TaintMachine(m, contexts, DEFAULT_BUDGET,
                                          taint)) == plain
-    (profiled, _), hm = profiled_and_hardened["call_paths"]
+    (profiled, _), _ = profiled_and_hardened["call_paths"]
+    hm, _ = harden_module(parse_module(EXTRA["call_paths"]),
+                          PipelineConfig(lam=64, cloning=False))
     hcode = Code(hm, DecoyDecoder())
     for pub in public_batch(hm):
         for sv in secret_batch(hm, pairs=8):
@@ -269,3 +329,53 @@ def test_call_paths_as_recorded(profiled_and_hardened):
             "hardened": _digest(_plain(hm))} == CALL_PATHS
     rep = taint_profile(m, default_suite(m), rt)
     assert _report(rep) == CALL_PATHS_REPORT
+
+
+# LOOP_RECURSION as recorded with per-frame dicts of loop trips and
+# latch taints: digests of its verify-grid runs under each variant,
+# the taint runs with the flag of the value `ret` hands back, and its
+# taint report on the default suite
+LOOP_RECURSION_RUNS = {
+    "plain": "de304e8e0977225b", "decoy": "de304e8e0977225b",
+    "taint": "70ce40f548d1b1bd",
+}
+LOOP_RECURSION_REPORT = {
+    "branches": [20, 29], "loops": [("walk", "loop")], "reads": [],
+    "writes": [], "addr_tainted": [], "divrem": [],
+    "loop_bounds": [(("walk", "loop"), 7)],
+}
+
+
+def test_loop_state_survives_recursion():
+    m = parse_module(LOOP_RECURSION)
+    unify_exits(m)
+    rt = normalize_regions(m)
+    decoy, taint = Code(m, DecoyDecoder()), Code(m, TaintDecoder(rt))
+    contexts = [Context(None, None, "main")]
+    flags = []
+
+    def profiled():
+        mach = TaintMachine(m, contexts, DEFAULT_BUDGET, taint)
+        run = mach.run
+        mach.run = lambda inp: (run(inp), flags.append(mach.ret_flag))[0]
+        return mach
+
+    runs = {"plain": _plain(m),
+            "decoy": _runs(m, lambda: Machine(m, code=decoy)),
+            "taint": _runs(m, profiled)}
+    assert runs["decoy"] == runs["plain"] == runs["taint"]
+    runs["taint"] = list(zip(runs["taint"], flags))
+    assert {k: _digest(v) for k, v in runs.items()} == LOOP_RECURSION_RUNS
+    rep = taint_profile(m, default_suite(m), rt)
+    assert _report(rep) == LOOP_RECURSION_REPORT
+
+
+def test_call_paths_hardens_with_cloning(profiled_and_hardened):
+    # @sum recurses outside the sensitive functions and their callers,
+    # so cloning leaves it one shared copy and splits only @mix
+    _, hm = profiled_and_hardened["call_paths"]
+    assert sorted(hm.funcs) == ["main", "mix", "mix.c1", "sum"]
+    verdicts = verify_module(parse_module(EXTRA["call_paths"]), hm, pairs=8)
+    assert [v.line().split(":")[0] for v in verdicts] == [
+        "PASS pc-security", "PASS obliviousness@64", "PASS equivalence",
+        "PASS decoy-invariants"]
