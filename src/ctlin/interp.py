@@ -14,8 +14,11 @@ run may start some globals elsewhere by writing its own memory before
 `run`, as the verifier's retry does with grown trip-count cells.
 Decoding splits each block into runs
 of handlers that end at calls, with the terminator as a small tagged
-tuple; the parallel copy of the phis, one per predecessor label, is the
-first handler of the run entered over that edge.  Handlers are closures
+tuple; a run goes on through a `br` into a block (not the entry) that
+no other edge enters, so a chain of such blocks decodes as one, and
+the phi copy of that edge sits mid-run.  At any other block the
+parallel copy of the phis, one per predecessor label, is the first
+handler of the run entered over that edge.  Handlers are closures
 over what the instruction fixes: the frame slots of its operands and
 result, widths, masks, compare bits, access sizes, metadata plans, the
 builtin to run, and a direct call's argument masks.  A frame is a list;
@@ -69,11 +72,11 @@ from __future__ import annotations
 
 import bisect
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .cfl import ct_select, encode_taken
-from .ir import (BINOPS, BUILTIN_FUNCS, Const, Module, Reg, Sym, gep_steps,
-                 is_reserved_name, reg_types, site_token, size_of)
+from .ir import (BINOPS, BUILTIN_FUNCS, TERMINATORS, Const, Module, Reg, Sym,
+                 gep_steps, is_reserved_name, reg_types, site_token, size_of)
 
 MAGIC = 0xD1F1D1F1C0C0C0C0
 
@@ -292,7 +295,8 @@ class DFunc:
     and its flags are `flags`, all false.
 
     blocks[0] is the entry; the last block traps, and stands for every
-    label that names no block.  Terminators and call handlers name
+    label that names no block.  A block another one's chain decodes
+    (`DBlock`) is None.  Terminators and call handlers name
     blocks and callees by index and name, so decoded code holds no
     reference cycle and is freed as soon as its batch drops it.
     """
@@ -311,30 +315,37 @@ class DFunc:
 
 
 class DBlock:
-    """segs: runs (iids, n, handlers, ends), each ending at a call or at
-    the terminator; handler j covers the iids before ends[j].  A block
-    with phis has no segs of its own: phis maps each predecessor label
-    to the runs entered from it, the first of which starts with that
-    edge's parallel copy, and phi_miss holds the runs for an edge no phi
-    names.  term: (_BR, block index) | (_CONDBR, cond key, true index,
-    false index) | (_RET, key) | (_TRAP, detail)."""
+    """A chain of blocks decoded as one: a block, then each block (not
+    the entry) that only the previous one's `br` enters.  label and term
+    are the chain's last block's: the label the next block's phis read
+    as the predecessor, and its terminator, (_BR, block index) |
+    (_CONDBR, cond key, true index, false index) | (_RET, key) |
+    (_TRAP, detail).
+
+    segs: runs (iids, n, handlers, ends), each ending at a call or at
+    the terminator; handler j runs once the iids before ends[j] are
+    stepped.  A later block's phi copy sits mid-run, after the `br` into
+    it.  If the first block has phis, its segs are not run: phis maps
+    each predecessor label to the runs entered from it, the first of
+    which starts with that edge's parallel copy, and phi_miss holds the
+    runs for an edge no phi names."""
 
     __slots__ = ("label", "phis", "phi_miss", "segs", "term")
 
-    def __init__(self, label):
-        self.label = label
-        self.phis = None
-        self.phi_miss = None
-        self.segs = ()
-        self.term = (_TRAP, "block fell through")
+    def __init__(self, label, segs, term):
+        self.label, self.segs, self.term = label, segs, term
+        self.phis = self.phi_miss = None
 
 
-def _run(iids, hs, ends=None):
-    """(iids, n, handlers, ends) of a run of handlers; by default handler
-    j covers iid j, and a terminator without a handler comes last."""
-    if ends is None:
-        ends = range(1, len(hs) + 1)
+def _run(iids, hs, ends):
     return tuple(iids), len(iids), tuple(hs), tuple(ends)
+
+
+def _getter(keys):
+    """One C-level call that reads a frame list at keys, as a tuple: two
+    readings of slot 0 follow, so it is a tuple however few keys there
+    are, and the zip or map that takes it stops before them."""
+    return operator.itemgetter(*keys, 0, 0)
 
 
 def _trap(detail):
@@ -395,14 +406,22 @@ class Decoder:
         self.slots = {k: i for i, k in enumerate(df.names)}
         self.types = reg_types(self.m, fn)
         index = {label: i for i, label in enumerate(fn.blocks)}
-        nowhere = DBlock("")
-        nowhere.term = (_TRAP, "branch to unknown label")
-        blocks = []
-        for b in fn.blocks.values():
-            db = DBlock(b.label)
-            self.decode_block(fn, b, db, index)
-            blocks.append(db)
-        df.blocks = tuple(blocks) + (nowhere,)
+        # a block that is not the entry (index 0), and that no edge but
+        # its predecessor's `br` enters, continues that predecessor's
+        # chain; dead edges past a first terminator count too (safe)
+        into = Counter(lbl for b in fn.blocks.values() for ins in b.instrs
+                       for lbl in ins.labels)
+        then = {b.label: t.labels[0] for b in fn.blocks.values()
+                if b.instrs and (t := b.instrs[-1]).op == "br"
+                and into[t.labels[0]] == 1 and index.get(t.labels[0], 0)}
+        blocks, seen = [None] * len(index), set()
+        # chain heads first: only a cycle of members has none
+        for label in sorted(index, key=set(then.values()).__contains__):
+            if label not in seen:
+                blocks[index[label]] = self.decode_chain(
+                    fn, fn.blocks[label], then, index, seen)
+        nowhere = DBlock("", (), (_TRAP, "branch to unknown label"))
+        df.blocks = (*blocks, nowhere)
         df.flags = [False] * len(df.template)
 
     def key(self, o) -> int:
@@ -430,32 +449,50 @@ class Decoder:
             self.df.template.append(value)
         return s
 
-    def decode_block(self, fn, b, db: DBlock, index):
-        segs = []
-        iids, hs = [], []
-        for ins in b.instrs:
-            if ins.op == "phi":
-                continue
-            iids.append(ins.iid)
-            if ins.is_terminator():
-                h = self.terminal(fn, b, ins)
-                if h is not None:
-                    hs.append(h)
-                db.term = self._term(ins, index)
+    def decode_chain(self, fn, head, then, index, seen) -> DBlock:
+        """The decoded block of the chain from head: the decoded `br` into
+        the next member (then[label]) continues the run, the member's phi
+        copy mid-run, until a block this or an earlier chain decoded."""
+        segs, iids, hs, ends = [], [], [], []
+        b = head
+        while True:
+            seen.add(b.label)
+            term = (_TRAP, "block fell through")
+            if b is not head and (phis := b.phis()):
+                copy_iids, act = self._phi_copy(fn, b, phis, pred)
+                iids += copy_iids
+                hs.append(act)
+                ends.append(len(iids))
+            for ins in b.instrs:
+                if ins.op == "phi":
+                    continue
+                iids.append(ins.iid)
+                if ins.op in TERMINATORS:
+                    h = self.terminal(fn, b, ins)
+                    if h is not None:
+                        hs.append(h)
+                        ends.append(len(iids))
+                    term = self._term(ins, index)
+                    break
+                hs.append(self.op(fn, ins))
+                ends.append(len(iids))
+                if ins.op == "icall" or (ins.op == "call"
+                                         and ins.callee in self.m.funcs):
+                    segs.append(_run(iids, hs, ends))
+                    iids, hs, ends = [], [], []
+            nxt = then.get(b.label)
+            if nxt is None or nxt in seen or term != (_BR, index[nxt]):
                 break
-            hs.append(self.op(fn, ins))
-            if ins.op == "icall" or (ins.op == "call"
-                                     and ins.callee in self.m.funcs):
-                segs.append(_run(iids, hs))
-                iids, hs = [], []
+            pred, b = b.label, fn.blocks[nxt]
         if iids:
-            segs.append(_run(iids, hs))
-        db.segs = tuple(segs)
-        phis = [i for i in b.instrs if i.op == "phi"]
-        if phis:
-            db.phis = {lbl: self._phi_edge(fn, b, phis, lbl, db.segs)
-                       for ph in phis for lbl, _ in ph.incoming}
-            db.phi_miss = self._phi_edge(fn, b, phis, None, db.segs)
+            segs.append(_run(iids, hs, ends))
+        db = DBlock(b.label, tuple(segs), term)
+        if phis := head.phis():
+            preds = dict.fromkeys(lbl for ph in phis for lbl, _ in ph.incoming)
+            db.phis = {lbl: self._phi_edge(fn, head, phis, lbl, db.segs)
+                       for lbl in preds}
+            db.phi_miss = self._phi_edge(fn, head, phis, None, db.segs)
+        return db
 
     def _term(self, ins, index):
         nowhere = len(index)
@@ -467,9 +504,9 @@ class Decoder:
                     index.get(ins.labels[1], nowhere))
         return (_RET, self.key(ins.args[0]))
 
-    def _phi_edge(self, fn, b, phis, pred, segs):
-        """The runs entered from pred: the parallel copy, as the first
-        handler of the block's first run.
+    def _phi_copy(self, fn, b, phis, pred):
+        """(iids, handler) of the parallel copy of b's phis entered from
+        pred.
 
         The copy stops at the first phi with no incoming value for pred,
         which traps once it has been stepped; nothing runs after it.
@@ -480,13 +517,15 @@ class Decoder:
             if src is None:
                 break
             copies.append((ph, self.key(src)))
-        trap = len(copies) < len(phis)
-        act = self.phi_copy(fn, b, copies, trap)
-        iids = tuple(ph.iid for ph in phis[:len(copies) + 1])
-        if trap or not segs:
-            return (_run(iids, [act], [len(iids)]),)
-        first_iids, _, first_hs, first_ends = segs[0]
-        return (_run(iids + first_iids, (act,) + first_hs,
+        return ([ph.iid for ph in phis[:len(copies) + 1]],
+                self.phi_copy(fn, b, copies, len(copies) < len(phis)))
+
+    def _phi_edge(self, fn, b, phis, pred, segs):
+        """The runs entered from pred: the parallel copy, as the first
+        handler of the block's first run."""
+        iids, act = self._phi_copy(fn, b, phis, pred)
+        first_iids, _, first_hs, first_ends = segs[0] if segs else ((),) * 4
+        return (_run(iids + list(first_iids), [act, *first_hs],
                      [len(iids)] + [len(iids) + e for e in first_ends]),
                 ) + segs[1:]
 
@@ -501,9 +540,10 @@ class Decoder:
                 regs[d] = regs[s] & mk
             return act
 
+        get = _getter(srcs)
+
         def act(mach, regs, aux):
-            vals = [regs[s] for s in srcs]
-            for d, v, mk in zip(names, vals, masks):
+            for d, v, mk in zip(names, get(regs), masks):
                 regs[d] = v & mk
             if trap:
                 raise AbortError("trap", "phi without incoming edge")
@@ -737,12 +777,13 @@ class Decoder:
         else:
             fk, name, args, masks = None, callee.name, ins.args, callee.masks
         argk = tuple(self.key(a) for a in args)
-        enter, fresh = self.enter(ins, argk), self.fresh_aux
+        enter, fresh, get = self.enter(ins, argk), self.fresh_aux, \
+            _getter(argk)
 
         def h(mach, regs, aux):
             if fk is None:
                 callee = mach.code.funcs[name]
-                args = [regs[k] & mk for k, mk in zip(argk, masks)]
+                args = list(map(operator.and_, get(regs), masks))
             else:
                 fp = slot_value(regs[fk])
                 vals = [slot_value(regs[k]) for k in argk]
@@ -775,13 +816,28 @@ class Decoder:
         return h
 
     def _bi_ct_select(self, fn, ins):
+        """`cfl.ct_select` of the code's scheme with its taken operand
+        encoded, in one closure; an arm read unset traps in every form."""
         d, scheme = self.slot(ins.name), self.code.scheme
         tk, ak, bk = (self.key(a) for a in ins.args[:3])
-
-        def h(mach, regs, aux):
-            t = regs[tk] & 1
-            regs[d] = ct_select(scheme, encode_taken(scheme, t),
-                                regs[ak], regs[bk])
+        if scheme == 1:
+            def h(mach, regs, aux):
+                b = regs[bk]
+                regs[d] = (b + (regs[ak] - b) * (regs[tk] & 1)) & M64
+        elif scheme == 2:
+            def h(mach, regs, aux):
+                a, b = regs[ak] & M64, regs[bk] & M64
+                regs[d] = a if regs[tk] & 1 else b
+        elif scheme in (3, 4):      # the negated taken bit is scheme 4's
+            def h(mach, regs, aux):
+                t = -(regs[tk] & 1) & M64
+                regs[d] = (regs[ak] & t) | (regs[bk] & (t ^ M64))
+        elif scheme == 5:
+            def h(mach, regs, aux):
+                t = regs[tk] & 1
+                regs[d] = (regs[ak] * t + regs[bk] * (1 - t)) & M64
+        else:
+            return _trap("unknown select scheme %d" % scheme)
         return h
 
     def _bi_dfl_alloc_stack(self, fn, ins):
@@ -910,7 +966,7 @@ class FlagDecoder(Decoder):
         d, t = self.slot(ins.name), self.guard(fn, ins)
         keys = tuple(self.key(a) for a in ins.args if isinstance(a, Reg))
         k0, k1 = (keys + (0, 0))[:2]
-        if not t and len(keys) < 3 and (hf := self.fused(ins, d, k0, k1)):
+        if len(keys) < 3 and (hf := self.fused(ins, d, k0, k1, t)):
             return hf
         h = super().op(fn, ins)
         if len(keys) > 2:
@@ -929,10 +985,11 @@ class FlagDecoder(Decoder):
             aux[d] = f
         return hf
 
-    def fused(self, ins, d, k0, k1):
-        """The unguarded operand-rule handler of an icmp, add, sub, mul,
-        and, or or xor as one closure, or None."""
-        if ins.op == "icmp" and (cmp := self._icmp(ins)):
+    def fused(self, ins, d, k0, k1, t):
+        """The operand-rule handler of an add, sub, mul, and, or or xor,
+        or of an unguarded icmp, as one closure, or None; one without a
+        guard (t = 0) reads none."""
+        if ins.op == "icmp" and not t and (cmp := self._icmp(ins)):
             a, b, ordered, e, mask, sign = cmp
             if ordered:
                 def hf(mach, regs, aux):
@@ -949,6 +1006,12 @@ class FlagDecoder(Decoder):
             return None
         a, b = self.key(ins.args[0]), self.key(ins.args[1])
         op, mask = _ARITH[ins.op], (1 << ins.ty.bits) - 1
+        if t:
+            def hf(mach, regs, aux):
+                g = regs[t]
+                aux[d] = aux[k0] or aux[k1] or g is not None and not g & 1
+                regs[d] = op(regs[a], regs[b]) & mask
+            return hf
 
         def hf(mach, regs, aux):
             aux[d] = aux[k0] or aux[k1]
@@ -970,12 +1033,10 @@ class FlagDecoder(Decoder):
         srcs = tuple(k for _, k in copies)
         masks = tuple(_mask(ph.ty) for ph, _ in copies)
         guards = tuple(self.guard(fn, ph) for ph, _ in copies)
-        conds = self.join_conds(fn, b)
+        conds, get = self.join_conds(fn, b), _getter(srcs)
         if not (trap or conds or any(guards)):
             def act(mach, regs, aux):
-                vals = list(map(regs.__getitem__, srcs))
-                flags = list(map(aux.__getitem__, srcs))
-                for d, v, mk, f in zip(names, vals, masks, flags):
+                for d, v, mk, f in zip(names, get(regs), masks, get(aux)):
                     regs[d] = v & mk
                     aux[d] = f
             return act
@@ -984,9 +1045,8 @@ class FlagDecoder(Decoder):
             # in parallel: every phi reads the values and flags from
             # before the copy; guards and join conditions are read as
             # the copy goes
-            vals = list(map(regs.__getitem__, srcs))
-            flags = list(map(aux.__getitem__, srcs))
-            for d, v, mk, f, t in zip(names, vals, masks, flags, guards):
+            for d, v, mk, f, t in zip(names, get(regs), masks, get(aux),
+                                      guards):
                 regs[d] = v & mk
                 g = regs[t]
                 aux[d] = f or g is not None and not g & 1 \

@@ -1,5 +1,6 @@
 """Reference interpreter semantics against independent oracles."""
 
+import functools
 import random
 
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from conftest import RECURSIVE, hardened, load
+from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import (DEFAULT_BUDGET, MAX_CALL_DEPTH, Code,
                           DecoyDecoder, ExecInput, Machine, SuiteError,
                           Trace, final_state, format_suite, interpret,
@@ -245,6 +247,143 @@ class TestShortInputs:
         assert run_expr(body, secrets=[7, 0, 5], sig="()").output == 12
 
 
+def _variants(m):
+    """(name, code) of m decoded plain and as the decoy shadow."""
+    return [("plain", Code(m)), ("decoy", Code(m, DecoyDecoder()))]
+
+
+CHAIN = """\
+func @f(%x: i64) -> i64 {
+entry:
+  %y = mul i64 %x, 3
+  ret %y
+}
+
+func @main(%a: i64) -> i64 {
+entry:
+  %a1 = add i64 %a, 1
+  br m1
+m1:
+  %p = phi i64 [entry: %a1]
+  %q = phi i64 [entry: 5]
+  %r = add i64 %p, %q
+  br m2
+m2:
+  %c = call @f(%r)
+  %d = add i64 %c, 1
+  br m3
+m3:
+  %e = icmp eq %a, 0
+  condbr %e, j, k
+k:
+  br j
+j:
+  %v = phi i64 [m3: %d, k: 7]
+  ret %v
+}
+"""
+
+
+class TestChains:
+    """A block that only its predecessor's `br` enters continues that
+    predecessor's run: entry, m1, m2 and m3 of CHAIN decode as one
+    block, split after the call, that ends in m3's condbr."""
+
+    def _iids(self, m, fn, *labels):
+        blocks = m.funcs[fn].blocks
+        return [i.iid for lbl in labels for i in blocks[lbl].instrs]
+
+    def test_chain_decodes_as_one_block(self):
+        m = parse_module(CHAIN)
+        for _, code in _variants(m):
+            blocks = code.funcs["main"].blocks
+            assert blocks[0].label == "m3" and len(blocks[0].segs) == 2
+            assert blocks[1:4] == (None, None, None)
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_phis_calls_and_the_edge_after_the_chain(self, a):
+        # m1's phis are copied mid-run; f's iids come between m2's call
+        # and the rest of m2; j takes the phi edge of m3, the chain's
+        # last block, or of k
+        m = parse_module(CHAIN)
+        call = self._iids(m, "main", "m2")[0]
+        head = self._iids(m, "main", "entry", "m1")
+        tail = self._iids(m, "main", "m2", "m3")[1:]
+        want = head + [call] + self._iids(m, "f", "entry") + tail \
+            + self._iids(m, "main", *(("k",) if a else ()), "j")
+        for name, code in _variants(m):
+            tr = Machine(m, code=code).run(ExecInput([a], []))
+            assert tr.output == ((a + 6) * 3 + 1 if a == 0 else 7), name
+            assert tr.instrs == want, name
+
+    def test_budget_inside_a_chain_cuts_the_trace_there(self):
+        m = parse_module(CHAIN)
+        for name, code in _variants(m):
+            full = Machine(m, code=code).run(ExecInput([0], [])).instrs
+            for budget in range(1, len(full)):
+                mach = Machine(m, budget=budget, code=code)
+                tr = mach.run(ExecInput([0], []))
+                assert tr.abort == "budget", (name, budget)
+                assert tr.instrs == full[:budget], (name, budget)
+
+    def test_entry_branching_to_itself_runs_to_the_budget(self):
+        m = parse_module("func @main() -> i64 {\nentry:\n"
+                         "  %x = add i64 1, 2\n  br entry\n}\n")
+        for name, code in _variants(m):
+            tr = Machine(m, budget=101, code=code).run(ExecInput([], []))
+            assert tr.abort == "budget", name
+            assert tr.instrs == [0, 1] * 50 + [0], name
+
+    def test_unreachable_single_predecessor_cycle(self):
+        # a and b enter each other alone: no chain head reaches them, and
+        # decoding stops where the walk comes back to a
+        m = parse_module("func @main() -> i64 {\nentry:\n  ret 1\n"
+                         "a:\n  %x = phi i64 [b: %y]\n  br b\n"
+                         "b:\n  %y = add i64 %x, 1\n  br a\n}\n")
+        for name, code in _variants(m):
+            blocks = code.funcs["main"].blocks
+            assert blocks[1].label == "b" and blocks[2] is None, name
+            tr = Machine(m, code=code).run(ExecInput([], []))
+            assert tr.output == 1 and tr.instrs == [0], name
+
+
+@functools.cache
+def _select(scheme):
+    """(handler, frame template, slots of t, a, b and the result) of a
+    decoded `%r = call @ct_select(%t, %a, %b)` under scheme."""
+    m = parse_module("harden scheme=%d lambda=64\n"
+                     "func @main(%%t: i64, %%a: i64, %%b: i64) -> i64 {\n"
+                     "entry:\n  %%r = call @ct_select(%%t, %%a, %%b)\n"
+                     "  ret %%r\n}\n" % scheme)
+    df = Code(m).funcs["main"]
+    return df.blocks[0].segs[0][2][0], df.template, \
+        [df.names.index(r) for r in ("t", "a", "b", "r")]
+
+
+class TestDecodedSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 1 << 70),
+           st.integers(0, 1 << 70), st.integers(0, 1 << 70))
+    def test_equals_ct_select(self, scheme, t, a, b):
+        # cfl.ct_select is the reference; frames may hold values wider
+        # than 64 bits only here, but every form masks them alike
+        h, template, (tk, ak, bk, d) = _select(scheme)
+        regs = template.copy()
+        regs[tk], regs[ak], regs[bk] = t, a, b
+        h(None, regs, [False] * len(regs))
+        assert regs[d] == ct_select(scheme, encode_taken(scheme, t), a, b)
+
+    @pytest.mark.parametrize("scheme", range(1, 6))
+    def test_an_unset_arm_traps_in_every_scheme(self, scheme):
+        h, template, (tk, ak, bk, d) = _select(scheme)
+        for unset in (ak, bk):
+            regs = template.copy()
+            regs[tk], regs[ak], regs[bk] = 1, 2, 3
+            regs[unset] = None
+            with pytest.raises(TypeError):
+                h(None, regs, [False] * len(regs))
+
+
 UNSET_MAIN = "func @main(%%a: i64) -> i64 {\nentry:\n%s}\n"
 SWEEP_META = ("dflmeta 0 access=1 kind=%s lambda=64 ty=i64 natural=0 "
               "entries=[(site=g:@g, off=0, len=32, stride=8, "
@@ -272,6 +411,14 @@ UNSET_READS = {
                   + UNSET_MAIN % "  %x = add i64 %a, 1\n"
                   "  %r = icall @f(%u)\n  %z = add i64 %r, %x\n  ret %z\n",
                   2, 2),
+    # the read sits in a block that only entry's `br` enters, so it runs
+    # as part of entry's run
+    "chain_member": (UNSET_MAIN % "  %x = add i64 %a, 1\n  br m\n"
+                     "m:\n  %y = mul i64 %x, %u\n  %z = add i64 %y, 1\n"
+                     "  ret %z\n", 3, 3),
+    "chain_member_phi": (UNSET_MAIN % "  %x = add i64 %a, 1\n  br m\n"
+                         "m:\n  %p = phi i64 [entry: %u]\n"
+                         "  %q = add i64 %p, 1\n  ret %q\n", 3, 3),
     "condbr": (UNSET_MAIN % "  %x = add i64 %a, 1\n  condbr %u, l, r\n"
                "l:\n  ret %x\nr:\n  ret 2\n", 2, 2),
     "store_value": ("global @g: i64\n"

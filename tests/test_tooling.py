@@ -83,10 +83,12 @@ def test_pair_ab_times_two_package_copies(capsys):
         "pair_ab", os.path.join(ROOT, "tools", "pair_ab.py"))
     pair_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pair_ab)
-    assert pair_ab.main([ROOT, ROOT, "--workload", "scale", "--seed", "7",
-                         "--stage", "taint_profile", "--rounds", "2"]) == 0
-    result = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert result["rounds"] == 2 and 0 <= result["b_faster_rounds"] <= 2
-    assert result["a_median_s"] > 0 and result["b_median_s"] > 0
-    assert 0 < result["ratio_q1"] <= result["ratio_median"] \
-        <= result["ratio_q3"]
+    for stage in ("taint_profile", "decode"):
+        assert pair_ab.main([ROOT, ROOT, "--workload", "scale", "--seed",
+                             "7", "--stage", stage, "--rounds", "2"]) == 0
+        result = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert result["stage"] == stage and result["rounds"] == 2
+        assert 0 <= result["b_faster_rounds"] <= 2
+        assert result["a_median_s"] > 0 and result["b_median_s"] > 0
+        assert 0 < result["ratio_q1"] <= result["ratio_median"] \
+            <= result["ratio_q3"]

@@ -11,7 +11,10 @@ first in odd ones.  Stages:
 - `harden`: `ctlin harden`, in process, with the job's flags;
 - `verify`: `ctlin verify` of the job against that side's own hardening;
 - `taint_profile`: `taint.taint_profile` alone, on the module as the
-  pipeline profiles it (exits unified, icalls promoted, regions built).
+  pipeline profiles it (exits unified, icalls promoted, regions built);
+- `decode`: `interp.Code` of the job's hardened module, once plain and
+  once with the decoy decoder, as `verify` decodes it, each job after
+  an untimed `gc.collect()`.
 
 Each job is timed with perfbench's `HostClock` in reference seconds,
 which discount the host's speed changes, and a side's pass time is the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import importlib.util
 import io
@@ -42,7 +46,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 from hostclock import HostClock  # noqa: E402
 
-STAGES = ("harden", "verify", "taint_profile")
+STAGES = ("harden", "verify", "taint_profile", "decode")
 
 
 def load_ctlin(root: str, name: str) -> dict:
@@ -55,8 +59,8 @@ def load_ctlin(root: str, name: str) -> dict:
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return {mod: importlib.import_module("%s.%s" % (name, mod))
-            for mod in ("cli", "ir", "normalize", "pta", "pipeline",
-                        "taint")}
+            for mod in ("cli", "interp", "ir", "normalize", "pta",
+                        "pipeline", "taint")}
 
 
 def _cli(ctlin: dict, argv: list):
@@ -80,6 +84,7 @@ class Side:
             with open(self.path(job, ".ir"), "w") as f:
                 f.write(job.text)
         self.profiled = {}
+        self.hardened = {}
 
     def path(self, job, suffix: str) -> str:
         return os.path.join(self.work, job.name + suffix)
@@ -96,12 +101,22 @@ class Side:
         m, suite, rt = self.profiled[job.name]
         self.ctlin["taint"].taint_profile(m, suite, rt)
 
+    def decode(self, job):
+        interp = self.ctlin["interp"]
+        m = self.hardened[job.name]
+        interp.Code(m)
+        interp.Code(m, interp.DecoyDecoder())
+
     def prepare(self, stage: str):
-        """Untimed work a stage reads: hardenings for verify, profiled
-        modules for taint_profile."""
+        """Untimed work a stage reads: hardenings for verify and decode,
+        profiled modules for taint_profile."""
         for job in self.jobs:
-            if stage == "verify":
+            if stage in ("verify", "decode"):
                 self.harden(job)
+            if stage == "decode":
+                with open(self.path(job, ".hard.ir")) as f:
+                    self.hardened[job.name] = \
+                        self.ctlin["ir"].parse_module(f.read())
             elif stage == "taint_profile":
                 c = self.ctlin
                 m = c["ir"].parse_module(job.text)
@@ -118,6 +133,10 @@ class Side:
         """Reference seconds of one pass of stage over every job."""
         total = 0.0
         for job in self.jobs:
+            if stage == "decode":
+                # a decode allocates enough to trigger a full collection
+                # at random; start each one from a collected heap
+                gc.collect()
             t0 = time.perf_counter()
             getattr(self, stage)(job)
             total += clock.span(t0, time.perf_counter())
