@@ -1,10 +1,12 @@
 """Data-flow linearization: striding plans for sensitive accesses.
 
 Every load or store the profiler tied to a secret gets a plan listing
-the portions of memory it may legitimately reach, from the points-to
-elements of its pointer.  The wrapped access then touches each plan
-window on every execution and keeps only the window holding the real
-target, so the address trace stops depending on the secret.
+the portions of memory a live execution of it can reach: the points-to
+elements of its pointer, cut to the index range its guards allow.  The
+wrapped access then touches each plan window on every execution and
+keeps only the window holding the real target, so the address trace
+stops depending on the secret.  A decoy execution carries a null
+pointer and needs no portion.
 
 Plans reference allocation sites, not addresses.  Stack and heap sites
 under a plan are interposed so live instances sit on per-site lists the
@@ -54,10 +56,12 @@ def plan_cost(rec: DflAccessMetadata) -> float:
 def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
     """Attach a striding plan to every sensitive access; returns count.
 
-    Plan ids are dense and assigned in access id order, so rebuilding
-    from the same facts is reproducible.  An access with no points-to
-    facts cannot be planned and is a hard error: leaving it unwrapped
-    would silently reopen the address channel.
+    A plan lists what a live access can reach, so `pt` is taken after
+    `pta.refine_index_ranges` has narrowed guarded indices.  Plan ids
+    are dense and assigned in access id order, so rebuilding from the
+    same facts is reproducible.  An access with no points-to facts
+    cannot be planned and is a hard error: leaving it unwrapped would
+    silently reopen the address channel.
     """
     m.dflmeta.clear()
     mid = 0

@@ -901,10 +901,19 @@ def validate(m: Module) -> list:
     Two passes over each function's instructions: one for structure,
     ids, definitions and symbols, and, once the structure holds, one
     for phi edges, dominance of uses and types.  Diagnostics come in a
-    fixed order: duplicate ids, then per function its structure, its
-    definitions, phi edges, uses and types, then unknown symbols.
+    fixed order: duplicate ids, a `harden` scheme outside 1-5, lambdas
+    below 1, then per function its structure, its definitions, phi
+    edges, uses and types, then unknown symbols.
     """
     dups, diags, unknown = [], [], []
+    lams = [("dflmeta %d" % r.mid, r.lam) for r in m.dflmeta.values()]
+    if m.harden is not None:
+        lams.insert(0, ("harden", m.harden.lam))
+        if not 1 <= m.harden.scheme <= 5:
+            diags.append(Diagnostic("?", "harden scheme=%d is not a select "
+                                    "scheme 1-5" % m.harden.scheme))
+    diags += [Diagnostic("?", "%s lambda=%d is below 1" % (what, lam))
+              for what, lam in lams if lam < 1]
     seen_iids = set()
     for fn in m.funcs.values():
         def err(msg, iid=None, _fn=fn):

@@ -45,15 +45,6 @@ class Region:
     def rid(self):
         return (self.fn, self.kind, self.entry)
 
-    def descendants(self):
-        """Every region below this one, in preorder, walked with a stack
-        so nesting depth is not bounded by Python's."""
-        stack = self.children[::-1]
-        while stack:
-            r = stack.pop()
-            yield r
-            stack.extend(reversed(r.children))
-
 
 @dataclass
 class RegionTree:

@@ -143,6 +143,7 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
     rep["sensitive_functions"] = len(ss.functions)
 
     pt = pta.refine_field_sensitivity(m, pta.andersen_solve(m))
+    pt = pta.refine_index_ranges(m, pt, ss.accesses)
     rep["plans"] = dfl.build_metadata(m, ss.accesses, pt, cfg.lam)
     rep["promoted"] = dfl.promote_stack_objects(m) if cfg.promotion else 0
     rep["interposed"] = dfl.interpose_allocations(m)

@@ -6,20 +6,25 @@ array is (site, lo, hi, stride) rather than just the site.  Striding
 plans are built straight from these elements, so their precision is
 what decides how much memory every wrapped access must touch.
 
-Two sharpeners sit on top.  Range refinement re-types degenerate
+Three sharpeners sit on top.  Range refinement re-types degenerate
 whole-object elements by looking for natural placements of the access
-size inside the object's type tree.  Aggressive cloning splits every
-acyclic call path below a function with sensitive points into its own
-copy, so call-site-specific pointers stop merging at shared callees.
+size inside the object's type tree.  Index ranges cut the pointer of a
+guarded `gep` to what a live access can reach while index * element
+size cannot wrap: `tableA[s]` under `icmp lt %s, 4096` plans 4096 of
+its 8192 bytes.  Aggressive cloning splits every acyclic call path
+below a function with sensitive points into its own copy, so
+call-site-specific pointers stop merging at shared callees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .cfg import reachable
-from .ir import (Block, Const, Function, Instr, Module, Param, Reg, Sym,
-                 field_offset, gep_steps, site_ref, site_token, size_of)
+from .cfg import build_cfg, reachable
+from .ir import (I64, Block, Const, Function, Instr, Module, Param, Reg,
+                 Sym, field_offset, gep_steps, reg_types, site_ref,
+                 site_token, size_of)
 
 _MAX_ELEMS = 64          # per-value widening threshold
 _MAX_PLACEMENTS = 8192
@@ -263,6 +268,174 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
                 continue
             ref.add((obj, lo, hi, st))
         out.vals[key] = ref
+    return out
+
+
+# ---------------------------------------------------------------------------
+# index ranges under guards
+
+_TOP = (-(1 << 63), (1 << 63) - 1)
+_MAX_CHAIN = 32          # definitions followed back from one index
+_PREDS = ("lt", "le", "gt", "ge", "eq", "ne")
+_SWAP = dict(zip(_PREDS, ("gt", "ge", "lt", "le", "eq", "ne")))
+_NEGATE = dict(zip(_PREDS, ("ge", "gt", "le", "lt", "ne", "eq")))
+
+
+def _s64(v: int) -> int:
+    v &= (1 << 64) - 1
+    return v - (1 << 64) if v >> 63 else v
+
+
+class _Ranges:
+    """Intervals (Cousot & Cousot, POPL 1977) of one function's i64
+    registers as a gep reads them, taken without a fixpoint.  The CFG is
+    built on the first guard walk or phi that needs it."""
+
+    def __init__(self, m: Module, fn: Function):
+        self.fn, self.types = fn, reg_types(m, fn)
+        self.defs = {i.name: (b.label, i) for b in fn.blocks.values()
+                     for i in b.instrs if i.name}
+
+    @cached_property
+    def cfg(self):
+        return build_cfg(self.fn)
+
+    def guards(self, label: str) -> dict:
+        """reg -> range left by the guard edges that dominate block
+        `label`: edges from a condbr on an icmp of an i64 register
+        against a constant into `label` or a dominator of it, a block
+        whose only predecessor is that branch.  An icmp compares at its
+        operand width, so narrower registers are left unbounded."""
+        out = {}
+        while label is not None and label != self.fn.entry.label:
+            preds = self.cfg.preds[label]
+            here, label = label, self.cfg.idom.get(label)
+            t = self.fn.blocks[preds[0]].terminator if len(preds) == 1 \
+                else None
+            if t is None or t.op != "condbr" or t.labels[0] == t.labels[1] \
+                    or not isinstance(t.args[0], Reg):
+                continue
+            c = self.defs.get(t.args[0].name, (None, None))[1]
+            if c is None or c.op != "icmp":
+                continue
+            (a, k), pred = c.args, c.pred
+            if isinstance(a, Const):
+                a, k, pred = k, a, _SWAP.get(pred)
+            if pred not in _SWAP or not isinstance(k, Const) \
+                    or not isinstance(a, Reg) or self.types.get(a.name) != I64:
+                continue
+            k = _s64(k.value)
+            lo, hi = {"lt": (_TOP[0], k - 1), "le": (_TOP[0], k),
+                      "gt": (k + 1, _TOP[1]), "ge": (k, _TOP[1]),
+                      "eq": (k, k)}.get(
+                pred if here == t.labels[0] else _NEGATE[pred], _TOP)
+            olo, ohi = out.get(a.name, _TOP)
+            out[a.name] = max(lo, olo), min(hi, ohi)
+        return out
+
+    def index(self, idx, label: str) -> tuple:
+        """(lo, hi) of gep index `idx` in block `label`: the range of its
+        definition, and of each register that reads, cut by the guards
+        on it.  Any other register is the top."""
+        guards, memo = self.guards(label), {}
+
+        def rng(o, depth=0):
+            if isinstance(o, Const):
+                return _s64(o.value), _s64(o.value)
+            if not isinstance(o, Reg) or self.types.get(o.name) != I64:
+                return _TOP
+            if o.name not in memo:
+                memo[o.name] = _TOP          # a cycle of definitions
+                at, ins = self.defs.get(o.name, (None, None))
+                lo, hi = _TOP if ins is None or depth >= _MAX_CHAIN else \
+                    self._def_range(ins, at, lambda x: rng(x, depth + 1))
+                glo, ghi = guards.get(o.name, _TOP)
+                memo[o.name] = max(lo, glo), min(hi, ghi)
+            return memo[o.name]
+
+        return rng(idx)
+
+    def _def_range(self, ins, label, rng) -> tuple:
+        """Range of what `ins` in block `label` defines, from `rng` of
+        its operands: `and` with a constant mask, `lshr` by a constant,
+        `add` or `sub` of a constant that cannot overflow, and the hull
+        of a phi with no back-edge operand; anything else is the top."""
+        if ins.op == "phi":
+            if any((p, label) in self.cfg.retreating
+                   for p, _ in ins.incoming):
+                return _TOP
+            rs = [rng(v) for _, v in ins.incoming]
+            return min(lo for lo, _ in rs), max(hi for _, hi in rs)
+        if ins.op not in ("and", "lshr", "add", "sub"):
+            return _TOP
+        x, y = ins.args
+        if ins.op in ("and", "add") and isinstance(x, Const):
+            x, y = y, x
+        if not isinstance(y, Const):
+            return _TOP
+        c = _s64(y.value)
+        if ins.op == "and":
+            return (0, c) if c >= 0 else _TOP
+        lo, hi = rng(x)
+        if ins.op == "lshr":        # shifts the slot unsigned, by c mod 64
+            k = c % 64
+            return (lo >> k, hi >> k) if lo >= 0 or not k \
+                else (0, (1 << (64 - k)) - 1)
+        c = c if ins.op == "add" else -c
+        ok = _TOP[0] <= lo + c and hi + c <= _TOP[1]
+        return (lo + c, hi + c) if ok else _TOP
+
+
+def _clip(elem, lo_b: int, hi_b: int):
+    """elem's ladder cut to byte offsets [lo_b, hi_b], or elem itself
+    when nothing would be left."""
+    obj, lo, hi, st = elem
+    step = st or 1
+    nlo = lo + max(0, -(-(lo_b - lo) // step)) * step
+    nhi = lo + (min(hi, hi_b) - lo) // step * step
+    return elem if nlo > nhi else (obj, nlo, nhi, st if nlo < nhi else 0)
+
+
+def refine_index_ranges(m: Module, pt: PointsTo, accesses) -> PointsTo:
+    """Narrow the pointer of each access in `accesses` to the byte
+    offsets a live, in-bounds access through it can reach.
+
+    Only a pointer from a single-index gep over exact object starts is
+    narrowed: its offset is index * element size.  A gep reads its index
+    as signed 64-bit and its address wraps mod 2^64, so the index range
+    narrows the pointer only while index * size stays in [-2^63, 2^63);
+    then an access inside the object has its index in that range.  Under
+    `icmp lt %s, 16`, `gep i64 @t, %s` reads t[3] at s = 2^63 + 3, so its
+    plan stays whole.  Register types are worked out only for a function
+    that holds such a gep, and its CFG only where a guard walk or a phi
+    needs it.
+    """
+    out = PointsTo(dict(pt.vals), pt.mem, pt.sizes)
+    for f in m.funcs.values():
+        geps, ptrs, ranges = {}, {}, None
+        for b in f.blocks.values():
+            for i in b.instrs:
+                if i.op == "gep":
+                    geps[i.name] = b.label, i
+                elif i.iid in accesses and i.op in ("load", "store"):
+                    ptrs[i.args[1 if i.op == "store" else 0]] = None
+        for p in ptrs:
+            if not isinstance(p, Reg) or p.name not in geps:
+                continue
+            label, gep = geps[p.name]
+            steps, err = gep_steps(gep.ty, gep.args[1:])
+            base = gep.args[0]
+            if err or len(steps) != 1 or not isinstance(steps[0][0], Reg) \
+                    or isinstance(base, Reg) and any(
+                        lo or hi for _, lo, hi, _ in pt.of(f.name, base.name)):
+                continue
+            ranges = ranges or _Ranges(m, f)
+            (idx, scale), = steps
+            lo, hi = ranges.index(idx, label)
+            if lo * scale >= _TOP[0] and hi * scale <= _TOP[1]:
+                out.vals[(f.name, p.name)] = {
+                    _clip(e, max(0, lo * scale), hi * scale)
+                    for e in pt.of(f.name, p.name)}
     return out
 
 

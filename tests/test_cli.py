@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ctlin
-from conftest import RECURSIVE, corpus_path
+from conftest import RECURSIVE, corpus_path, scale_programs
 from ctlin.cli import (EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, EXIT_VERIFY,
                        main)
 from ctlin.ir import MAX_TYPE_DEPTH, parse_module, validate
@@ -372,6 +372,43 @@ class TestVerifyCommand:
         assert data["passed"] is True
         assert {c["check"] for c in data["checks"]} >= \
             {"pc-security", "equivalence", "decoy-invariants"}
+
+
+@pytest.fixture(scope="module")
+def guarded_bump_pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bump")
+    (d / "gb.ir").write_text(scale_programs(3)["guarded_bump"])
+    assert main(["harden", str(d / "gb.ir"), "--emit",
+                 str(d / "gb.hard.ir")]) == EXIT_OK
+    return d / "gb.ir", d / "gb.hard.ir"
+
+
+@pytest.mark.parametrize("old,new,diag", [
+    ("harden scheme=5", "harden scheme=9",
+     "harden scheme=9 is not a select scheme 1-5"),
+    ("harden scheme=5 lambda=64", "harden scheme=5 lambda=0",
+     "harden lambda=0 is below 1"),
+    ("harden scheme=5 lambda=64", "harden scheme=5 lambda=-4",
+     "harden lambda=-4 is below 1"),
+    ("kind=load lambda=64", "kind=load lambda=0",
+     "dflmeta 0 lambda=0 is below 1")])
+def test_bad_lambda_or_scheme_is_an_input_error(guarded_bump_pair, tmp_path,
+                                                old, new, diag, capsys):
+    # scheme 9 printed FAIL lines and exited 4; a harden lambda of 0 or
+    # -4 ended in ZeroDivisionError and ValueError tracebacks, and a
+    # dflmeta lambda of 0 in a ZeroDivisionError from the sweep
+    orig, hard = guarded_bump_pair
+    text = hard.read_text()
+    assert text.startswith("harden scheme=5 lambda=64\n")
+    assert text.count("dflmeta 0 access=2 kind=load lambda=64 ") == 1
+    bad = tmp_path / "bad.ir"
+    bad.write_text(text.replace(old, new, 1))
+    for argv in (["verify", str(orig), str(bad), "--pairs", "2"],
+                 ["stats", str(bad)]):
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "%s: @?: %s\n" % (bad, diag)
 
 
 class TestStats:

@@ -54,7 +54,7 @@ class TestBuildMetadata:
             assert len(rec.entries) == 1
             e = rec.entries[0]
             by_site[e.site] = (rec.kind, e.length, e.stride, e.handler)
-        assert by_site["g:@tableA"] == ("load", 8192, 1, "gather")
+        assert by_site["g:@tableA"] == ("load", 4096, 1, "gather")
         assert by_site["g:@tableB"] == ("load", 4096, 1, "gather")
         assert by_site["g:@last_result"] == ("store", 1, 1, "simple")
 

@@ -131,7 +131,10 @@ class TestRegions:
         fn = m.funcs["main"]
         root = rt.roots["main"]
         claimed = set()
-        for r in root.descendants():
+        stack = list(root.children)
+        while stack:
+            r = stack.pop()
+            stack += r.children
             if r.kind != "linear":
                 claimed |= r.blocks
         assert claimed <= set(fn.blocks)
@@ -399,28 +402,6 @@ class TestNamesTaken:
 
 
 class TestRegionWalk:
-    def test_descendants_in_preorder(self):
-        root = Region("linear", "f", "entry", None, set())
-        regions = {"": root}
-        for name in ("a", "ab", "ac", "d", "de"):
-            parent = regions[name[:-1]]
-            regions[name] = Region("branch", "f", name, None, set(),
-                                   parent=parent)
-            parent.children.append(regions[name])
-        assert [r.entry for r in root.descendants()] == \
-            ["a", "ab", "ac", "d", "de"]
-        assert [r.entry for r in regions["a"].descendants()] == ["ab", "ac"]
-
-    def test_descendants_of_a_chain_deeper_than_the_stack(self):
-        n = sys.getrecursionlimit() + 100
-        root = cur = Region("linear", "f", "entry", None, set())
-        for i in range(n):
-            r = Region("branch", "f", "b%d" % i, None, set(), parent=cur)
-            cur.children.append(r)
-            cur = r
-        assert [r.entry for r in root.descendants()] == \
-            ["b%d" % i for i in range(n)]
-
     @staticmethod
     def outer_and(entry, blocks):
         root = Region("linear", "f", "e", None, set("abcde"))

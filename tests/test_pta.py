@@ -1,13 +1,18 @@
-"""Inclusion-based points-to facts, field refinement, cloning."""
+"""Inclusion-based points-to facts, field refinement, guard-narrowed
+index ranges, cloning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import corpus_src, load
-from ctlin.interp import ExecInput, interpret
+from conftest import corpus_src, hardened, load
+from ctlin.interp import Code, ExecInput, Machine, format_suite, interpret
 from ctlin.ir import parse_module, validate
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.pta import (CloneError, aggressive_clone, andersen_solve,
-                       refine_field_sensitivity, resolve_indirect_targets)
+                       refine_field_sensitivity, refine_index_ranges,
+                       resolve_indirect_targets)
+from ctlin.taint import default_suite
 from ctlin.verify import verify_module
 
 
@@ -80,6 +85,228 @@ class TestRefinement:
             "  ret %r\n}\n")
         pt = refine_field_sensitivity(m, andersen_solve(m))
         assert pt.of("main", "q") == {("g:@t", 0, 63, 1)}
+
+
+def guarded(cond, body, ty="i8", count=64, params="%s: secret i64",
+            yes="yes", no="no"):
+    """@main loading @t[%i] in block `yes`, entered from `cond`'s condbr
+    over `%c`; `body` defines %i (and anything else) in `yes`."""
+    return ("global @t: [%d x %s] = 00\n"
+            "func @main(%s) -> %s {\nentry:\n%s"
+            "  condbr %%c, %s, %s\n"
+            "yes:\n%s  %%p = gep %s @t, %%i\n  %%v = load %s, %%p\n"
+            "  ret %%v\nno:\n  ret 0\n}\n"
+            % (count, ty, params, ty, cond, yes, no, body, ty, ty))
+
+
+def narrowed(src):
+    """Points-to elements of %p once every load is narrowed."""
+    m = parse_module(src)
+    assert validate(m) == []
+    pt = refine_field_sensitivity(m, andersen_solve(m))
+    loads = {i.iid for i in m.instructions() if i.op == "load"}
+    return refine_index_ranges(m, pt, loads).of("main", "p")
+
+
+WHOLE = {("g:@t", 0, 63, 1)}
+SAME = "  %i = add i64 %s, 0\n"
+
+
+class TestIndexRanges:
+    def test_table_lookup_plans_at_every_lambda_and_scheme(self):
+        for lam in (1, 4, 64):
+            for scheme in range(1, 6):
+                hm, _ = hardened("table_lookup", lam=lam, scheme=scheme)
+                plans = {e.site: (e.off, e.length, e.stride)
+                         for rec in hm.dflmeta.values()
+                         for e in rec.entries}
+                assert plans == {"g:@tableA": (0, 4096, 1),
+                                 "g:@tableB": (0, 4096, 1),
+                                 "g:@last_result": (0, 1, 1)}
+
+    def test_lt_true_edge(self):
+        assert narrowed(guarded("  %c = icmp lt %s, 16\n", SAME)) == \
+            {("g:@t", 0, 15, 1)}
+
+    def test_lt_false_edge_reads_as_ge(self):
+        src = guarded("  %c = icmp lt %s, 40\n", SAME, yes="no", no="yes")
+        assert narrowed(src) == {("g:@t", 40, 63, 1)}
+
+    def test_le(self):
+        assert narrowed(guarded("  %c = icmp le %s, 9\n", SAME)) == \
+            {("g:@t", 0, 9, 1)}
+
+    def test_gt_with_the_index_second(self):
+        assert narrowed(guarded("  %c = icmp gt 10, %s\n", SAME)) == \
+            {("g:@t", 0, 9, 1)}
+
+    def test_eq_narrows_to_one_element_and_ne_does_not(self):
+        assert narrowed(guarded("  %c = icmp eq %s, 7\n", SAME)) == \
+            {("g:@t", 7, 7, 0)}
+        assert narrowed(guarded("  %c = icmp ne %s, 7\n", SAME)) == WHOLE
+        # the false edge of ne is eq
+        src = guarded("  %c = icmp ne %s, 7\n", SAME, yes="no", no="yes")
+        assert narrowed(src) == {("g:@t", 7, 7, 0)}
+
+    def test_guarded_block_with_a_second_predecessor(self):
+        src = guarded("  %c = icmp lt %s, 16\n", SAME).replace(
+            "condbr %c, yes, no\n", "condbr %c, yes, side\n"
+            "side:\n  br yes\n")
+        assert narrowed(src) == WHOLE
+
+    def test_guard_on_another_register(self):
+        src = guarded("  %c = icmp lt %u, 16\n", SAME,
+                      params="%s: secret i64, %u: secret i64")
+        assert narrowed(src) == WHOLE
+
+    def test_guard_from_a_dominator_above_a_join(self):
+        # the guard edge enters `yes`, which dominates the gep's block
+        # through a diamond whose join has two predecessors
+        src = guarded("  %c = icmp lt %s, 16\n",
+                      "  %d = icmp eq %s, 3\n  condbr %d, l, r\n"
+                      "l:\n  br j\nr:\n  br j\nj:\n" + SAME)
+        assert narrowed(src) == {("g:@t", 0, 15, 1)}
+
+    def test_mask_then_guard(self):
+        src = guarded("  %m = and i64 %s, 255\n  %c = icmp lt %m, 100\n",
+                      "  %i = add i64 %m, 0\n", count=1024)
+        assert narrowed(src) == {("g:@t", 0, 99, 1)}
+        # the mask alone bounds the index
+        src = guarded("  %m = and i64 %s, 255\n  %c = icmp lt %s, 5000\n",
+                      "  %i = lshr i64 %m, 2\n", count=1024)
+        assert narrowed(src) == {("g:@t", 0, 63, 1)}
+
+    def test_add_after_the_guard(self):
+        src = guarded("  %c = icmp lt %s, 16\n", "  %i = add i64 %s, 5\n")
+        assert narrowed(src) == {("g:@t", 0, 20, 1)}
+        # s - 5 wraps from the bottom of the range to the top
+        src = guarded("  %c = icmp lt %s, 16\n", "  %i = sub i64 %s, 5\n")
+        assert narrowed(src) == WHOLE
+        src = guarded("  %m = and i64 %s, 255\n  %c = icmp lt %m, 16\n",
+                      "  %i = sub i64 %m, 5\n")
+        assert narrowed(src) == {("g:@t", 0, 10, 1)}
+
+    def test_hull_of_an_acyclic_phi(self):
+        src = guarded("  %c = icmp lt %s, 16\n",
+                      "  condbr %c, l, r\nl:\n  br j\nr:\n  br j\nj:\n"
+                      "  %i = phi i64 [l: %s, r: 40]\n")
+        assert narrowed(src) == {("g:@t", 0, 40, 1)}
+
+    def test_loop_carried_index(self):
+        src = ("global @t: [64 x i8] = 00\n"
+               "func @main(%n: i64) -> i8 {\nentry:\n  br head\n"
+               "head:\n  %k = phi i64 [entry: 0, use: %k1]\n"
+               "  %c = icmp lt %k, %n\n  condbr %c, body, done\n"
+               "body:\n  %d = icmp gt %k, -1\n  condbr %d, use, done\n"
+               "use:\n  %p = gep i8 @t, %k\n  %v = load i8, %p\n"
+               "  %k1 = add i64 %k, 1\n  br head\ndone:\n  ret 0\n}\n")
+        # the guard bounds %k from below only: its def is a phi with a
+        # back-edge operand, so nothing bounds it from above
+        assert narrowed(src) == WHOLE
+
+    def test_empty_range_keeps_the_plan(self):
+        assert narrowed(guarded("  %c = icmp lt %s, 0\n", SAME)) == WHOLE
+        src = guarded("  %c = icmp lt %s, 10\n",
+                      "  %d = icmp gt %s, 20\n  condbr %d, in, out\n"
+                      "out:\n  ret 1\nin:\n" + SAME)
+        assert narrowed(src) == WHOLE
+        # no profiling run reaches the load, but it sits under a secret
+        # branch, so it is planned, and hardening goes through
+        hm, rep = harden_module(parse_module(src), PipelineConfig())
+        (rec,) = hm.dflmeta.values()
+        assert (rec.entries[0].off, rec.entries[0].length) == (0, 64)
+
+    def test_narrower_index_register_is_left_whole(self):
+        src = guarded("  %w = and i32 %x, 255\n  %c = icmp lt %w, 16\n",
+                      "  %i = add i32 %w, 0\n", params="%x: secret i32")
+        assert narrowed(src) == WHOLE
+
+    WRAP = guarded("  %c = icmp lt %s, 16\n", SAME, ty="i64", count=32)
+
+    def test_wrapping_product_keeps_the_whole_plan(self, tmp_path):
+        # index * 8 wraps: secret 2^63 + k passes `lt 16` and reads t[k]
+        assert narrowed(self.WRAP) == {("g:@t", 0, 248, 8)}
+        init = "".join((7 * k + 1).to_bytes(8, "little").hex()
+                       for k in range(32))
+        src = self.WRAP.replace("] = 00", "] = " + init)
+        suite = tmp_path / "suite"
+        suite.write_text(format_suite([ExecInput([], [s])
+                                       for s in (3, 9, 20, 40000)]))
+        hm, _ = harden_module(parse_module(src),
+                              PipelineConfig(suite_path=str(suite)))
+        (rec,) = hm.dflmeta.values()
+        assert (rec.entries[0].off, rec.entries[0].length) == (0, 256)
+        for s in (0x8000000000000003, 0x8000000000000014):
+            want = interpret(parse_module(src), ExecInput([], [s]))
+            got = interpret(hm, ExecInput([], [s]))
+            assert want.abort is None and want.output == 7 * (s & 31) + 1
+            assert got.output == want.output and got.violations == []
+
+
+_PREDS = ("lt", "le", "gt", "ge", "eq", "ne")
+_SWAP = dict(zip(_PREDS, ("gt", "ge", "lt", "le", "eq", "ne")))
+_NEGATE = dict(zip(_PREDS, ("ge", "gt", "le", "lt", "ne", "eq")))
+
+
+@st.composite
+def guarded_lookups(draw):
+    """(source, guard constant, table length) of a lookup whose guard is
+    written in any of its four spellings, on the index or on what the
+    index derives from.  Every secret of the default suite that passes
+    the guard reads in bounds, so the program profiles cleanly."""
+    ty = draw(st.sampled_from(["i8", "i64"]))
+    n = draw(st.integers(256, 1024))
+    pre, src = "", "s"
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, n - 1))
+        pre, src = "  %%m = and i64 %%s, %d\n" % mask, "m"
+        pred = draw(st.sampled_from(_PREDS))
+    else:
+        mask = None
+        pred = draw(st.sampled_from(["lt", "le", "eq"]))
+    derive = draw(st.sampled_from(["same", "add", "lshr"]))
+    c = 0
+    if derive == "add":
+        c = draw(st.integers(0, 8 if mask is None else min(8, n - 1 - mask)))
+        body = "  %%i = add i64 %%%s, %d\n" % (src, c)
+    elif derive == "lshr":
+        body = "  %%i = lshr i64 %%%s, %d\n" % (src, draw(st.integers(0, 3)))
+    else:
+        body = "  %%i = add i64 %%%s, 0\n" % src
+    k = draw(st.integers(-4, n + 4) if mask is not None
+             else st.integers(0, n - 1 - c))
+    on = draw(st.sampled_from([src, "i"]))
+    taken = draw(st.booleans())
+    written = pred if taken else _NEGATE[pred]
+    args = "%%%s, %d" % (on, k)
+    if draw(st.booleans()):
+        written, args = _SWAP[written], "%d, %%%s" % (k, on)
+    cond = "  %%c = icmp %s %s\n" % (written, args)
+    if on == "i":       # the index is defined before the guard reads it
+        pre, body = pre + body, ""
+    text = guarded(pre + cond, body, ty=ty, count=n,
+                   yes="yes" if taken else "no",
+                   no="no" if taken else "yes")
+    return text, k, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(guarded_lookups())
+def test_narrowed_plans_cover_every_live_access(case):
+    text, k, n = case
+    orig = parse_module(text)
+    hm, _ = harden_module(parse_module(text), PipelineConfig())
+    codes = Code(orig), Code(hm)
+    secrets = [i.secrets[0] for i in default_suite(orig)]
+    secrets += [(v) % (1 << 64) for v in (k - 1, k, k + 1)]
+    secrets += [(1 << 63) + v for v in (3, k % n, n - 1)]
+    for s in secrets:
+        want, got = (Machine(m, code=c).run(ExecInput([], [s]))
+                     for m, c in zip((orig, hm), codes))
+        if want.abort is not None:      # out of bounds in the original
+            continue
+        assert got.abort is None and got.output == want.output, (text, s)
+        assert not [v for v in got.violations if v[0] == "miss"], (text, s)
 
 
 class TestIndirectTargets:

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "ctlin")
 SEARCHED = (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench"))
@@ -76,13 +78,18 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def test_pair_ab_times_two_package_copies(capsys):
-    # tools/pair_ab.py loads a checkout's src/ctlin under a package name
-    # of its own; here both sides are this checkout (an A/A run)
+def _pair_ab():
     spec = importlib.util.spec_from_file_location(
         "pair_ab", os.path.join(ROOT, "tools", "pair_ab.py"))
     pair_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(pair_ab)
+    return pair_ab
+
+
+def test_pair_ab_times_two_package_copies(capsys):
+    # tools/pair_ab.py loads a checkout's src/ctlin under a package name
+    # of its own; here both sides are this checkout (an A/A run)
+    pair_ab = _pair_ab()
     for stage in ("taint_profile", "decode"):
         assert pair_ab.main([ROOT, ROOT, "--workload", "scale", "--seed",
                              "7", "--stage", stage, "--rounds", "2"]) == 0
@@ -92,3 +99,15 @@ def test_pair_ab_times_two_package_copies(capsys):
         assert result["a_median_s"] > 0 and result["b_median_s"] > 0
         assert 0 < result["ratio_q1"] <= result["ratio_median"] \
             <= result["ratio_q3"]
+
+
+def test_pair_ab_times_only_named_jobs(capsys):
+    pair_ab = _pair_ab()
+    assert pair_ab.main([ROOT, ROOT, "--workload", "corpus", "--stage",
+                         "decode", "--rounds", "1", "--job", "two_context.l1",
+                         "--job", "jit_trip.l64"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert sorted(result["jobs"]) == ["jit_trip.l64", "two_context.l1"]
+    with pytest.raises(SystemExit):
+        pair_ab.main([ROOT, ROOT, "--workload", "corpus", "--job", "nope"])
+    assert "no job nope in workload corpus" in capsys.readouterr().err

@@ -16,6 +16,9 @@ first in odd ones.  Stages:
   once with the decoy decoder, as `verify` decodes it, each job after
   an untimed `gc.collect()`.
 
+`--job NAME` (repeatable) keeps only the named jobs of the workload, so
+an A/B of one job, say `--job table_lookup.l1`, runs no other.
+
 Each job is timed with perfbench's `HostClock` in reference seconds,
 which discount the host's speed changes, and a side's pass time is the
 sum over jobs.  The paired ratio of a round is B's pass time over A's;
@@ -159,11 +162,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--stage", choices=STAGES, default="harden")
     ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument("--job", action="append", metavar="NAME",
+                    help="time only this job of the workload; may repeat")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
 
     jobs = workloads.WORKLOADS[args.workload](ROOT, args.seed)
+    if args.job:
+        unknown = sorted(set(args.job) - {j.name for j in jobs})
+        if unknown:
+            ap.error("no job %s in workload %s"
+                     % (", ".join(unknown), args.workload))
+        jobs = [j for j in jobs if j.name in args.job]
     with tempfile.TemporaryDirectory(prefix="pair_ab.") as work:
         sides = [Side(args.a, "ctlin_a", jobs, work),
                  Side(args.b, "ctlin_b", jobs, work)]
@@ -185,7 +196,8 @@ def main(argv=None) -> int:
         else (ratios[0],) * 3
     result = {
         "workload": args.workload, "seed": args.seed, "stage": args.stage,
-        "rounds": args.rounds, "a_median_s": statistics.median(times[0]),
+        "rounds": args.rounds, "jobs": [j.name for j in jobs],
+        "a_median_s": statistics.median(times[0]),
         "b_median_s": statistics.median(times[1]),
         "ratio_median": med, "ratio_q1": q1, "ratio_q3": q3,
         "b_faster_rounds": sum(r < 1 for r in ratios),
