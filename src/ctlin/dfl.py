@@ -20,10 +20,10 @@ made as they are wrapped, before control flow is merged.
 from __future__ import annotations
 
 from .cfg import reachable
-from .ir import (Const, DflAccessMetadata, DflEntry, Global, Module, Reg,
-                 Sym, site_token, size_of)
+from .ir import (DFL_HANDLERS, Const, DflAccessMetadata, DflEntry, Global,
+                 Module, Reg, Sym, site_token, size_of)
 
-HANDLER_WEIGHTS = {"simple": 1.0, "gather": 0.6, "bulk": 0.3}
+HANDLER_WEIGHTS = dict(zip(DFL_HANDLERS, (1.0, 0.6, 0.3)))
 
 
 class DflError(Exception):

@@ -142,6 +142,8 @@ Operand = Reg | Const | Sym
 BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "div", "rem")
 ICMP_PREDS = ("lt", "le", "eq", "ne", "gt", "ge")
 TERMINATORS = ("br", "condbr", "ret")
+DFL_KINDS = ("load", "store")
+DFL_HANDLERS = ("simple", "gather", "bulk")
 
 # The text form of each instruction, after its opcode; the keys are the
 # opcode set.  A leading "=" lets the instruction name a result
@@ -902,8 +904,9 @@ def validate(m: Module) -> list:
     ids, definitions and symbols, and, once the structure holds, one
     for phi edges, dominance of uses and types.  Diagnostics come in a
     fixed order: duplicate ids, a `harden` scheme outside 1-5, lambdas
-    below 1, then per function its structure, its definitions, phi
-    edges, uses and types, then unknown symbols.
+    below 1, unknown `dflmeta` kinds and handlers, then per function its
+    structure, its definitions, phi edges, uses and types, then unknown
+    symbols.
     """
     dups, diags, unknown = [], [], []
     lams = [("dflmeta %d" % r.mid, r.lam) for r in m.dflmeta.values()]
@@ -914,6 +917,12 @@ def validate(m: Module) -> list:
                                     "scheme 1-5" % m.harden.scheme))
     diags += [Diagnostic("?", "%s lambda=%d is below 1" % (what, lam))
               for what, lam in lams if lam < 1]
+    for r in m.dflmeta.values():
+        named = [("kind", r.kind, DFL_KINDS)] + sorted(
+            {("handler", e.handler, DFL_HANDLERS) for e in r.entries})
+        diags += [Diagnostic("?", "dflmeta %d %s=%s is not one of %s"
+                             % (r.mid, key, v, ", ".join(names)))
+                  for key, v, names in named if v not in names]
     seen_iids = set()
     for fn in m.funcs.values():
         def err(msg, iid=None, _fn=fn):

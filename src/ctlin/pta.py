@@ -6,14 +6,16 @@ array is (site, lo, hi, stride) rather than just the site.  Striding
 plans are built straight from these elements, so their precision is
 what decides how much memory every wrapped access must touch.
 
-Three sharpeners sit on top.  Range refinement re-types degenerate
-whole-object elements by looking for natural placements of the access
-size inside the object's type tree.  Index ranges cut the pointer of a
-guarded `gep` to what a live access can reach while index * element
-size cannot wrap: `tableA[s]` under `icmp lt %s, 4096` plans 4096 of
-its 8192 bytes.  Aggressive cloning splits every acyclic call path
-below a function with sensitive points into its own copy, so
-call-site-specific pointers stop merging at shared callees.
+Three sharpeners sit on top.  Range refinement re-types a degenerate
+whole-object element as the ladder of offsets where the access size sits
+in the object's type: an array extends its element's ladder, an
+aggregate joins its fields' ladders where gaps and steps agree.  Index
+ranges cut the pointer of a guarded `gep` to what a live access can
+reach while index * element size cannot wrap: `tableA[s]` under
+`icmp lt %s, 4096` plans 4096 of its 8192 bytes.  Aggressive cloning
+splits every acyclic call path below a function with sensitive points
+into its own copy, so call-site-specific pointers stop merging at
+shared callees.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from functools import cached_property
 
 from .cfg import build_cfg, reachable
 from .ir import (I64, Block, Const, Function, Instr, Module, Param, Reg,
-                 Sym, field_offset, gep_steps, reg_types, site_ref,
-                 site_token, size_of)
+                 Sym, gep_steps, reg_types, site_ref, site_token, size_of)
 
 _MAX_ELEMS = 64          # per-value widening threshold
-_MAX_PLACEMENTS = 8192
 _MAX_CLONES = 256
 
 
@@ -196,28 +196,36 @@ def andersen_solve(m: Module) -> PointsTo:
 # ---------------------------------------------------------------------------
 # range refinement
 
-def _placements(ty, size: int, depth: int = 8):
-    """Offsets where a size-byte scalar sits naturally inside ty."""
-    out = []
-
-    def rec(t, off, d):
-        if d < 0 or len(out) > _MAX_PLACEMENTS:
-            return
-        if t.kind in ("int", "addr"):
-            if size_of(t) == size:
-                out.append(off)
-            return
-        if t.kind == "array":
-            esz = size_of(t.elem)
-            for i in range(t.count):
-                if len(out) > _MAX_PLACEMENTS:
-                    return
-                rec(t.elem, off + i * esz, d - 1)
-        elif t.kind == "agg":
-            for k, (_, ft) in enumerate(t.fields):
-                rec(ft, off + field_offset(t, k), d - 1)
-
-    rec(ty, 0, depth)
+def _ladder(ty, size: int):
+    """Offsets where a size-byte scalar sits naturally inside ty, as
+    one ladder (first, last, step), step 0 for a single offset; None
+    where it sits nowhere, False where they form no single ladder."""
+    if ty.kind in ("int", "addr"):
+        return (0, 0, 0) if size_of(ty) == size else None
+    if ty.kind == "array":
+        lad = _ladder(ty.elem, size) if ty.count else None
+        if not lad or ty.count == 1:
+            return lad
+        first, last, step = lad
+        esz = size_of(ty.elem)
+        step = step or esz          # the next element's first offset
+        if last + step != first + esz:
+            return False
+        return first, last + (ty.count - 1) * esz, step
+    out, off = None, 0
+    for _, ft in ty.fields:
+        lad = _ladder(ft, size)
+        if lad is False:
+            return False
+        if lad:
+            first, last, step = lad[0] + off, lad[1] + off, lad[2]
+            if out is not None:
+                gap = first - out[1]
+                if out[2] not in (0, gap) or step not in (0, gap):
+                    return False
+                first, step = out[0], gap
+            out = (first, last, step)
+        off += size_of(ft)
     return out
 
 
@@ -225,10 +233,10 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
     """Re-type degenerate whole-object elements from their access size.
 
     A pointer that arithmetic blurred over a whole object usually still
-    walks one kind of slot.  If every placement of the accessed size in
-    the object's type forms one arithmetic ladder, the element becomes
-    that ladder; otherwise it stays degenerate and the striding plan
-    pays for the imprecision.
+    walks one kind of slot.  If the offsets of the accessed size in the
+    object's type form one ladder, which `_ladder` reads off the type's
+    structure, the element becomes that ladder; otherwise it stays
+    degenerate and the striding plan pays for the imprecision.
     """
     use_size = {}
     for f in m.funcs.values():
@@ -256,17 +264,8 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
                     or obj not in obj_ty:
                 ref.add((obj, lo, hi, st))
                 continue
-            offs = _placements(obj_ty[obj], size)
-            if len(offs) >= 2:
-                diffs = {b - a for a, b in zip(offs, offs[1:])}
-                if len(diffs) == 1:
-                    step = next(iter(diffs))
-                    ref.add((obj, offs[0], offs[-1], step))
-                    continue
-            elif len(offs) == 1:
-                ref.add((obj, offs[0], offs[0], 0))
-                continue
-            ref.add((obj, lo, hi, st))
+            lad = _ladder(obj_ty[obj], size)
+            ref.add((obj, *lad) if lad else (obj, lo, hi, st))
         out.vals[key] = ref
     return out
 

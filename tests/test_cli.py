@@ -397,7 +397,25 @@ def test_bad_lambda_or_scheme_is_an_input_error(guarded_bump_pair, tmp_path,
     # scheme 9 printed FAIL lines and exited 4; a harden lambda of 0 or
     # -4 ended in ZeroDivisionError and ValueError tracebacks, and a
     # dflmeta lambda of 0 in a ZeroDivisionError from the sweep
-    orig, hard = guarded_bump_pair
+    refused_edit(guarded_bump_pair, tmp_path, old, new, diag, capsys)
+
+
+@pytest.mark.parametrize("old,new,diag", [
+    ("kind=load lambda=64", "kind=bogus lambda=64",
+     "dflmeta 0 kind=bogus is not one of load, store"),
+    ("handler=gather)]", "handler=foo)]",
+     "dflmeta 0 handler=foo is not one of simple, gather, bulk")])
+def test_unknown_dflmeta_name_is_an_input_error(guarded_bump_pair, tmp_path,
+                                                old, new, diag, capsys):
+    # stats ended in a KeyError traceback from dfl.plan_cost on an
+    # unknown handler, and verify took either name
+    refused_edit(guarded_bump_pair, tmp_path, old, new, diag, capsys)
+
+
+def refused_edit(pair, tmp_path, old, new, diag, capsys):
+    """verify and stats of the hardened guarded_bump with old replaced
+    by new exit 2 with diag alone."""
+    orig, hard = pair
     text = hard.read_text()
     assert text.startswith("harden scheme=5 lambda=64\n")
     assert text.count("dflmeta 0 access=2 kind=load lambda=64 ") == 1

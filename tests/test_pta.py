@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import corpus_src, hardened, load
 from ctlin.interp import Code, ExecInput, Machine, format_suite, interpret
-from ctlin.ir import parse_module, validate
+from ctlin.ir import (ADDR, I1, I8, I32, I64, Type, parse_module, size_of,
+                      validate)
 from ctlin.pipeline import PipelineConfig, harden_module
-from ctlin.pta import (CloneError, aggressive_clone, andersen_solve,
+from ctlin.pta import (CloneError, _ladder, aggressive_clone, andersen_solve,
                        refine_field_sensitivity, refine_index_ranges,
                        resolve_indirect_targets)
 from ctlin.taint import default_suite
@@ -85,6 +86,84 @@ class TestRefinement:
             "  ret %r\n}\n")
         pt = refine_field_sensitivity(m, andersen_solve(m))
         assert pt.of("main", "q") == {("g:@t", 0, 63, 1)}
+
+    def test_placements_of_no_single_ladder_stay_whole(self):
+        # i64 slots at 0, 8 and 17: two gaps, so no one ladder covers them
+        m = parse_module(
+            "global @t: {a: i64, b: i64, c: i8, d: i64} = 00\n"
+            "func @main(%i: i64) -> i64 {\nentry:\n"
+            "  %p = gep i64 @t, 0\n  %q = add i64 %p, %i\n"
+            "  %v = load i64, %q\n  ret %v\n}\n")
+        pt = refine_field_sensitivity(m, andersen_solve(m))
+        assert pt.of("main", "q") == {("g:@t", 0, 24, 1)}
+
+    @staticmethod
+    def masked_bump(ty, mask):
+        """@main adding 1 to the byte of @t at secret & mask."""
+        return ("global @t: %s\n"
+                "func @main(%%s: secret i64) -> i64 {\nentry:\n"
+                "  %%m = and i64 %%s, %d\n  %%p = gep i8 @t, %%m\n"
+                "  %%v = load i8, %%p\n  %%w = add i8 %%v, 1\n"
+                "  store i8 %%w, %%p\n  %%r = and i64 %%m, 1\n"
+                "  ret %%r\n}\n" % (ty, mask))
+
+    @pytest.mark.parametrize("ty, mask", [
+        # more one-byte slots than a listing of placements once held
+        ("[16384 x i8]", 16383),
+        # slots nested deeper than such a listing once walked
+        ("{a: i8, b: %si8%s}" % ("[2 x " * 9, "]" * 9), 511)])
+    def test_every_reachable_slot_is_planned(self, ty, mask):
+        src = self.masked_bump(ty, mask)
+        hm, _ = harden_module(parse_module(src), PipelineConfig())
+        assert [(e.site, e.off, e.length) for rec in hm.dflmeta.values()
+                for e in rec.entries] == [("g:@t", 0, mask + 1)] * 2
+        verdicts = verify_module(parse_module(src), hm)
+        assert len(verdicts) == 4
+        assert all(v.passed for v in verdicts), verdicts
+
+
+def placements(ty, size, off=0):
+    """Every offset where a size-byte scalar sits naturally in ty,
+    listed one by one with no cap: the reference for `_ladder`."""
+    if ty.kind in ("int", "addr"):
+        return [off] if size_of(ty) == size else []
+    if ty.kind == "array":
+        esz = size_of(ty.elem)
+        return [o for k in range(ty.count)
+                for o in placements(ty.elem, size, off + k * esz)]
+    out = []
+    for _, ft in ty.fields:
+        out += placements(ft, size, off)
+        off += size_of(ft)
+    return out
+
+
+def type_trees(depth):
+    scalars = st.sampled_from([I1, I8, I32, I64, ADDR])
+    if depth == 0:
+        return scalars
+    inner = type_trees(depth - 1)
+    return st.one_of(
+        scalars,
+        st.builds(lambda t, n: Type("array", elem=t, count=n),
+                  inner, st.integers(0, 4)),
+        st.lists(inner, min_size=1, max_size=3).map(
+            lambda fs: Type("agg", fields=tuple(
+                ("f%d" % k, t) for k, t in enumerate(fs)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(type_trees(4), st.sampled_from([1, 4, 8]))
+def test_ladder_matches_every_listed_placement(ty, size):
+    offs = placements(ty, size)
+    gaps = {b - a for a, b in zip(offs, offs[1:])}
+    if not offs:
+        want = None
+    elif len(gaps) > 1:
+        want = False
+    else:
+        want = (offs[0], offs[-1], gaps.pop() if gaps else 0)
+    assert _ladder(ty, size) == want, (str(ty), offs)
 
 
 def guarded(cond, body, ty="i8", count=64, params="%s: secret i64",
