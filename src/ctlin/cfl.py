@@ -4,9 +4,11 @@ Secret-dependent branches disappear by executing both arms in sequence.
 A taken predicate, always canonical 0/1 in the IR, says whether the
 current code runs for real; the non-taken arm runs as a decoy whose
 wrapped accesses see a null pointer and whose results are discarded by
-ct_select at the join.  Secret-bounded loops run a fixed number of
-iterations learned during profiling; the bound lives in a per-loop cell
-and grows, branchlessly, whenever a real execution needs more.
+ct_select at the join.  A secret-bounded loop pads to a bound k learned
+during profiling, kept in a per-loop cell: it exits once its iteration
+count reaches k and the run is no longer live, so a run of T trips takes
+exactly max(k, T) iterations and a decoy run k, and the exit writes that
+count back to the cell.
 
 The transforms here assume region normal form, that every protected
 access is already wrapped (ct_load/ct_store), and that inner regions are
@@ -317,6 +319,19 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
         raise LinearizeError("loop %s lacks a unique preheader" % H)
     P = preds[0]
 
+    # the latch tests the continue condition; where the exit condition
+    # is a negation only the latch reads (normalize's <latch>.exitc),
+    # it reads what that negates, and the negation goes
+    uses = ctx["uses"]
+    c_cont = None
+    if isinstance(c_exit, Reg) \
+            and all(i is term for i in uses.readers.get(c_exit.name, ())):
+        neg = next((i for i in lb.instrs if i.name == c_exit.name), None)
+        if neg is not None and neg.op == "xor" and neg.ty == I1 \
+                and neg.args[1] == Const(1):
+            c_cont = neg.args[0]
+            lb.instrs.remove(neg)
+
     cell = "%s%s.%s" % (BOUND_CELL, fn.name, H)
     m.globals[cell] = Global(cell, I64, int(k).to_bytes(8, "little"))
     kld = Instr(m.new_iid(), "load", name="cfl.kld." + H, ty=I64,
@@ -324,15 +339,12 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     pb = fn.blocks[P]
     pb.instrs.insert(len(pb.instrs) - 1, kld)
 
-    cn_n, kn_n, tn_n = "cfl.cn." + H, "cfl.kn." + H, "cfl.tn." + H
+    cn_n, g0_n = "cfl.cn." + H, "cfl.g0." + H
     cidx = Instr(m.new_iid(), "phi", name="cfl.c." + H, ty=I64,
                  incoming=sorted([(P, Const(0)), (L, Reg(cn_n))]))
-    kcur = Instr(m.new_iid(), "phi", name="cfl.kc." + H, ty=I64,
-                 incoming=sorted([(P, Reg(kld.name)), (L, Reg(kn_n))]))
     tcur = Instr(m.new_iid(), "phi", name="cfl.tl." + H, ty=I1,
-                 incoming=sorted([(P, tp), (L, Reg(tn_n))]))
-    uses = ctx["uses"]
-    uses.add(cidx, kcur, tcur)
+                 incoming=sorted([(P, tp), (L, Reg(g0_n))]))
+    uses.add(cidx, tcur)
 
     _resolve_pending(fn, ctx, set(r.blocks), Reg(tcur.name))
     _guard_blocks(m, fn, [b for lbl, b in fn.blocks.items()
@@ -368,34 +380,34 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     def gen(op, name, ty, args, pred=None):
         return Instr(m.new_iid(), op, name=name, ty=ty, pred=pred, args=args)
 
+    # iteration cn exits once it reaches k, the bound loaded on entry,
+    # and the run is no longer live (g0: taken and continuing, the next
+    # iteration's taken), so a run of T trips stops after exactly
+    # max(k, T) iterations and a decoy run after k
     cn = gen("add", cn_n, I64, [Reg(cidx.name), Const(1)])
-    eq = gen("icmp", "cfl.eq." + H, None, [Reg(cn_n), Reg(kcur.name)],
-             pred="eq")
-    nc = gen("xor", "cfl.ncnd." + H, I1, [c_exit, Const(1)])
-    nt = gen("xor", "cfl.ntk." + H, I1, [Reg(tcur.name), Const(1)])
-    cor = gen("or", "cfl.cor." + H, I1, [c_exit, Reg(nt.name)])
-    ex = gen("and", "cfl.ex." + H, I1, [Reg(eq.name), Reg(cor.name)])
-    g0 = gen("and", "cfl.g0." + H, I1, [Reg(tcur.name), Reg(nc.name)])
-    g1 = gen("and", "cfl.g1." + H, I1, [Reg(g0.name), Reg(eq.name)])
-    gz = gen("select", "cfl.gz." + H, None, [Reg(g1.name), Const(1),
-                                             Const(0)])
-    kn = gen("add", kn_n, I64, [Reg(kcur.name), Reg(gz.name)])
-    tn = gen("and", tn_n, I1, [Reg(tcur.name), Reg(nc.name)])
-    lb.instrs = lb.instrs[:-1] + [cn, eq, nc, nt, cor, ex, g0, g1, gz,
-                                  kn, tn] + outs + [term]
+    ge = gen("icmp", "cfl.ge." + H, None, [Reg(cn_n), Reg(kld.name)],
+             pred="ge")
+    new = [cn, ge]
+    if c_cont is None:
+        nc = gen("xor", "cfl.ncnd." + H, I1, [c_exit, Const(1)])
+        new.append(nc)
+        c_cont = Reg(nc.name)
+    g0 = gen("and", g0_n, I1, [Reg(tcur.name), c_cont])
+    ng = gen("xor", "cfl.ng." + H, I1, [Reg(g0_n), Const(1)])
+    ex = gen("and", "cfl.ex." + H, I1, [Reg(ge.name), Reg(ng.name)])
+    new += [g0, ng, ex]
+    lb.instrs = lb.instrs[:-1] + new + outs + [term]
     term.args = [Reg(ex.name)]
-    uses.add(cn, eq, nc, nt, cor, ex, g0, g1, gz, kn, tn, term,
-             *flanks, *outs)
+    uses.add(*new, term, *flanks, *outs)
 
     nph = len(hb.phis())
-    hb.instrs = hb.instrs[:nph] + [cidx, kcur, tcur] + flanks \
-        + hb.instrs[nph:]
+    hb.instrs = hb.instrs[:nph] + [cidx, tcur] + flanks + hb.instrs[nph:]
 
-    # a run that needed more than k iterations grew the count; write it
-    # back so the next run pads to the larger bound
+    # the iteration count at the exit is max(k, T); write it back so the
+    # next run pads to the larger bound
     xb = fn.blocks[X]
     sidx = len(xb.phis())
-    st = Instr(m.new_iid(), "store", ty=I64, args=[Reg(kn_n), Sym(cell)])
+    st = Instr(m.new_iid(), "store", ty=I64, args=[Reg(cn_n), Sym(cell)])
     xb.instrs.insert(sidx, st)
     # of the blocks this merge wrote to, only the latch had been guarded
     ctx["claimed"].discard(L)

@@ -223,8 +223,10 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
 
     Compared per input: entry return value, bytes of every non-reserved
     global, live heap payloads in allocation order, and the abort kind
-    when either side stops early.  `code` is hard decoded as plain code
-    by the caller; the original is decoded here, once.
+    when either side stops early.  An input on which the original runs
+    out of budget fails: two runs cut short compare nothing.  `code` is
+    hard decoded as plain code by the caller; the original is decoded
+    here, once.
     """
     npub, nsec = input_shape(orig, entry)
     rng = random.Random(seed ^ 0x517CC1B7)
@@ -237,9 +239,13 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
         inp = ExecInput(list(pub), list(sec))
         to, go, ho = final_state(orig, inp, entry=entry, budget=budget,
                                  code=orig_code)
+        where = "public %s secrets %s" % (pub, sec)
+        if to.abort == "budget":
+            return Verdict("equivalence", False,
+                           "original ran out of budget %d (%s)"
+                           % (budget, where))
         th, gh, hh = final_state(hard, inp, entry=entry, budget=budget,
                                  code=hard_code)
-        where = "public %s secrets %s" % (pub, sec)
         if to.abort != th.abort:
             return Verdict("equivalence", False, "abort '%s' vs '%s' (%s)"
                            % (to.abort, th.abort, where))
@@ -295,7 +301,7 @@ def verify_module(orig, hard, entry: str = "main", lams=None,
                   space: int = SECRET_SPACE,
                   budget: int = DEFAULT_BUDGET) -> list:
     """All checks in report order; extra quanta verify coarser views."""
-    if budget < 1:      # equivalence would pass comparing two aborts
+    if budget < 1:      # no run would execute an instruction
         raise ValueError("budget %d runs no instruction" % budget)
     plain = Code(hard)
     out = [check_pc_security(hard, entry, pairs, seed, space, budget, plain),

@@ -142,6 +142,92 @@ class TestLoopLinearization:
                     interpret(ref, ExecInput([base], [s])).output
 
 
+def trip_loop(exit_on_true: bool, guarded: bool) -> str:
+    """@main running a loop of (s & 7) + 1 trips, whose latch exits on a
+    true or on a false condition; guarded, inside a secret branch taken
+    only where bit 3 of s is clear."""
+    pred, labels = ("ge", "done, loop") if exit_on_true \
+        else ("lt", "loop, done")
+    into = "pre" if guarded else "entry"
+    lines = ["func @main(%s: secret i64) -> i64 {", "entry:"]
+    if guarded:
+        lines += ["  %b = and i64 %s, 8", "  %g = icmp eq %b, 0",
+                  "  condbr %g, pre, join", "pre:"]
+    lines += ["  %n = and i64 %s, 7", "  %t = add i64 %n, 1", "  br loop",
+              "loop:", "  %%i = phi i64 [%s: 0, loop: %%i1]" % into,
+              "  %%a = phi i64 [%s: 0, loop: %%a1]" % into,
+              "  %a1 = add i64 %a, %i", "  %i1 = add i64 %i, 1",
+              "  %%c = icmp %s %%i1, %%t" % pred,
+              "  condbr %c, " + labels, "done:"]
+    if guarded:
+        lines += ["  br join", "join:",
+                  "  %r = phi i64 [entry: 0, done: %a1]", "  ret %r"]
+    else:
+        lines += ["  ret %a1"]
+    return "\n".join(lines + ["}", ""])
+
+
+class TestTripArithmetic:
+    """A linearized loop with bound k runs max(k, T) iterations for a
+    run of T trips, and k for a decoy run, and leaves that count in its
+    bound cell."""
+
+    CELL = cfl.BOUND_CELL + "main.loop"
+
+    def _runs(self, src, secrets):
+        """(k, s) -> (latch condbr runs, final cell, output) for k in
+        1..6, with the hardened module's cell started at k."""
+        hm, rep = harden_module(parse_module(src), PipelineConfig())
+        assert rep["loops_linearized"] == 1
+        latch = hm.funcs["main"].blocks["loop"].terminator
+        code = Code(hm)
+        addr = code.global_addr[self.CELL]
+        out = {}
+        for k in range(1, 7):
+            for s in secrets:
+                mach = Machine(hm, code=code)
+                mach.mem.write(addr, 8, k)
+                tr = mach.run(ExecInput([], [s]))
+                assert tr.abort is None, tr.abort
+                out[k, s] = (tr.instrs.count(latch.iid),
+                             mach.mem.read(addr, 8), tr.output)
+        return out
+
+    @pytest.mark.parametrize("exit_on_true", [True, False])
+    def test_runs_and_leaves_max_of_bound_and_trips(self, exit_on_true):
+        src = trip_loop(exit_on_true, guarded=False)
+        ref = parse_module(src)
+        runs = self._runs(src, range(8))
+        for (k, s), (n, cell, output) in runs.items():
+            T = s + 1
+            assert (n, cell) == (max(k, T), max(k, T)), (k, T)
+            assert output == interpret(ref, ExecInput([], [s])).output
+
+    @pytest.mark.parametrize("exit_on_true", [True, False])
+    def test_decoy_runs_and_leaves_bound(self, exit_on_true):
+        src = trip_loop(exit_on_true, guarded=True)
+        ref = parse_module(src)
+        runs = self._runs(src, range(8, 16))
+        for (k, s), (n, cell, output) in runs.items():
+            assert (n, cell) == (k, k), (k, s)
+            assert output == interpret(ref, ExecInput([], [s])).output == 0
+
+    def test_latch_keeps_no_bound_growth(self):
+        texts = {(e, g): print_module(harden_module(parse_module(
+            trip_loop(e, g)), PipelineConfig())[0])
+            for e in (True, False) for g in (True, False)}
+        corpus = [print_module(hardened(n)[0])
+                  for n in ("covering_loop", "exp_loop_pair", "jit_trip")]
+        for text in list(texts.values()) + corpus:
+            for gone in ("cfl.kc.", "cfl.kn.", "cfl.g1.", "cfl.gz."):
+                assert gone not in text
+        # a continue condition that normalize negated is read as written
+        for g in (True, False):
+            assert "cfl.ncnd." in texts[True, g]
+            assert "exitc" not in texts[False, g]
+            assert "cfl.ncnd." not in texts[False, g]
+
+
 DIV_SRC = """\
 func @main(%a: i64, %k: secret i64) -> i64 {
 entry:
@@ -333,7 +419,8 @@ def test_region_tree_of_a_deep_nest_builds_in_bounded_time():
 
 
 # sha256 of the hardened bytes, recorded when every merge guarded every
-# block of its arms again
+# block of its arms again; secret_loops re-recorded when linearized loops
+# began exiting at max(bound, trips) and writing the count back
 MERGED_BYTES = {
     "nested_chain.1": "1c6c3fa50d0a0f2c",
     "nested_chain.2": "28efedad2fd031b6",
@@ -345,11 +432,11 @@ MERGED_BYTES = {
     "scale7.call_tree": "4e4c1e7fab5c94b6",
     "scale7.guarded_bump": "f2f6b5e529f5953d",
     "scale7.nested_branches": "52bddac8476fdbfa",
-    "scale7.secret_loops": "48108c927a90d279",
+    "scale7.secret_loops": "34b7d6032a682932",
     "scale11.call_tree": "115e9338fd6e4080",
     "scale11.guarded_bump": "f2f6b5e529f5953d",
     "scale11.nested_branches": "8badf4c8736ff0ef",
-    "scale11.secret_loops": "4ae32733aaceddad",
+    "scale11.secret_loops": "31cfd11068b415c1",
 }
 
 

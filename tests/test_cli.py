@@ -314,6 +314,20 @@ class TestVerifyCommand:
         assert "PASS obliviousness@4" in text
         assert "PASS obliviousness@64" in text
 
+    def test_original_out_of_budget_fails_equivalence(self, tmp_path,
+                                                       capsys):
+        # two runs cut short by the budget return nothing to compare
+        out = tmp_path / "h.ir"
+        assert main(["harden", corpus_path("exp_loop_pair"),
+                     "--emit", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        rc, text, _ = run(["verify", corpus_path("exp_loop_pair"), str(out),
+                           "--budget", "5"], capsys)
+        assert rc == EXIT_VERIFY
+        assert "FAIL equivalence: original ran out of budget 5 (public [0] " \
+            "secrets [0])\n" in text
+        assert "PASS" not in text
+
     @pytest.mark.parametrize("flags", [["--lambda", "0"],
                                        ["--lambda", "-64"],
                                        ["--pairs", "0"], ["--pairs", "-1"],

@@ -19,9 +19,17 @@ per-step interpreter, before the decoded engine replaced it; the
 `verdicts` digests with the decoded engine, before the call graph and
 CFG walk were merged.  They are the behaviour contract of the
 engine: a mismatch is a behaviour change to find and explain, never a
-reason to regenerate the file.  Regenerate (`python
-tests/test_engine_golden.py --write`) only for a change that means to
-alter emitted bytes or traces, and say why in its description.
+reason to regenerate the file.  Regenerate only for a change that means
+to alter emitted bytes or traces, and say why in its description:
+`python tests/test_engine_golden.py --write` re-records every key, and
+`--write KEY [KEY ...]` only the keys named; each prints, per key, which
+digests changed.
+
+Re-recorded since: `bytes` and `traces` of covering_loop, exp_loop_pair
+and jit_trip at every lambda, when linearized loops began exiting at
+max(bound, trips) with the count written back, in place of growing the
+bound by one per extra trip.  Their `taint` and `verdicts` digests did
+not move.
 """
 
 import hashlib
@@ -47,6 +55,7 @@ GOLDEN = os.path.join(HERE, "data", "engine_golden.json")
 LAMS = (1, 4, 64)
 SCHEMES = (1, 2, 3, 4, 5)
 GRID_INPUTS = 16
+FIELDS = ("bytes", "traces", "taint", "verdicts")
 
 
 def _names():
@@ -145,12 +154,47 @@ def test_golden_covers_corpus():
     assert sorted(_load_golden()) == sorted(_keys())
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_engine_golden.py --write")
-    out = {key: digests(key.rsplit(".l", 1)[0], int(key.rsplit(".l", 1)[1]))
-           for key in _keys()}
+def write(keys=None) -> list:
+    """Re-record the digests of keys, every key when None, and return a
+    line per key naming the digests that changed."""
+    bad = sorted(set(keys or ()) - set(_keys()))
+    if bad:
+        raise ValueError("no golden key %s" % ", ".join(bad))
+    old = _load_golden() if os.path.exists(GOLDEN) else {}
+    out = {} if keys is None else dict(old)
+    lines = []
+    for key in keys or _keys():
+        name, lam = key.rsplit(".l", 1)
+        out[key] = digests(name, int(lam))
+        moved = [f for f in FIELDS if old.get(key, {}).get(f) != out[key][f]]
+        lines.append("%s: %s" % (key, ", ".join(moved) or "unchanged"))
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
         f.write("\n")
+    return lines
+
+
+def test_write_rerecords_only_named_keys(tmp_path, monkeypatch):
+    golden = _load_golden()
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    monkeypatch.setitem(globals(), "GOLDEN", str(path))
+    monkeypatch.setitem(globals(), "digests", lambda name, lam: dict(
+        golden["%s.l%d" % (name, lam)], traces="moved"))
+    assert write(["jit_trip.l4"]) == ["jit_trip.l4: traces"]
+    assert json.loads(path.read_text()) == dict(
+        golden, **{"jit_trip.l4": dict(golden["jit_trip.l4"],
+                                       traces="moved")})
+    assert write(["jit_trip.l4"]) == ["jit_trip.l4: unchanged"]
+    with pytest.raises(ValueError, match="no golden key nope.l4"):
+        write(["nope.l4"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_engine_golden.py --write [KEY ...]")
+    try:
+        print("\n".join(write(sys.argv[2:] or None)))
+    except ValueError as e:
+        sys.exit(str(e))
