@@ -24,7 +24,7 @@ from .ir import ParseError, parse_module, print_module, validate
 from .normalize import NormalizeError
 from .pipeline import (InputError, PipelineConfig, PipelineError,
                        harden_module, module_stats)
-from .pta import CloneError, PtaError
+from .pta import CloneError
 from .taint import ProfileError, input_shape
 from .verify import SECRET_SPACE, verify_module
 
@@ -33,8 +33,8 @@ EXIT_INPUT = 2
 EXIT_PIPELINE = 3
 EXIT_VERIFY = 4
 
-_STAGE_ERRORS = (PipelineError, NormalizeError, ProfileError, PtaError,
-                 CloneError, DflError, LinearizeError)
+_STAGE_ERRORS = (PipelineError, NormalizeError, ProfileError, CloneError,
+                 DflError, LinearizeError)
 
 
 def _load(path: str):

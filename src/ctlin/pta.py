@@ -4,7 +4,11 @@ A flow-insensitive, inclusion-based solver tracks which allocation
 sites each pointer can reach, with offset ranges so a pointer into an
 array is (site, lo, hi, stride) rather than just the site.  Striding
 plans are built straight from these elements, so their precision is
-what decides how much memory every wrapped access must touch.
+what decides how much memory every wrapped access must touch.  A new
+element joins its object's old one into whichever covers the other, two
+exact offsets into their hull ladder, else the gcd ladder run to the
+object's ends; a gep leaving its object yields the whole object.  So an
+element grows a few times at most, and the solve always ends.
 
 Three sharpeners sit on top.  Range refinement re-types a degenerate
 whole-object element as the ladder of offsets where the access size sits
@@ -22,17 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 
 from .cfg import build_cfg, reachable
 from .ir import (I64, Block, Const, Function, Instr, Module, Param, Reg,
                  Sym, gep_steps, reg_types, site_ref, site_token, size_of)
 
-_MAX_ELEMS = 64          # per-value widening threshold
 _MAX_CLONES = 256
-
-
-class PtaError(Exception):
-    pass
 
 
 @dataclass
@@ -41,7 +41,8 @@ class PointsTo:
 
     Elements are (obj, lo, hi, stride) tuples; obj is an `ir.site_token`
     (g:@name, s:<iid>, h:<iid>, or f:@name for code).
-    lo == hi means an exact pointer; stride 0 goes with it.
+    lo == hi means an exact pointer; stride 0 goes with it.  A set holds
+    at most one element per object, and it lies inside the object.
     """
     vals: dict = field(default_factory=dict)    # (fn, reg) -> set
     mem: dict = field(default_factory=dict)     # obj -> set
@@ -51,18 +52,34 @@ class PointsTo:
         return self.vals.get((fn, reg), set())
 
 
-def _degenerate(elem, sizes):
-    obj = elem[0]
+def _degenerate(obj, sizes):
     n = sizes.get(obj, 0)
-    if n <= 1:
-        return (obj, 0, 0, 0)
-    return (obj, 0, n - 1, 1)
+    return (obj, 0, n - 1, 1) if n > 1 else (obj, 0, 0, 0)
 
 
-def _widen(elems, sizes):
-    if len(elems) <= _MAX_ELEMS:
-        return elems
-    return {_degenerate(e, sizes) for e in elems}
+def _covers(a, b) -> bool:
+    """Every offset of b is one of a's, and b ends no later."""
+    _, alo, ahi, ast = a
+    _, blo, bhi, bst = b
+    return alo <= blo and bhi <= ahi and (
+        not ast or (blo - alo) % ast == 0 and (blo == bhi or bst % ast == 0))
+
+
+def _join(a, b, n: int):
+    """One element of an n-byte object covering a and b: whichever
+    covers the other, else two exact offsets as their hull ladder, else
+    the gcd ladder run to the object's ends."""
+    if _covers(a, b):
+        return a
+    if _covers(b, a):
+        return b
+    obj, alo, ahi, ast = a
+    _, blo, bhi, bst = b
+    step = gcd(ast, bst, alo - blo)
+    if alo == ahi and blo == bhi:
+        return (obj, min(alo, blo), max(alo, blo), step)
+    lo = alo % step
+    return (obj, lo, max(ahi, bhi, lo + (n - 1 - lo) // step * step), step)
 
 
 def andersen_solve(m: Module) -> PointsTo:
@@ -82,15 +99,18 @@ def andersen_solve(m: Module) -> PointsTo:
                 return {(site_token("f", o.name), 0, 0, 0)}
         return set()
 
-    def merge(key, new):
+    def merge(key, new, table=vals):
         if not new:
             return False
-        cur = vals.setdefault(key, set())
-        before = len(cur)
-        cur |= new
-        if len(cur) > _MAX_ELEMS:
-            vals[key] = _widen(cur, sizes)
-        return len(vals[key]) != before
+        cur = table.setdefault(key, set())
+        changed = False
+        for e in sorted(new - cur):     # a join depends on the order
+            old = next((o for o in cur if o[0] == e[0]), None)
+            j = e if old is None else _join(old, e, sizes.get(e[0], 0))
+            cur.discard(old)
+            cur.add(j)
+            changed |= j != old
+        return changed
 
     def gep_pts(fname, ins):
         out = set()
@@ -98,11 +118,8 @@ def andersen_solve(m: Module) -> PointsTo:
         for obj, lo, hi, st in op_pts(fname, ins.args[0]):
             if obj[0] == "f":
                 continue
-            if err:
-                out.add(_degenerate((obj, 0, 0, 0), sizes))
-                continue
             osz = sizes.get(obj, 0)
-            for idx, scale in steps:
+            for idx, scale in steps or ():
                 if idx is None:                 # field offset
                     lo += scale
                     hi += scale
@@ -114,11 +131,12 @@ def andersen_solve(m: Module) -> PointsTo:
                     lo, hi, st = rem, max(rem, osz - scale + rem), scale
                 else:
                     lo, hi, st = 0, max(0, osz - 1), 1
-            out.add((obj, lo, hi, st))
+            out.add(_degenerate(obj, sizes) if err or lo < 0 or hi >= osz
+                    else (obj, lo, hi, st))
         return out
 
     funcs = list(m.funcs.values())
-    for _ in range(200):
+    while True:
         changed = False
         for f in funcs:
             fname = f.name
@@ -131,22 +149,16 @@ def andersen_solve(m: Module) -> PointsTo:
                 elif op == "gep":
                     changed |= merge((fname, ins.name), gep_pts(fname, ins))
                 elif op == "phi":
-                    u = set()
                     for _, v in ins.incoming:
-                        u |= op_pts(fname, v)
-                    changed |= merge((fname, ins.name), u)
+                        changed |= merge((fname, ins.name), op_pts(fname, v))
                 elif op == "select":
-                    u = op_pts(fname, ins.args[1]) | op_pts(fname,
-                                                            ins.args[2])
-                    changed |= merge((fname, ins.name), u)
+                    for v in ins.args[1:]:
+                        changed |= merge((fname, ins.name), op_pts(fname, v))
                 elif op in ("add", "sub", "and", "or", "xor", "mul",
                             "shl", "lshr", "div", "rem"):
-                    u = set()
-                    for a in ins.args:
-                        for e in op_pts(fname, a):
-                            u.add(_degenerate(e, sizes))
-                    if u:
-                        changed |= merge((fname, ins.name), u)
+                    u = {_degenerate(e[0], sizes)
+                         for a in ins.args for e in op_pts(fname, a)}
+                    changed |= merge((fname, ins.name), u)
                 elif op == "load":
                     u = set()
                     for e in op_pts(fname, ins.args[0]):
@@ -154,17 +166,10 @@ def andersen_solve(m: Module) -> PointsTo:
                     changed |= merge((fname, ins.name), u)
                 elif op == "store":
                     flow = op_pts(fname, ins.args[0])
-                    if flow:
-                        for e in op_pts(fname, ins.args[1]):
-                            cur = mem.setdefault(e[0], set())
-                            before = len(cur)
-                            cur |= flow
-                            changed |= len(cur) != before
+                    for e in op_pts(fname, ins.args[1]):
+                        changed |= merge(e[0], flow, mem)
                 elif op == "ret":
-                    cur = rets.setdefault(fname, set())
-                    before = len(cur)
-                    cur |= op_pts(fname, ins.args[0])
-                    changed |= len(cur) != before
+                    changed |= merge(fname, op_pts(fname, ins.args[0]), rets)
                 elif op == "call" and ins.callee in m.funcs:
                     callee = m.funcs[ins.callee]
                     for a, p in zip(ins.args, callee.params):
@@ -190,7 +195,6 @@ def andersen_solve(m: Module) -> PointsTo:
                                              rets.get(cn, set()))
         if not changed:
             return pt
-    raise PtaError("points-to solve did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +262,10 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
         if not elems:
             continue
         ref = set()
-        for obj, lo, hi, st in elems:
-            n = pt.sizes.get(obj, 0)
-            if not (st == 1 and lo == 0 and hi == n - 1 and n > size) \
-                    or obj not in obj_ty:
-                ref.add((obj, lo, hi, st))
-                continue
-            lad = _ladder(obj_ty[obj], size)
-            ref.add((obj, *lad) if lad else (obj, lo, hi, st))
+        for e in elems:
+            lad = e[0] in obj_ty and e == _degenerate(e[0], pt.sizes) \
+                and pt.sizes[e[0]] > size and _ladder(obj_ty[e[0]], size)
+            ref.add((e[0], *lad) if lad else e)
         out.vals[key] = ref
     return out
 
@@ -441,10 +441,8 @@ def refine_index_ranges(m: Module, pt: PointsTo, accesses) -> PointsTo:
 # ---------------------------------------------------------------------------
 # indirect calls
 
-def resolve_indirect_targets(m: Module, pt: PointsTo | None = None) -> dict:
+def resolve_indirect_targets(m: Module, pt: PointsTo) -> dict:
     """icall iid -> sorted candidate names whose prototype can match."""
-    if pt is None:
-        pt = andersen_solve(m)
     out = {}
     for f in m.funcs.values():
         for ins in f.instructions():

@@ -149,12 +149,12 @@ def _compare_traces(code, entry, lam, pairs, seed, space, budget, check,
         for pub, sv, mach, tr in _sweep(code, entry, lam, budget, pubs,
                                         secs, seeds):
             if tr.abort is not None:
-                return Verdict(check, False, "abort '%s' under secrets %s"
-                               % (tr.abort, sv), warnings)
+                return Verdict(check, False, "abort '%s' under secrets %s "
+                               "(public %s)" % (tr.abort, sv, pub), warnings)
             if tr.violations:
-                return Verdict(check, False,
-                               "striding violation %r under secrets %s"
-                               % (tr.violations[0], sv), warnings)
+                return Verdict(check, False, "striding violation %r under "
+                               "secrets %s (public %s)"
+                               % (tr.violations[0], sv, pub), warnings)
             for addr in top:
                 top[addr] = max(top[addr], mach.mem.read(addr, 8))
             cur = sig(tr)
@@ -280,8 +280,8 @@ def check_decoy_invariants(m, entry: str = "main", pairs: int = 100,
     code = code or Code(m, DecoyDecoder())
     if code.m is not m or not isinstance(code.decoder, DecoyDecoder):
         raise ValueError("code is not m decoded under DecoyDecoder")
-    for _, sv, _, tr in _sweep(code, entry, _lam_h(m), budget, pubs, secs):
-        where = "under secrets %s" % (sv,)
+    for pub, sv, _, tr in _sweep(code, entry, _lam_h(m), budget, pubs, secs):
+        where = "under secrets %s (public %s)" % (sv, pub)
         if tr.decoy_violations:
             return Verdict("decoy-invariants", False, "%r %s"
                            % (tr.decoy_violations[0], where))

@@ -328,6 +328,18 @@ class TestVerifyCommand:
             "secrets [0])\n" in text
         assert "PASS" not in text
 
+    def test_abort_witnesses_name_the_public_vector(self, tmp_path, capsys):
+        out = tmp_path / "h.ir"
+        assert main(["harden", corpus_path("exp_loop_pair"),
+                     "--emit", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        rc, text, _ = run(["verify", corpus_path("exp_loop_pair"), str(out),
+                           "--budget", "5"], capsys)
+        assert rc == EXIT_VERIFY
+        for check in ("pc-security", "obliviousness@64", "decoy-invariants"):
+            assert "FAIL %s: abort 'budget' under secrets [0] (public [0])\n"\
+                % check in text, text
+
     @pytest.mark.parametrize("flags", [["--lambda", "0"],
                                        ["--lambda", "-64"],
                                        ["--pairs", "0"], ["--pairs", "-1"],

@@ -10,9 +10,9 @@ from ctlin.interp import Code, ExecInput, Machine, format_suite, interpret
 from ctlin.ir import (ADDR, I1, I8, I32, I64, Type, parse_module, size_of,
                       validate)
 from ctlin.pipeline import PipelineConfig, harden_module
-from ctlin.pta import (CloneError, _ladder, aggressive_clone, andersen_solve,
-                       refine_field_sensitivity, refine_index_ranges,
-                       resolve_indirect_targets)
+from ctlin.pta import (CloneError, _join, _ladder, aggressive_clone,
+                       andersen_solve, refine_field_sensitivity,
+                       refine_index_ranges, resolve_indirect_targets)
 from ctlin.taint import default_suite
 from ctlin.verify import verify_module
 
@@ -64,6 +64,210 @@ class TestAndersen:
         m = load("fn_table_dispatch")
         pt = andersen_solve(m)
         assert {e[0] for e in pt.mem["g:@tab"]} == {"f:@f", "f:@g"}
+
+
+def walk(count):
+    """@main summing @t: [count x i64] through a pointer stepped by one
+    element a trip, for s & 15 trips."""
+    return ("global @t: [%d x i64] = 00\n"
+            "func @main(%%s: secret i64) -> i64 {\nentry:\n"
+            "  %%n = and i64 %%s, 15\n  %%p0 = gep i64 @t, 0\n  br loop\n"
+            "loop:\n  %%k = phi i64 [entry: 0, loop: %%k1]\n"
+            "  %%p1 = phi addr [entry: %%p0, loop: %%p2]\n"
+            "  %%acc = phi i64 [entry: 0, loop: %%a1]\n"
+            "  %%v = load i64, %%p1\n  %%a1 = add i64 %%acc, %%v\n"
+            "  %%p2 = gep i64 %%p1, 1\n  %%k1 = add i64 %%k, 1\n"
+            "  %%c = icmp lt %%k1, %%n\n  condbr %%c, loop, done\n"
+            "done:\n  ret %%a1\n}\n" % count)
+
+
+EXACT_OR_INDEXED = (
+    "global @t: [16 x i64] = 00\n"
+    "func @main(%s: secret i64) -> i64 {\nentry:\n"
+    "  %i = and i64 %s, 15\n  %e = gep i64 @t, 0\n"
+    "  %c = icmp lt %s, 8\n  condbr %c, a, j\n"
+    "a:\n  %q = gep i64 @t, %i\n  br j\n"
+    "j:\n  %p = phi addr [entry: %e, a: %q]\n  %v = load i64, %p\n"
+    "  ret %v\n}\n")
+
+PAST_END_AND_BACK = (
+    "global @t: [16 x i64] = 00\n"
+    "func @main(%s: secret i64) -> i64 {\nentry:\n"
+    "  %e = gep i64 @t, 16\n  %p = gep i64 %e, -1\n"
+    "  %c = icmp lt %s, 8\n  condbr %c, a, b\n"
+    "a:\n  %v = load i64, %p\n  ret %v\nb:\n  ret 0\n}\n")
+
+
+def call_chain(depth):
+    """@main passing @g down @f1 -> ... -> @f<depth>, listed callee
+    first; the deepest loads @g[s & 3]."""
+    fns = ["func @f%d(%%p: addr, %%s: secret i64) -> i64 {\nentry:\n"
+           "  %%r = call @f%d(%%p, %%s)\n  ret %%r\n}\n" % (k, k + 1)
+           for k in range(depth - 1, 0, -1)]
+    return ("global @g: [4 x i64] = 00\n"
+            "func @f%d(%%p: addr, %%s: secret i64) -> i64 {\nentry:\n"
+            "  %%i = and i64 %%s, 3\n  %%q = gep i64 %%p, %%i\n"
+            "  %%v = load i64, %%q\n  ret %%v\n}\n" % depth
+            + "".join(fns) +
+            "func @main(%s: secret i64) -> i64 {\nentry:\n"
+            "  %r = call @f1(@g, %s)\n  ret %r\n}\n")
+
+
+def plans(hm):
+    return [(e.site, e.off, e.length, e.stride)
+            for rec in hm.dflmeta.values() for e in rec.entries]
+
+
+def hardens_and_verifies(src, pairs=4):
+    hm, _ = harden_module(parse_module(src), PipelineConfig())
+    verdicts = verify_module(parse_module(src), hm, pairs=pairs)
+    assert len(verdicts) == 4
+    assert all(v.passed for v in verdicts), verdicts
+    return hm
+
+
+def assert_in_object(pt):
+    """Every set of pt holds at most one element per object, and each
+    element lies inside its object."""
+    for table in (pt.vals, pt.mem):
+        for key, elems in table.items():
+            objs = [e[0] for e in elems]
+            assert len(objs) == len(set(objs)), (key, elems)
+            for obj, lo, hi, st in elems:
+                n = max(1, pt.sizes.get(obj, 0))
+                assert 0 <= lo <= hi < n and st >= 0, (key, elems)
+                assert lo == hi or st > 0, (key, elems)
+
+
+class TestOneElementPerObject:
+    def test_pointer_walk_plans_the_object_once(self):
+        hm = hardens_and_verifies(walk(16))
+        assert plans(hm) == [("g:@t", 0, 128, 8)]
+
+    def test_exact_and_indexed_phi_plan_once(self):
+        hm = hardens_and_verifies(EXACT_OR_INDEXED)
+        assert plans(hm) == [("g:@t", 0, 128, 8)]
+
+    def test_deep_callee_first_chain_solves(self, tmp_path, capsys):
+        from ctlin.cli import EXIT_OK, main
+        orig, hard = tmp_path / "chain.ir", tmp_path / "chain.hard.ir"
+        orig.write_text(call_chain(211))
+        assert main(["harden", str(orig), "--emit", str(hard)]) == EXIT_OK
+        assert main(["verify", str(orig), str(hard), "--pairs", "4"]) \
+            == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_long_walk_keeps_one_element_in_the_object(self):
+        pt = andersen_solve(parse_module(walk(8192)))
+        assert pt.of("main", "p1") == pt.of("main", "p2") == \
+            {("g:@t", 0, 65535, 1)}
+        assert_in_object(pt)
+
+    def test_pointer_past_the_end_and_back(self):
+        # @t + 128 leaves the object, so its gep and the one that comes
+        # back to @t + 120 both stand for the whole object
+        pt = andersen_solve(parse_module(PAST_END_AND_BACK))
+        assert pt.of("main", "e") == pt.of("main", "p") == \
+            {("g:@t", 0, 127, 1)}
+        hm = hardens_and_verifies(PAST_END_AND_BACK)
+        (site, off, length, _), = plans(hm)
+        assert site == "g:@t" and off <= 120 and off + length >= 128
+
+
+T = "g:@t"          # a 128-byte object in the join table below
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # equal elements
+    ((T, 8, 8, 0), (T, 8, 8, 0), (T, 8, 8, 0)),
+    ((T, 0, 120, 8), (T, 0, 120, 8), (T, 0, 120, 8)),
+    # two exact offsets: their hull ladder at the gap
+    ((T, 8, 8, 0), (T, 32, 32, 0), (T, 8, 32, 24)),
+    ((T, 32, 32, 0), (T, 8, 8, 0), (T, 8, 32, 24)),
+    # an exact offset on a ladder and inside it
+    ((T, 0, 120, 8), (T, 16, 16, 0), (T, 0, 120, 8)),
+    ((T, 16, 16, 0), (T, 0, 120, 8), (T, 0, 120, 8)),
+    ((T, 0, 127, 1), (T, 4, 36, 16), (T, 0, 127, 1)),
+    # a ladder that grows runs to the object's ends at the gcd stride
+    ((T, 8, 24, 16), (T, 40, 40, 0), (T, 8, 120, 16)),
+    ((T, 0, 8, 8), (T, 16, 16, 0), (T, 0, 120, 8)),
+    # the stride shrinks to the gcd of strides and offsets
+    ((T, 0, 120, 8), (T, 4, 4, 0), (T, 0, 124, 4)),
+    ((T, 0, 120, 8), (T, 6, 102, 12), (T, 0, 126, 2)),
+    ((T, 16, 48, 32), (T, 24, 24, 0), (T, 0, 120, 8)),
+])
+def test_join(a, b, want):
+    assert _join(a, b, 128) == want
+
+
+@st.composite
+def pointer_programs(draw):
+    """A program of pointer statements over @t, @s and the slot @cell:
+    constant-step walks, phis over exact and indexed geps, field geps,
+    stores to and loads from @cell, and a chain of calls that each
+    step the pointer they pass down."""
+    n = draw(st.integers(1, 24))
+    entry, loop, phis, fns = [], [], [], []
+    pool = ["@t", "@s"]         # usable in the entry block and the loop
+    late = []                   # usable in the loop only
+    for k in range(draw(st.integers(1, 12))):
+        in_loop = draw(st.booleans())
+        ptrs = pool + late if in_loop else pool
+        p = draw(st.sampled_from(ptrs))
+        kind = draw(st.sampled_from(["const", "index", "field", "walk",
+                                     "phi", "cell", "call"]))
+        r = "%%r%d" % k
+        if kind == "const":
+            line = "%s = gep i64 %s, %d" % (r, p, draw(st.integers(-20, 20)))
+        elif kind == "index":
+            line = "%s = gep i64 %s, %%i" % (r, p)
+        elif kind == "field":
+            line = "%s = gep S %s, 0, %s" % (r, p, draw(st.sampled_from(
+                ["0", "2", "1, 3", "1, %i"])))
+        elif kind == "walk":
+            step = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            phis.append("%s = phi addr [entry: %s, loop: %%w%d]"
+                        % (r, draw(st.sampled_from(pool)), k))
+            loop.append("%%w%d = gep i64 %s, %d" % (k, r, step))
+            late.append(r)
+            continue
+        elif kind == "phi":
+            phis.append("%s = phi addr [entry: %s, loop: %s]" % (
+                r, draw(st.sampled_from(pool)),
+                draw(st.sampled_from(pool + late))))
+            late.append(r)
+            continue
+        elif kind == "cell":
+            line = "store addr %s, @cell\n  %s = load addr, @cell" % (p, r)
+        else:
+            depth = draw(st.integers(1, 4))
+            step = draw(st.integers(-2, 2))
+            for d in range(depth):
+                nxt = ("%%q = call @c%d.%d(%%v)" % (k, d + 1)
+                       if d + 1 < depth else "%q = gep i64 %v, 0")
+                fns.append("func @c%d.%d(%%p: addr) -> addr {\nentry:\n"
+                           "  %%v = gep i64 %%p, %d\n  %s\n  ret %%q\n}\n"
+                           % (k, d, step, nxt))
+            line = "%s = call @c%d.0(%s)" % (r, k, p)
+        (loop if in_loop else entry).append(line)
+        (late if in_loop else pool).append(r)
+    blocks = tuple("".join("  %s\n" % ln for ln in lines)
+                   for lines in (entry, phis, loop))
+    return ("global @t: [%d x i64] = 00\n"
+            "global @s: {a: i64, b: [4 x i32], c: i64} = 00\n"
+            "global @cell: addr = 00\n%s"
+            "func @main(%%i: i64) -> i64 {\nentry:\n%s  br loop\n"
+            "loop:\n%s%s  %%c = icmp lt %%i, 3\n  condbr %%c, loop, done\n"
+            "done:\n  ret 0\n}\n" % ((n, "".join(fns)) + blocks)
+            ).replace("gep S", "gep {a: i64, b: [4 x i32], c: i64}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pointer_programs())
+def test_solved_sets_stay_inside_their_objects(src):
+    m = parse_module(src)
+    assert validate(m) == [], src
+    assert_in_object(andersen_solve(m))
 
 
 class TestRefinement:

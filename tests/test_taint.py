@@ -11,7 +11,8 @@ from ctlin.ir import parse_module
 from ctlin.normalize import (normalize_regions, promote_indirect_calls,
                              unify_exits)
 from ctlin.pipeline import PipelineConfig, harden_module
-from ctlin.pta import aggressive_clone, resolve_indirect_targets
+from ctlin.pta import (aggressive_clone, andersen_solve,
+                       resolve_indirect_targets)
 from ctlin.taint import (Context, TaintDecoder, TaintMachine,
                          close_sensitivity, default_suite, input_shape,
                          taint_profile, translate_report)
@@ -176,7 +177,7 @@ def translated_and_fresh(m, partitions=128):
     does, and return (the profile carried over to the clones, a new
     profile of the cloned module)."""
     unify_exits(m)
-    targets = resolve_indirect_targets(m)
+    targets = resolve_indirect_targets(m, andersen_solve(m))
     if targets:
         promote_indirect_calls(m, targets)
     suite = default_suite(m, partitions=partitions)

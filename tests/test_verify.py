@@ -162,11 +162,11 @@ class TestFailureVerdicts:
     # each failure path of every check, with its full verdict line
     DIV = [
         (check_pc_security, "FAIL pc-security: abort 'div_zero' under "
-                            "secrets [0]"),
+                            "secrets [0] (public [])"),
         (check_obliviousness, "FAIL obliviousness@64: abort 'div_zero' "
-                              "under secrets [0]"),
+                              "under secrets [0] (public [])"),
         (check_decoy_invariants, "FAIL decoy-invariants: abort 'div_zero' "
-                                 "under secrets [0]"),
+                                 "under secrets [0] (public [])"),
     ]
 
     @pytest.mark.parametrize("check,line", DIV)
@@ -174,7 +174,7 @@ class TestFailureVerdicts:
         assert check(parse_module(DIV_BY_SECRET), pairs=4,
                      space=8).line() == line
 
-    MISS = "('miss', 0, 73856) under secrets [64]"
+    MISS = "('miss', 0, 73856) under secrets [64] (public [])"
 
     @pytest.mark.parametrize("check,line", [
         (check_pc_security, "FAIL pc-security: striding violation " + MISS),
