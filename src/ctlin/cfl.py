@@ -202,7 +202,9 @@ def _arm_walk(fn: Function, start: str, join: str):
 
     Follows the first successor everywhere: for a plain br that is the
     only edge, for a loop latch it is the exit edge, which is the linear
-    continuation once trips are padded.
+    continuation once trips are padded.  Inner regions merge first, and
+    `_merge_loop` writes each latch it merges exit first, so that is the
+    only latch form met here.
     """
     if start == join:
         return []
@@ -307,31 +309,23 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
 # loop regions
 
 def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
+    """Pad loop r to its bound k.  The latch may be written either way
+    round; it is read here and rewritten as condbr %ex, exit, header,
+    the one place that knows which way a latch branches."""
     H, L, X = r.entry, r.latch, r.exit
     hb, lb = fn.blocks[H], fn.blocks[L]
     term = lb.terminator
-    if term.op != "condbr" or term.labels != [X, H]:
-        raise LinearizeError("loop %s latch not canonical" % H)
-    c_exit = term.args[0]
+    if term.op != "condbr" or set(term.labels) != {X, H}:
+        raise LinearizeError("loop %s: latch %s does not branch between "
+                             "the header and exit %s" % (H, L, X))
+    c_cont = term.args[0]
     preds = [lbl for lbl, b in fn.blocks.items()
              if lbl not in r.blocks and H in b.terminator.labels]
     if len(preds) != 1:
         raise LinearizeError("loop %s lacks a unique preheader" % H)
     P = preds[0]
 
-    # the latch tests the continue condition; where the exit condition
-    # is a negation only the latch reads (normalize's <latch>.exitc),
-    # it reads what that negates, and the negation goes
     uses = ctx["uses"]
-    c_cont = None
-    if isinstance(c_exit, Reg) \
-            and all(i is term for i in uses.readers.get(c_exit.name, ())):
-        neg = next((i for i in lb.instrs if i.name == c_exit.name), None)
-        if neg is not None and neg.op == "xor" and neg.ty == I1 \
-                and neg.args[1] == Const(1):
-            c_cont = neg.args[0]
-            lb.instrs.remove(neg)
-
     cell = "%s%s.%s" % (BOUND_CELL, fn.name, H)
     m.globals[cell] = Global(cell, I64, int(k).to_bytes(8, "little"))
     kld = Instr(m.new_iid(), "load", name="cfl.kld." + H, ty=I64,
@@ -388,8 +382,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     ge = gen("icmp", "cfl.ge." + H, None, [Reg(cn_n), Reg(kld.name)],
              pred="ge")
     new = [cn, ge]
-    if c_cont is None:
-        nc = gen("xor", "cfl.ncnd." + H, I1, [c_exit, Const(1)])
+    if term.labels[0] == X:     # the latch as written exits on true
+        nc = gen("xor", "cfl.ncnd." + H, I1, [c_cont, Const(1)])
         new.append(nc)
         c_cont = Reg(nc.name)
     g0 = gen("and", g0_n, I1, [Reg(tcur.name), c_cont])
@@ -398,6 +392,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     new += [g0, ng, ex]
     lb.instrs = lb.instrs[:-1] + new + outs + [term]
     term.args = [Reg(ex.name)]
+    term.labels = [X, H]
     uses.add(*new, term, *flanks, *outs)
 
     nph = len(hb.phis())

@@ -88,7 +88,7 @@ def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
         for obj, lo, hi, st in sorted(elems):
             if obj[0] == "f":
                 continue
-            length = hi - lo + size
+            length = min(hi + size, pt.sizes[obj]) - lo
             entries.append(DflEntry(obj, lo, length, st if st else size,
                                     choose_handler(lam, length)))
         if not entries:

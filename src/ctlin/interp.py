@@ -1458,9 +1458,7 @@ def final_state(m: Module, inp: ExecInput, entry: str = "main",
     for name in m.globals:
         if is_reserved_name(name):
             continue
-        base = mach.global_addr[name]
-        a = mach.mem.find(base)
-        gbytes[name] = bytes(a.data)
+        gbytes[name] = bytes(mach.mem.allocs[mach.global_addr[name]].data)
     heaps = []
     for base in mach.mem.bases:
         a = mach.mem.allocs[base]

@@ -7,14 +7,13 @@ single-entry single-exit regions:
   linear  the function root, entry block through unified exit
   branch  a condbr whose arms rejoin at the nearest common postdominator
   loop    a natural loop with one back edge whose latch is also the only
-          exiting block (bottom-tested); the latch condbr is canonicalized
-          to jump out on a true condition
+          exiting block (bottom-tested)
 
 Loops are given a dedicated preheader so the counter phis inserted later
 have a unique non-latch predecessor.
 
 The blocks and registers these passes add have fixed names (`exit.unified`,
-`ret.val`, `<header>.pre`, `<phi>.pre`, `<latch>.exitc`); where the input
+`ret.val`, `<header>.pre`, `<phi>.pre`); where the input
 already uses one, the first free `.<n>` suffix of it is taken instead.
 """
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cfg as cfglib
-from .ir import I1, Block, Const, Instr, Module, Reg, Sym
+from .ir import Block, Const, Instr, Module, Reg, Sym
 
 
 class NormalizeError(Exception):
@@ -242,7 +241,7 @@ def _expand_icall(m: Module, fn, b: Block, k: int, ins: Instr, cands,
 # region discovery
 
 def normalize_regions(m: Module) -> RegionTree:
-    """Canonicalize loops and build the region tree.  Idempotent.
+    """Give loops preheaders and build the region tree.  Idempotent.
 
     Errors on irreducible control flow, loops with several back edges,
     loops exiting anywhere but their latch, and arms that do not rejoin
@@ -282,7 +281,6 @@ def normalize_regions(m: Module) -> RegionTree:
                 raise NormalizeError(
                     "@%s: latch '%s' must branch between header and one exit"
                     % (fn.name, latch))
-            _canonicalize_latch(m, fn, latch, header, outside[0])
             loops.append((header, latch, body, outside[0]))
 
         for header, latch, body, _ in loops:
@@ -313,19 +311,6 @@ def normalize_regions(m: Module) -> RegionTree:
             if r.kind == "loop":
                 tree.latches.setdefault((r.fn, r.latch), r)
     return tree
-
-
-def _canonicalize_latch(m: Module, fn, latch: str, header: str, exit_t: str):
-    """Latch condbr exits on true: condbr %c, <exit>, <header>."""
-    b = fn.blocks[latch]
-    term = b.terminator
-    if term.labels == [exit_t, header]:
-        return
-    neg = Instr(m.new_iid(), "xor", ty=I1, args=[term.args[0], Const(1)],
-                name=_fresh("%s.exitc" % latch, _registers(fn)))
-    b.instrs.insert(len(b.instrs) - 1, neg)
-    term.args = [Reg(neg.name)]
-    term.labels = [exit_t, header]
 
 
 def _ensure_preheader(m: Module, fn, g, header: str, body: set):

@@ -65,6 +65,12 @@ def _covers(a, b) -> bool:
         not ast or (blo - alo) % ast == 0 and (blo == bhi or bst % ast == 0))
 
 
+def _last(lo: int, step: int, n: int) -> int:
+    """The last offset of an n-byte object on the ladder from lo by
+    step, or lo where the object ends first."""
+    return lo + max(0, (n - 1 - lo) // step * step)
+
+
 def _join(a, b, n: int):
     """One element of an n-byte object covering a and b: whichever
     covers the other, else two exact offsets as their hull ladder, else
@@ -79,7 +85,7 @@ def _join(a, b, n: int):
     if alo == ahi and blo == bhi:
         return (obj, min(alo, blo), max(alo, blo), step)
     lo = alo % step
-    return (obj, lo, max(ahi, bhi, lo + (n - 1 - lo) // step * step), step)
+    return (obj, lo, max(ahi, bhi, _last(lo, step, n)), step)
 
 
 def andersen_solve(m: Module) -> PointsTo:
@@ -126,9 +132,11 @@ def andersen_solve(m: Module) -> PointsTo:
                 elif isinstance(idx, Const):
                     lo += idx.value * scale
                     hi += idx.value * scale
+                elif not scale:                 # moves no byte
+                    continue
                 elif lo == hi:
                     rem = lo % scale
-                    lo, hi, st = rem, max(rem, osz - scale + rem), scale
+                    lo, hi, st = rem, _last(rem, scale, osz), scale
                 else:
                     lo, hi, st = 0, max(0, osz - 1), 1
             out.add(_degenerate(obj, sizes) if err or lo < 0 or hi >= osz

@@ -221,11 +221,85 @@ class TestTripArithmetic:
         for text in list(texts.values()) + corpus:
             for gone in ("cfl.kc.", "cfl.kn.", "cfl.g1.", "cfl.gz."):
                 assert gone not in text
-        # a continue condition that normalize negated is read as written
+        # a latch that continues on true is read as written
         for g in (True, False):
             assert "cfl.ncnd." in texts[True, g]
             assert "exitc" not in texts[False, g]
             assert "cfl.ncnd." not in texts[False, g]
+
+
+# A public loop that continues on true, then a secret branch
+PUBLIC_LOOP = """\
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %n = and i64 %p, 7
+  br loop
+loop:
+  %i = phi i64 [entry: 0, loop: %i1]
+  %i1 = add i64 %i, 1
+  %c = icmp le %i1, %n
+  condbr %c, loop, done
+done:
+  %b = and i64 %s, 1
+  %g = icmp eq %b, 0
+  condbr %g, one, join
+one:
+  %v = add i64 %i1, 5
+  br join
+join:
+  %r = phi i64 [done: %i1, one: %v]
+  ret %r
+}
+"""
+
+# A secret-bounded loop whose latch exits on true, on a negation the
+# source writes itself
+NEGATED_EXIT = """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %t = and i64 %s, 7
+  br loop
+loop:
+  %i = phi i64 [entry: 0, loop: %i1]
+  %a = phi i64 [entry: 0, loop: %a1]
+  %a1 = add i64 %a, %i
+  %i1 = add i64 %i, 1
+  %c = icmp le %i1, %t
+  %x = xor i1 %c, 1
+  condbr %x, done, loop
+done:
+  ret %a1
+}
+"""
+
+
+class TestLatchAsWritten:
+    """Hardening keeps the polarity a latch is written in; only a loop
+    it pads gets its latch rewritten."""
+
+    def test_public_latch_is_kept_as_written(self):
+        src = parse_module(PUBLIC_LOOP)
+        hm, rep = harden_module(parse_module(PUBLIC_LOOP), PipelineConfig())
+        assert rep["loops_linearized"] == 0
+        assert rep["branches_linearized"] == 1
+        ops = [(i.op, i.name) for i in hm.funcs["main"].blocks["loop"].instrs]
+        assert ops == [(i.op, i.name)
+                       for i in src.funcs["main"].blocks["loop"].instrs]
+        latch = hm.funcs["main"].blocks["loop"].terminator
+        assert latch.labels == ["loop", "done"]
+        assert [a.name for a in latch.args] == ["c"]
+        verdicts = verify_module(src, hm, pairs=8)
+        assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+
+    def test_written_negation_on_a_padded_latch(self):
+        hm, rep = harden_module(parse_module(NEGATED_EXIT), PipelineConfig())
+        assert rep["loops_linearized"] == 1
+        latch = hm.funcs["main"].blocks["loop"].terminator
+        assert latch.labels == ["done", "loop"]
+        assert "x" in {i.name for i in hm.funcs["main"].instructions()}
+        verdicts = verify_module(parse_module(NEGATED_EXIT), hm, pairs=8)
+        assert len(verdicts) == 4
+        assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
 DIV_SRC = """\

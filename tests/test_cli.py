@@ -73,6 +73,30 @@ class TestHarden:
         assert rc == EXIT_OK
         assert json.loads(rep.read_text())["cloned"] == 0
 
+    def test_dynamic_index_over_a_zero_size_step(self, tmp_path, capsys):
+        # the gep rule divided by the step size: a ZeroDivisionError
+        # traceback; @z also gets a plan entry of no bytes, and the
+        # verifier read its payload through an address lookup that a
+        # zero-size object never matches
+        src = tmp_path / "z.ir"
+        hard = tmp_path / "z.hard.ir"
+        src.write_text(
+            "global @z: [0 x i64]\nglobal @t: [4 x i64]\n"
+            "func @main(%s: secret i64) -> i64 {\nentry:\n"
+            "  %i = and i64 %s, 3\n  %b = and i64 %s, 0\n"
+            "  %c = icmp eq %b, 0\n  %p = gep [0 x i64] @z, %i\n"
+            "  %q = gep i64 @t, %i\n  %r = select %c, %q, %p\n"
+            "  %v = load i64, %r\n  ret %v\n}\n")
+        rc, _, err = run(["harden", str(src), "--emit", str(hard)], capsys)
+        assert rc == EXIT_OK, err
+        assert "(site=g:@z, off=0, len=0, " in hard.read_text()
+        rc, out, err = run(["verify", str(src), str(hard), "--pairs", "4"],
+                           capsys)
+        assert rc == EXIT_OK and err == ""
+        assert [ln.split(":")[0] for ln in out.splitlines()] == [
+            "PASS pc-security", "PASS obliviousness@64", "PASS equivalence",
+            "PASS decoy-invariants"]
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_src, hardened, load
+from ctlin.dfl import build_metadata
 from ctlin.interp import Code, ExecInput, Machine, format_suite, interpret
 from ctlin.ir import (ADDR, I1, I8, I32, I64, Type, parse_module, size_of,
                       validate)
@@ -128,7 +129,7 @@ def hardens_and_verifies(src, pairs=4):
 
 def assert_in_object(pt):
     """Every set of pt holds at most one element per object, and each
-    element lies inside its object."""
+    element lies inside its object and ends on its own ladder."""
     for table in (pt.vals, pt.mem):
         for key, elems in table.items():
             objs = [e[0] for e in elems]
@@ -136,7 +137,8 @@ def assert_in_object(pt):
             for obj, lo, hi, st in elems:
                 n = max(1, pt.sizes.get(obj, 0))
                 assert 0 <= lo <= hi < n and st >= 0, (key, elems)
-                assert lo == hi or st > 0, (key, elems)
+                assert lo == hi or st > 0 and (hi - lo) % st == 0, \
+                    (key, elems)
 
 
 class TestOneElementPerObject:
@@ -173,6 +175,17 @@ class TestOneElementPerObject:
         (site, off, length, _), = plans(hm)
         assert site == "g:@t" and off <= 120 and off + length >= 128
 
+    def test_dynamic_step_ends_inside_the_object(self):
+        # an 8-byte step from @s + 4 over a 20-byte object reaches 4 and
+        # 12; the ladder used to end at 16, off the step, and the plan
+        # ran to byte 24
+        hm = hardens_and_verifies(
+            "global @s: [5 x i32]\n"
+            "func @main(%k: secret i64) -> i64 {\nentry:\n"
+            "  %i = and i64 %k, 1\n  %p = gep i32 @s, 1\n"
+            "  %q = gep i64 %p, %i\n  %v = load i64, %q\n  ret %v\n}\n")
+        assert plans(hm) == [("g:@s", 4, 16, 8)]
+
 
 T = "g:@t"          # a 128-byte object in the join table below
 
@@ -205,7 +218,8 @@ def pointer_programs(draw):
     """A program of pointer statements over @t, @s and the slot @cell:
     constant-step walks, phis over exact and indexed geps, field geps,
     stores to and loads from @cell, and a chain of calls that each
-    step the pointer they pass down."""
+    step the pointer they pass down.  @t holds i32 or i64 elements, and
+    the exit block loads an i64 through every pointer."""
     n = draw(st.integers(1, 24))
     entry, loop, phis, fns = [], [], [], []
     pool = ["@t", "@s"]         # usable in the entry block and the loop
@@ -251,14 +265,18 @@ def pointer_programs(draw):
             line = "%s = call @c%d.0(%s)" % (r, k, p)
         (loop if in_loop else entry).append(line)
         (late if in_loop else pool).append(r)
+    done = ["%%v%d = load i64, %s" % (k, p)
+            for k, p in enumerate(pool + late)]
     blocks = tuple("".join("  %s\n" % ln for ln in lines)
-                   for lines in (entry, phis, loop))
-    return ("global @t: [%d x i64] = 00\n"
+                   for lines in (entry, phis, loop, done))
+    return ("global @t: [%d x %s] = 00\n"
             "global @s: {a: i64, b: [4 x i32], c: i64} = 00\n"
             "global @cell: addr = 00\n%s"
             "func @main(%%i: i64) -> i64 {\nentry:\n%s  br loop\n"
             "loop:\n%s%s  %%c = icmp lt %%i, 3\n  condbr %%c, loop, done\n"
-            "done:\n  ret 0\n}\n" % ((n, "".join(fns)) + blocks)
+            "done:\n%s  ret 0\n}\n"
+            % ((n, draw(st.sampled_from(["i32", "i64"])), "".join(fns))
+               + blocks)
             ).replace("gep S", "gep {a: i64, b: [4 x i32], c: i64}")
 
 
@@ -267,7 +285,13 @@ def pointer_programs(draw):
 def test_solved_sets_stay_inside_their_objects(src):
     m = parse_module(src)
     assert validate(m) == [], src
-    assert_in_object(andersen_solve(m))
+    pt = andersen_solve(m)
+    assert_in_object(pt)
+    build_metadata(m, {i.iid for i in m.instructions()
+                       if i.op in ("load", "store")}, pt)
+    for rec in m.dflmeta.values():
+        for e in rec.entries:
+            assert 0 <= e.off and e.off + e.length <= pt.sizes[e.site], src
 
 
 class TestRefinement:

@@ -99,6 +99,11 @@ def test_pair_ab_times_two_package_copies(capsys):
         assert result["a_median_s"] > 0 and result["b_median_s"] > 0
         assert 0 < result["ratio_q1"] <= result["ratio_median"] \
             <= result["ratio_q3"]
+        if stage == "decode":
+            assert result["same_bytes"] is True
+            assert result["differing_jobs"] == []
+        else:
+            assert "same_bytes" not in result
 
 
 def test_pair_ab_times_only_named_jobs(capsys):

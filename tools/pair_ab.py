@@ -23,7 +23,10 @@ Each job is timed with perfbench's `HostClock` in reference seconds,
 which discount the host's speed changes, and a side's pass time is the
 sum over jobs.  The paired ratio of a round is B's pass time over A's;
 the script prints the median ratio, its quartiles, how many rounds B
-was faster, and each side's median pass time.  The last line is JSON.
+was faster, and each side's median pass time.  The stages that harden
+(all but `taint_profile`) also say whether A and B emitted the same
+bytes for every job, and name the jobs where they did not
+(`same_bytes`, `differing_jobs`).  The last line is JSON.
 Run it from anywhere; the workloads come from this checkout's
 `perfbench/`.  An A/A run (the same root twice) shows the noise floor.
 """
@@ -92,6 +95,11 @@ class Side:
     def path(self, job, suffix: str) -> str:
         return os.path.join(self.work, job.name + suffix)
 
+    def emitted(self, job) -> str:
+        """The hardened text of job's last hardening."""
+        with open(self.path(job, ".hard.ir")) as f:
+            return f.read()
+
     def harden(self, job):
         _cli(self.ctlin, ["harden", self.path(job, ".ir"), "--emit",
                           self.path(job, ".hard.ir")] + job.harden_flags)
@@ -117,9 +125,8 @@ class Side:
             if stage in ("verify", "decode"):
                 self.harden(job)
             if stage == "decode":
-                with open(self.path(job, ".hard.ir")) as f:
-                    self.hardened[job.name] = \
-                        self.ctlin["ir"].parse_module(f.read())
+                self.hardened[job.name] = \
+                    self.ctlin["ir"].parse_module(self.emitted(job))
             elif stage == "taint_profile":
                 c = self.ctlin
                 m = c["ir"].parse_module(job.text)
@@ -190,6 +197,9 @@ def main(argv=None) -> int:
                     times[k].append(sides[k].run_pass(args.stage, clock))
         finally:
             clock.stop()
+        hardens = args.stage != "taint_profile"
+        differing = [j.name for j in jobs if hardens
+                     and sides[0].emitted(j) != sides[1].emitted(j)]
 
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 \
@@ -202,11 +212,19 @@ def main(argv=None) -> int:
         "ratio_median": med, "ratio_q1": q1, "ratio_q3": q3,
         "b_faster_rounds": sum(r < 1 for r in ratios),
     }
+    if hardens:
+        result["same_bytes"] = not differing
+        result["differing_jobs"] = differing
     print("%s %s seed %d, %d rounds: A %.4f s, B %.4f s a pass (median)"
           % (args.workload, args.stage, args.seed, args.rounds,
              result["a_median_s"], result["b_median_s"]))
     print("B/A ratio %.3f (quartiles %.3f-%.3f), B faster in %d of %d"
           % (med, q1, q3, result["b_faster_rounds"], args.rounds))
+    if hardens:
+        print("A and B emitted the same bytes for %d of %d jobs%s"
+              % (len(jobs) - len(differing), len(jobs),
+                 "; they differ for " + ", ".join(differing)
+                 if differing else ""))
     print(json.dumps(result))
     return 0
 
