@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from .cfg import reachable
 from .ir import (DFL_HANDLERS, Const, DflAccessMetadata, DflEntry, Global,
-                 Module, Reg, Sym, site_token, size_of)
+                 Module, Sym, site_token, size_of)
+from .pta import elements
 
 HANDLER_WEIGHTS = dict(zip(DFL_HANDLERS, (1.0, 0.6, 0.3)))
 
@@ -78,14 +79,8 @@ def build_metadata(m: Module, accesses: set, pt, lam: int = 64) -> int:
         else:
             raise DflError("access %d is %s, not load/store" % (iid, ins.op))
         size = size_of(ins.ty)
-        if isinstance(pop, Reg):
-            elems = pt.of(f.name, pop.name)
-        elif isinstance(pop, Sym) and pop.name in m.globals:
-            elems = {(site_token("g", pop.name), 0, 0, 0)}
-        else:
-            elems = set()
         entries = []
-        for obj, lo, hi, st in sorted(elems):
+        for obj, lo, hi, st in sorted(elements(m, pt, f.name, pop)):
             if obj[0] == "f":
                 continue
             length = min(hi + size, pt.sizes[obj]) - lo

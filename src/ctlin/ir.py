@@ -904,9 +904,10 @@ def validate(m: Module) -> list:
     ids, definitions and symbols, and, once the structure holds, one
     for phi edges, dominance of uses and types.  Diagnostics come in a
     fixed order: duplicate ids, a `harden` scheme outside 1-5, lambdas
-    below 1, unknown `dflmeta` kinds and handlers, then per function its
-    structure, its definitions, phi edges, uses and types, then unknown
-    symbols.
+    below 1, unknown `dflmeta` kinds and handlers, takenmap functions
+    the module lacks, then per function its structure, its definitions,
+    phi edges, uses, types and takenmap entries (an instruction to the
+    one defining its i1 guard), then unknown symbols.
     """
     dups, diags, unknown = [], [], []
     lams = [("dflmeta %d" % r.mid, r.lam) for r in m.dflmeta.values()]
@@ -923,6 +924,8 @@ def validate(m: Module) -> list:
         diags += [Diagnostic("?", "dflmeta %d %s=%s is not one of %s"
                              % (r.mid, key, v, ", ".join(names)))
                   for key, v, names in named if v not in names]
+    diags += [Diagnostic("?", "takenmap names unknown function @%s" % fn)
+              for fn in m.takenmap if fn not in m.funcs]
     seen_iids = set()
     for fn in m.funcs.values():
         def err(msg, iid=None, _fn=fn):
@@ -1037,6 +1040,13 @@ def validate(m: Module) -> list:
                             fn.name, msg % reg.name, ins.iid))
                 _type_check(m, fn, ins, types, type_err)
         diags += phi_errs + use_errs + type_errs
+        tm = m.takenmap.get(fn.name, {})
+        names = {i.iid: i.name for i in fn.instructions()} if tm else {}
+        for k, t in tm.items():
+            if k not in names:
+                err("takenmap entry %d:%d keys no instruction here" % (k, t))
+            elif types.get(names.get(t)) != I1:
+                err("takenmap entry %d:%d names no i1 guard here" % (k, t))
     return dups + diags + unknown
 
 

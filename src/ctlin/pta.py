@@ -8,7 +8,10 @@ what decides how much memory every wrapped access must touch.  A new
 element joins its object's old one into whichever covers the other, two
 exact offsets into their hull ladder, else the gcd ladder run to the
 object's ends; a gep leaving its object yields the whole object.  So an
-element grows a few times at most, and the solve always ends.
+element grows a few times at most, and the solve always ends.  Each
+shared rule is stated once: `elements` (what an operand points to, also
+for `dfl` plans), `_targets` (an icall's callees, also for promotion)
+and the solver's one bind step for `call` and `icall`.
 
 Three sharpeners sit on top.  Range refinement re-types a degenerate
 whole-object element as the ladder of offsets where the access size sits
@@ -25,12 +28,13 @@ shared callees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from .cfg import build_cfg, reachable
-from .ir import (I64, Block, Const, Function, Instr, Module, Param, Reg,
-                 Sym, gep_steps, reg_types, site_ref, site_token, size_of)
+from .ir import (BINOPS, I64, Block, Const, Function, Instr, Module, Param,
+                 Reg, Sym, gep_steps, reg_types, site_ref, site_token,
+                 size_of)
 
 _MAX_CLONES = 256
 
@@ -88,22 +92,35 @@ def _join(a, b, n: int):
     return (obj, lo, max(ahi, bhi, _last(lo, step, n)), step)
 
 
+def elements(m: Module, pt: PointsTo, fname: str, o) -> set:
+    """What operand `o` of function `fname` points to: a register's set,
+    the element at the start of a symbol's global or function code, and
+    nothing for a constant."""
+    if isinstance(o, Reg):
+        return pt.vals.get((fname, o.name), set())
+    if isinstance(o, Sym):
+        if o.name in m.globals:
+            return {(site_token("g", o.name), 0, 0, 0)}
+        if o.name in m.funcs:
+            return {(site_token("f", o.name), 0, 0, 0)}
+    return set()
+
+
+def _targets(m: Module, elems, nargs: int) -> list:
+    """Sorted names of the functions among `elems` that take `nargs`
+    arguments: the callees an icall through them can reach."""
+    names = {site_ref(e[0])[1] for e in elems if e[0][0] == "f"}
+    return sorted(n for n in names
+                  if n in m.funcs and len(m.funcs[n].params) == nargs)
+
+
 def andersen_solve(m: Module) -> PointsTo:
     """Fixpoint over assignment, memory and call constraints."""
     pt = PointsTo()
     vals, mem, sizes = pt.vals, pt.mem, pt.sizes
     rets = {}
     sizes.update((tok, size_of(ty)) for tok, ty in m.site_types().items())
-
-    def op_pts(fname, o):
-        if isinstance(o, Reg):
-            return vals.get((fname, o.name), set())
-        if isinstance(o, Sym):
-            if o.name in m.globals:
-                return {(site_token("g", o.name), 0, 0, 0)}
-            if o.name in m.funcs:
-                return {(site_token("f", o.name), 0, 0, 0)}
-        return set()
+    op_pts = partial(elements, m, pt)
 
     def merge(key, new, table=vals):
         if not new:
@@ -162,8 +179,7 @@ def andersen_solve(m: Module) -> PointsTo:
                 elif op == "select":
                     for v in ins.args[1:]:
                         changed |= merge((fname, ins.name), op_pts(fname, v))
-                elif op in ("add", "sub", "and", "or", "xor", "mul",
-                            "shl", "lshr", "div", "rem"):
+                elif op in BINOPS:
                     u = {_degenerate(e[0], sizes)
                          for a in ins.args for e in op_pts(fname, a)}
                     changed |= merge((fname, ins.name), u)
@@ -178,26 +194,15 @@ def andersen_solve(m: Module) -> PointsTo:
                         changed |= merge(e[0], flow, mem)
                 elif op == "ret":
                     changed |= merge(fname, op_pts(fname, ins.args[0]), rets)
-                elif op == "call" and ins.callee in m.funcs:
-                    callee = m.funcs[ins.callee]
-                    for a, p in zip(ins.args, callee.params):
-                        changed |= merge((callee.name, p.name),
-                                         op_pts(fname, a))
-                    if ins.name:
-                        changed |= merge((fname, ins.name),
-                                         rets.get(callee.name, set()))
-                elif op == "icall":
-                    cands = {site_ref(e[0])[1]
-                             for e in op_pts(fname, ins.args[0])
-                             if e[0][0] == "f"}
-                    for cn in sorted(cands):
-                        callee = m.funcs.get(cn)
-                        if callee is None \
-                                or len(callee.params) != len(ins.args) - 1:
-                            continue
-                        for a, p in zip(ins.args[1:], callee.params):
-                            changed |= merge((callee.name, p.name),
-                                             op_pts(fname, a))
+                elif op == "call" and ins.callee in m.funcs or op == "icall":
+                    # bind: arguments into each callee's parameters, its
+                    # returns into the result
+                    args = ins.args if op == "call" else ins.args[1:]
+                    callees = (ins.callee,) if op == "call" else _targets(
+                        m, op_pts(fname, ins.args[0]), len(args))
+                    for cn in callees:
+                        for a, p in zip(args, m.funcs[cn].params):
+                            changed |= merge((cn, p.name), op_pts(fname, a))
                         if ins.name:
                             changed |= merge((fname, ins.name),
                                              rets.get(cn, set()))
@@ -451,23 +456,10 @@ def refine_index_ranges(m: Module, pt: PointsTo, accesses) -> PointsTo:
 
 def resolve_indirect_targets(m: Module, pt: PointsTo) -> dict:
     """icall iid -> sorted candidate names whose prototype can match."""
-    out = {}
-    for f in m.funcs.values():
-        for ins in f.instructions():
-            if ins.op != "icall":
-                continue
-            elems = set()
-            if isinstance(ins.args[0], Reg):
-                elems = pt.of(f.name, ins.args[0].name)
-            elif isinstance(ins.args[0], Sym):
-                elems = {(site_token("f", ins.args[0].name), 0, 0, 0)}
-            cands = sorted(site_ref(e[0])[1] for e in elems if e[0][0] == "f")
-            out[ins.iid] = [
-                c for c in cands
-                if c in m.funcs
-                and len(m.funcs[c].params) == len(ins.args) - 1
-            ]
-    return out
+    return {ins.iid: _targets(m, elements(m, pt, f.name, ins.args[0]),
+                              len(ins.args) - 1)
+            for f in m.funcs.values() for ins in f.instructions()
+            if ins.op == "icall"}
 
 
 # ---------------------------------------------------------------------------

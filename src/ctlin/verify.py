@@ -38,6 +38,7 @@ from .interp import (DEFAULT_BUDGET, Code, Decoder, DecoyDecoder, ExecInput,
 from .taint import input_shape
 
 SECRET_SPACE = 1 << 16
+PUBLIC_VECTORS = 3      # public inputs per grid: all zeros, then random
 EXHAUSTIVE_LIMIT = 4096
 
 
@@ -78,14 +79,14 @@ def secret_batch(m, entry: str = "main", pairs: int = 100, seed: int = 0,
     return vecs
 
 
-def public_batch(m, entry: str = "main", count: int = 3, seed: int = 0,
+def public_batch(m, entry: str = "main", seed: int = 0,
                  space: int = SECRET_SPACE) -> list:
     npub, _ = input_shape(m, entry)
     if npub == 0:
         return [[]]
     rng = random.Random(seed ^ 0x9E3779B9)
     out = [[0] * npub]
-    while len(out) < count:
+    while len(out) < PUBLIC_VECTORS:
         out.append([rng.randrange(space) for _ in range(npub)])
     return out
 

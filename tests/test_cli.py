@@ -168,6 +168,49 @@ class TestErrors:
         assert rc == EXIT_PIPELINE
         assert "stack_overflow" in err
 
+    @pytest.mark.parametrize("body,msg", [
+        ("entry:\n  br entry\n", "@main has no ret"),
+        ("entry:\n  %c = icmp eq %a, 0\n  condbr %c, spin, done\n"
+         "spin:\n  br spin\ndone:\n  ret 0\n",
+         "@main: block 'spin' cannot reach the exit"),
+        ("entry:\n  ret 0\ndead:\n  ret 1\n",
+         "@main: unreachable blocks ['dead']"),
+        ("entry:\n  br h\n"
+         "h:\n  %i = phi i64 [entry: 0, l1: %j, l2: %j]\n"
+         "  %j = add i64 %i, 1\n  %c = icmp lt %j, 10\n"
+         "  condbr %c, l1, l2\nl1:\n  br h\n"
+         "l2:\n  %d = icmp lt %j, 20\n  condbr %d, h, done\n"
+         "done:\n  ret %j\n", "@main: loop at 'h' has 2 back edges"),
+        ("entry:\n  br h\nh:\n  %i = phi i64 [entry: 0, body: %j]\n"
+         "  %c = icmp lt %i, 10\n  condbr %c, body, done\n"
+         "body:\n  %j = add i64 %i, 1\n  br h\ndone:\n  ret %i\n",
+         "@main: loop latch 'body' must end in condbr"),
+        ("entry:\n  br h\nh:\n  %i = phi i64 [entry: 0, body: %j]\n"
+         "  %c = icmp lt %i, 10\n  condbr %c, body, done\n"
+         "body:\n  %j = add i64 %i, 1\n  %d = icmp lt %j, 5\n"
+         "  condbr %d, h, done\ndone:\n  ret %i\n",
+         "@main: loop at 'h' exits from non-latch 'h'"),
+        # the pointer is loaded from a global nothing stores a function in
+        ("entry:\n  %fp = load addr, @tab\n  %r = icall %fp(%a)\n"
+         "  ret %r\n", "@main: icall #2 has no resolvable targets"),
+        # the only function it can reach takes one argument, not two
+        ("entry:\n  store addr @f, @tab\n  %fp = load addr, @tab\n"
+         "  %r = icall %fp(%a, 2)\n  ret %r\n",
+         "@main: icall #3 has no resolvable targets"),
+    ], ids=["no-ret", "no-path-to-exit", "unreachable-block",
+            "two-back-edges", "top-tested-loop", "non-latch-exit",
+            "icall-no-target", "icall-arity"])
+    def test_unnormalizable_input_is_a_pipeline_error(self, tmp_path, body,
+                                                      msg, capsys):
+        src = tmp_path / "bad.ir"
+        src.write_text("global @tab: addr\n"
+                       "func @f(%x: i64) -> i64 {\nentry:\n  ret %x\n}\n"
+                       "func @main(%a: i64) -> i64 {\n" + body + "}\n")
+        rc, out, err = run(["harden", str(src), "--emit", "-"], capsys)
+        assert rc == EXIT_PIPELINE
+        assert out == ""
+        assert err == "hardening failed: %s\n" % msg
+
     def test_suite_without_inputs_is_an_input_error(self, tmp_path, capsys):
         suite = tmp_path / "empty.suite"
         suite.write_text("# nothing\n")
@@ -460,6 +503,41 @@ def test_unknown_dflmeta_name_is_an_input_error(guarded_bump_pair, tmp_path,
     # stats ended in a KeyError traceback from dfl.plan_cost on an
     # unknown handler, and verify took either name
     refused_edit(guarded_bump_pair, tmp_path, old, new, diag, capsys)
+
+
+@pytest.fixture(scope="module")
+def table_lookup_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lookup") / "tl.hard.ir"
+    assert main(["harden", corpus_path("table_lookup"), "--lambda", "64",
+                 "--emit", str(out)]) == EXIT_OK
+    return corpus_path("table_lookup"), out
+
+
+@pytest.mark.parametrize("old,new,diag", [
+    ("takenmap @main {", "takenmap @nosuch {",
+     "@?: takenmap names unknown function @nosuch"),
+    (" 5:1 ", " 5:999 ",
+     "@main: takenmap entry 5:999 names no i1 guard here"),
+    # iid 5 defines the addr register %pb
+    (" 5:1 ", " 5:5 ", "@main: takenmap entry 5:5 names no i1 guard here"),
+    (" 13:1 }", " 13:1 999:1 }",
+     "@main: takenmap entry 999:1 keys no instruction here")],
+    ids=["unknown-function", "unknown-guard", "non-i1-guard", "unknown-key"])
+def test_bad_takenmap_entry_is_an_input_error(table_lookup_pair, tmp_path,
+                                             old, new, diag, capsys):
+    # the decoy check tracked no guard for such an entry, so verify
+    # printed four PASS lines and exited 0
+    orig, hard = table_lookup_pair
+    text = hard.read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.ir"
+    bad.write_text(text.replace(old, new))
+    for argv in (["verify", orig, str(bad), "--pairs", "2"],
+                 ["stats", str(bad)]):
+        rc, out, err = run(argv, capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "%s: %s\n" % (bad, diag)
 
 
 def refused_edit(pair, tmp_path, old, new, diag, capsys):

@@ -18,6 +18,7 @@ from ctlin.ir import parse_module
 from ctlin.normalize import normalize_regions, unify_exits
 from ctlin.taint import (Context, ProfileError, TaintDecoder, TaintMachine,
                          taint_profile)
+from ctlin.verify import verify_module
 
 M64 = (1 << 64) - 1
 
@@ -528,6 +529,50 @@ class TestDecoyShadow:
         assert tr.abort is None and tr.violations == []
         assert tr.decoy_violations == [record]
         assert Machine(m).run(ExecInput([], [])).decoy_violations == []
+
+
+WRAPPED = ("global @g: [4 x i64]\nfunc @main(%a: i64) -> i64 {\nentry:\n"
+           "  %p = gep i64 @g, 1\n")
+
+
+def _plan(natural: int, *sites) -> str:
+    return ("dflmeta 0 access=1 kind=load lambda=64 ty=i64 natural=%d "
+            "entries=[%s]\n" % (natural, ", ".join(
+                "(site=%s, off=0, len=32, stride=8, handler=simple)" % site
+                for site in sites)))
+
+
+class TestWrapperOutcomes:
+    """A plan the wrappers cannot honour ends the run with an abort or a
+    violation record, never an exception, and fails verification."""
+
+    @pytest.mark.parametrize("body,plan,abort,miss", [
+        # two portions over the same bytes both hold the pointer
+        ("  %v = call @ct_load(%p, 0)\n", _plan(0, "g:@g", "g:@g"),
+         "dfl_overlap", False),
+        # the selected pointer is live and in the portion, but is not the
+        # raw one the window was chosen by
+        ("  %q = gep i64 @g, 2\n  %v = call @ct_load_nat(%p, %q, 0)\n",
+         _plan(1, "g:@g"), None, True),
+        # natural striding walks a global portion only
+        ("  %v = call @ct_load_nat(%p, %p, 0)\n", _plan(1, "s:7"),
+         "trap", False),
+        ("  %v = call @ct_load(%p, 0)\n", _plan(0, "g:@nosuch"),
+         "trap", False),
+    ], ids=["sweep-overlap", "nat-miss", "nat-stack-entry",
+            "unknown-global"])
+    def test_lands_in_the_trace(self, body, plan, abort, miss):
+        m = parse_module(WRAPPED + body + "  ret %v\n}\n" + plan)
+        mach = Machine(m)
+        tr = mach.run(ExecInput([0], []))
+        assert tr.abort == abort
+        p = mach.global_addr["g"] + 8       # what %p points to
+        assert tr.violations == ([("miss", 0, p)] if miss else [])
+        orig = parse_module(WRAPPED + "  %v = load i64, %p\n  ret %v\n}\n")
+        pc = verify_module(orig, m, pairs=2)[0]
+        assert pc.check == "pc-security" and not pc.passed
+        assert pc.detail.startswith("abort '%s'" % abort if abort
+                                    else "striding violation ('miss'")
 
 
 class TestTrace:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import json
 import os
 
@@ -76,6 +77,18 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module("ctlin." + mod), f,
                                 None))]
     assert missing == []
+
+
+def test_traced_machine_run_exists():
+    # tracer.install also wraps interp.Machine.run on the class, calling
+    # it as run(mach, inp, entry), and tells profiling runs apart with
+    # isinstance(mach, taint.TaintMachine)
+    from ctlin import interp, taint
+    assert callable(interp.Machine.run)
+    assert list(inspect.signature(interp.Machine.run).parameters) == [
+        "self", "inp", "entry"]
+    assert issubclass(taint.TaintMachine, interp.Machine)
+    assert "run" not in vars(taint.TaintMachine)
 
 
 def _pair_ab():
