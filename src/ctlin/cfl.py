@@ -137,14 +137,20 @@ def _subst_block(b: Block, sub: dict, uses: _Uses):
             i.incoming = incoming
 
 
-def _resolve_pending(fn: Function, ctx: dict, labels: set, new_op):
-    rest = []
-    for lbl, ph in ctx["pending"]:
-        if lbl in labels:
-            ctx["uses"].replace(ph, new_op)
-        else:
-            rest.append((lbl, ph))
-    ctx["pending"] = rest
+def _placeholder(r) -> str:
+    """Stands for nested region r's taken until its parent merges."""
+    return "cfl.tp.%s.%s" % (r.kind[0], r.entry)
+
+
+def _take_children(r, ctx: dict, taken: dict):
+    """Replace the placeholder of each merged child of r with the taken
+    register of the arm block, a key of taken, that holds its entry."""
+    for c in r.children:
+        if c.rid in ctx["regions"]:
+            if c.entry not in taken:
+                raise LinearizeError("nested region %s lies on no arm of %s"
+                                     % (c.entry, r.entry))
+            ctx["uses"].replace(_placeholder(c), Reg(taken[c.entry].name))
 
 
 def _guard_blocks(m: Module, fn: Function, blks, tk: Instr, ctx: dict):
@@ -167,8 +173,7 @@ def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
     tm, uses = ctx["tm"], ctx["uses"]
     out = []
     for ins in blk.instrs:
-        if ins.iid in tm or ins.iid in ctx["skip"] \
-                or ins.op in ("phi", "br", "condbr", "ret"):
+        if ins.iid in tm or ins.op in ("phi", "br", "condbr", "ret"):
             out.append(ins)
             continue
         if (ins.op == "call" and ins.callee in _PTR_WRAP) \
@@ -191,7 +196,6 @@ def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
             tm[st.iid] = tk.iid
             out.append(st)
             uses.add(st)
-            ctx["thr_done"].add(ins.iid)
         tm[ins.iid] = tk.iid
         out.append(ins)
     blk.instrs = out
@@ -250,8 +254,8 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
                   args=[Reg(notc.name), tp])
     uses.add(tthen, notc, telse)
 
-    _resolve_pending(fn, ctx, {b.label for b in twalk}, Reg(tthen.name))
-    _resolve_pending(fn, ctx, {b.label for b in ewalk}, Reg(telse.name))
+    _take_children(r, ctx, {**{b.label: telse for b in ewalk},
+                            **{b.label: tthen for b in twalk}})
     _guard_blocks(m, fn, twalk, tthen, ctx)
     _guard_blocks(m, fn, ewalk, telse, ctx)
 
@@ -340,7 +344,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
                  incoming=sorted([(P, tp), (L, Reg(g0_n))]))
     uses.add(cidx, tcur)
 
-    _resolve_pending(fn, ctx, set(r.blocks), Reg(tcur.name))
+    _take_children(r, ctx, dict.fromkeys(r.blocks, tcur))
     _guard_blocks(m, fn, [b for lbl, b in fn.blocks.items()
                           if lbl in r.blocks], tcur, ctx)
 
@@ -496,7 +500,6 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
     if threaded and "cfl.taken" not in m.globals:
         m.globals["cfl.taken"] = Global("cfl.taken", I1, b"\x01")
     stats = {}
-    thr_done = set()
 
     for fn in list(m.funcs.values()):
         fnregs = {rid for rid in ss.regions if rid[0] == fn.name}
@@ -504,15 +507,10 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
         if not fnregs and not fully:
             continue
         tm = m.takenmap.setdefault(fn.name, {})
-        ctx = {"tm": tm, "pending": [], "threaded": threaded,
-               "thr_done": thr_done, "skip": set(), "uses": _Uses(fn),
-               "claimed": set()}
-        t0 = None
-        if fully:
-            t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
-                       args=[Sym("cfl.taken")])
-            fn.entry.instrs.insert(0, t0)
-            ctx["skip"].add(t0.iid)
+        ctx = {"tm": tm, "regions": fnregs, "threaded": threaded,
+               "uses": _Uses(fn), "claimed": set()}
+        t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
+                   args=[Sym("cfl.taken")]) if fully else None
         root_tp = Reg(t0.name) if fully else Const(1)
         nb = nl = 0
 
@@ -527,13 +525,10 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
         for r in reversed(order):
             if r.rid not in fnregs:
                 continue
-            if r.parent is not None and r.parent.kind != "linear" \
-                    and r.parent.rid in fnregs:
-                ph = "cfl.tp.%s.%s" % (r.kind[0], r.entry)
-                tp = Reg(ph)
-            else:
-                ph = None
-                tp = root_tp
+            # a nested region's taken is its parent's arm's, which the
+            # parent's merge names; only the linear root has no parent
+            # and is never sensitive
+            tp = Reg(_placeholder(r)) if r.parent.rid in fnregs else root_tp
             if r.kind == "branch":
                 _merge_branch(m, fn, r, tp, ctx)
                 nb += 1
@@ -541,27 +536,22 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
                 _merge_loop(m, fn, r, tp, ctx,
                             ss.bounds.get((fn.name, r.entry), 1))
                 nl += 1
-            # the merge just ran resolves inner placeholders; this
-            # region's own goes on the list afterwards or the merge
-            # would eat it before the phi that uses it exists
-            if ph is not None:
-                ctx["pending"].append((r.entry, ph))
 
-        if ctx["pending"]:
-            raise LinearizeError(
-                "unplaced nested regions: %r" % ctx["pending"])
         if fully:
             _guard_blocks(m, fn, fn.blocks.values(), t0, ctx)
+            fn.entry.instrs.insert(0, t0)
         stats[fn.name] = {"branches": nb, "loops": nl}
 
-    # calls into taken-reading functions from untouched code run for
-    # real; say so explicitly since the cell may hold a stale zero
+    # calls into taken-reading functions that no taken register guards
+    # run for real; say so explicitly since the cell may hold a stale
+    # zero
     for fn in m.funcs.values():
+        tm = m.takenmap.get(fn.name, {})
         for blk in fn.blocks.values():
             out = []
             for ins in blk.instrs:
                 if ins.op == "call" and ins.callee in threaded \
-                        and ins.iid not in thr_done:
+                        and ins.iid not in tm:
                     out.append(Instr(m.new_iid(), "store", ty=I1,
                                      args=[Const(1), Sym("cfl.taken")]))
                 out.append(ins)

@@ -1,12 +1,14 @@
 """Command line front end: harden, verify, stats.
 
 Exit codes are part of the contract: 0 success, 2 unusable input
-(parse or validation, a missing entry point, a `--budget` below 1, an
-unreadable, malformed or empty suite or one with an input shorter than
-the entry's public or secret inputs, verify flags under which no check
-could show anything, a verify pair whose entry point is missing or
-takes different inputs in the two modules), 3 hardening pipeline
-failure, 4 verification found a difference.
+(a module, suite, `--emit` or `--report` file that cannot be read as
+UTF-8 or written, parse or validation, a missing entry point, a
+`--budget` below 1, a malformed or empty suite or one with an input
+shorter than the entry's public or secret inputs, verify flags under
+which no check could show anything, a `--lambda` among them that is not
+a multiple of the hardened quantum, a verify pair whose entry point is
+missing or takes different inputs in the two modules), 3 hardening
+pipeline failure, 4 verification found a difference.
 Reports are JSON with sorted keys and carry no timestamps, so identical
 work produces identical bytes.
 """
@@ -26,7 +28,7 @@ from .pipeline import (InputError, PipelineConfig, PipelineError,
                        harden_module, module_stats)
 from .pta import CloneError
 from .taint import ProfileError, input_shape
-from .verify import SECRET_SPACE, verify_module
+from .verify import SECRET_SPACE, quantum_fault, verify_module
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,10 +41,11 @@ _STAGE_ERRORS = (PipelineError, NormalizeError, ProfileError, CloneError,
 
 def _load(path: str):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        print("error: cannot read %s: %s"
+              % (path, getattr(e, "strerror", None) or e), file=sys.stderr)
         return None
     try:
         m = parse_module(text)
@@ -57,13 +60,24 @@ def _load(path: str):
     return m
 
 
-def _write_report(report: dict, path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path:
+def _write(path: str | None, text: str) -> bool:
+    """Write text to the file at path, or to stdout for no path; False
+    once stderr says why it could not."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(path, "w") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        print("error: cannot write %s: %s" % (path, e.strerror or e),
+              file=sys.stderr)
+        return False
+    return True
+
+
+def _report(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _common_flags(p):
@@ -97,21 +111,19 @@ def cmd_harden(args) -> int:
     except _STAGE_ERRORS as e:
         print("hardening failed: %s" % e, file=sys.stderr)
         return EXIT_PIPELINE
-    text = print_module(m)
-    if args.emit and args.emit != "-":
-        with open(args.emit, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.report:
-        _write_report(rep, args.report)
+    if not _write(args.emit if args.emit != "-" else None, print_module(m)) \
+            or args.report and not _write(args.report, _report(rep)):
+        return EXIT_INPUT
     return EXIT_OK
 
 
-def _vacuous_flags(args) -> str | None:
-    """Why the verify flags cannot show anything, or None."""
-    if any(lv <= 0 for lv in args.lam or ()):
-        return "--lambda must be positive"
+def _vacuous_flags(args, hard) -> str | None:
+    """Why the verify flags cannot show anything on hardened module
+    hard, or None."""
+    for lv in args.lam or ():
+        bad = quantum_fault(hard, lv)
+        if bad:
+            return "--lambda %d: %s" % (lv, bad)
     if args.pairs < 1:
         return "--pairs must be at least 1"
     if args.space < 2:
@@ -133,15 +145,11 @@ def _mismatch(args, orig, hard) -> str | None:
 
 
 def cmd_verify(args) -> int:
-    bad = _vacuous_flags(args)
-    if bad:
-        print("error: %s" % bad, file=sys.stderr)
-        return EXIT_INPUT
     orig = _load(args.original)
     hard = _load(args.hardened)
     if orig is None or hard is None:
         return EXIT_INPUT
-    bad = _mismatch(args, orig, hard)
+    bad = _vacuous_flags(args, hard) or _mismatch(args, orig, hard)
     if bad:
         print("error: %s" % bad, file=sys.stderr)
         return EXIT_INPUT
@@ -158,16 +166,15 @@ def cmd_verify(args) -> int:
                     "detail": v.detail, "warnings": v.warnings}
                    for v in verdicts],
     }
-    if args.report:
-        _write_report(rep, args.report)
+    if args.report and not _write(args.report, _report(rep)):
+        return EXIT_INPUT
     return EXIT_OK if rep["passed"] else EXIT_VERIFY
 
 
 def cmd_stats(args) -> int:
     m = _load(args.module)
-    if m is None:
+    if m is None or not _write(args.report, _report(module_stats(m))):
         return EXIT_INPUT
-    _write_report(module_stats(m), args.report)
     return EXIT_OK
 
 

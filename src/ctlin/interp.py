@@ -1096,20 +1096,14 @@ class DecoyDecoder(FlagDecoder):
         if isinstance(p, Sym) and is_reserved_name(p.name):
             return super()._op_store(fn, ins)
         k0, k1 = (self.key(a) if isinstance(a, Reg) else 0 for a in ins.args)
-        t = self.guard(fn, ins)
-        fname, iid, size = fn.name, ins.iid, size_of(ins.ty)
-        vk, pk = self.key(ins.args[0]), self.key(p)
+        t, store = self.guard(fn, ins), super()._op_store(fn, ins)
+        fname, iid = fn.name, ins.iid
 
         def h(mach, regs, aux):
             g = regs[t]
-            sh = aux[k0] or aux[k1] or g is not None and not g & 1
-            v = slot_value(regs[vk])
-            p = regs[pk]
-            if sh:
+            if aux[k0] or aux[k1] or g is not None and not g & 1:
                 mach.trace.decoy_violations.append(("store", fname, iid))
-            mach.mem.write(p, size, v)
-            mach.trace.events.append(("w", p // mach.lam))
-            mach._log_access(iid, p, size)
+            store(mach, regs, aux)
         return h
 
     def _bi_ct_select(self, fn, ins):

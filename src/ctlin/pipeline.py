@@ -50,9 +50,9 @@ class PipelineConfig:
 def _suite(m: Module, cfg: PipelineConfig) -> list:
     if cfg.suite_path:
         try:
-            with open(cfg.suite_path) as f:
+            with open(cfg.suite_path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise SuiteError("cannot read suite: %s" % e) from None
         suite = parse_suite(text)
         if not suite:

@@ -91,29 +91,29 @@ def public_batch(m, entry: str = "main", seed: int = 0,
     return out
 
 
-def _sweep(code, entry, lam, budget, pubs, secs, seeds=()):
-    """Yield (public, secrets, machine, trace) of each run of the grid on
-    decoded code, public vectors outermost; each (address, value) of
-    seeds is written over the 8-byte cell's initializer first."""
-    for pub in pubs:
-        for sv in secs:
-            mach = Machine(code.m, lam=lam, budget=budget, code=code)
-            for addr, v in seeds:
-                mach.mem.write(addr, 8, v)
-            yield pub, sv, mach, mach.run(ExecInput(list(pub), list(sv)),
-                                          entry=entry)
-
-
 def _lam_h(m) -> int:
     """The quantum m was hardened at; 64 for an unhardened module."""
     return m.harden.lam if m.harden else 64
 
 
-def _plain(m, code):
-    """m decoded as plain code: the caller's, checked, or decoded here."""
-    code = code or Code(m)
-    if code.m is not m or type(code.decoder) is not Decoder:
-        raise ValueError("code is not m decoded as plain code")
+def quantum_fault(m, lam: int) -> str | None:
+    """Why lam cannot be a verify quantum of m, or None: it must be
+    positive and a multiple of the quantum m was hardened at."""
+    if lam <= 0:
+        return "verify quantum %d is not positive" % lam
+    if lam % _lam_h(m):
+        return ("verify quantum %d is not a multiple of hardening quantum "
+                "%d" % (lam, _lam_h(m)))
+    return None
+
+
+def _decoded(m, code, variant):
+    """m decoded under variant, `Decoder` or `DecoyDecoder`: the caller's
+    code, checked, or decoded here."""
+    code = code or Code(m, variant())
+    if code.m is not m or type(code.decoder) is not variant:
+        raise ValueError("code is not m decoded " + (
+            "as plain code" if variant is Decoder else "under DecoyDecoder"))
     return code
 
 
@@ -125,8 +125,12 @@ def _first_divergence(a, b) -> int:
 
 
 def _compare_traces(code, entry, lam, pairs, seed, space, budget, check,
-                    sig):
+                    sig=None):
     """Fixed public, all secrets, trace signature must not move.
+
+    A run fails on its first decoy violation, then on an abort, then on
+    an access outside the plan.  With no signature that is all it is
+    checked for: no bound cell is read and nothing retried.
 
     A split that goes away once the trip cells keep their grown values
     is the one-off bound adaptation, reported as a warning on a passing
@@ -140,30 +144,42 @@ def _compare_traces(code, entry, lam, pairs, seed, space, budget, check,
     secs = secret_batch(m, entry, pairs, seed, space)
     pubs = public_batch(m, entry, seed=seed, space=space)
     cells = {code.global_addr[n]: n for n in m.globals
-             if n.startswith(BOUND_CELL)}
+             if sig and n.startswith(BOUND_CELL)}
     start = {addr: int.from_bytes(m.globals[n].init or b"", "little")
              for addr, n in cells.items()}
     top = dict(start)       # largest value each cell ended a run with
+    plan = "striding violation" if sig else "access outside plan portions"
     seeds, warnings = (), []
     while True:
-        ref_pub = mismatch = None
-        for pub, sv, mach, tr in _sweep(code, entry, lam, budget, pubs,
-                                        secs, seeds):
-            if tr.abort is not None:
-                return Verdict(check, False, "abort '%s' under secrets %s "
-                               "(public %s)" % (tr.abort, sv, pub), warnings)
-            if tr.violations:
-                return Verdict(check, False, "striding violation %r under "
-                               "secrets %s (public %s)"
-                               % (tr.violations[0], sv, pub), warnings)
-            for addr in top:
-                top[addr] = max(top[addr], mach.mem.read(addr, 8))
-            cur = sig(tr)
-            if pub is not ref_pub:
-                ref, ref_pub, ref_sec = cur, pub, sv
-            elif mismatch is None and cur != ref:
-                # sweep on: the retry needs every run's growth
-                mismatch = (ref_sec, sv, pub, _first_divergence(ref, cur))
+        mismatch = None
+        for pub in pubs:
+            ref = None
+            for sv in secs:
+                mach = Machine(m, lam=lam, budget=budget, code=code)
+                for addr, v in seeds:
+                    mach.mem.write(addr, 8, v)
+                tr = mach.run(ExecInput(list(pub), list(sv)), entry=entry)
+                bad = (tr.decoy_violations and repr(tr.decoy_violations[0])
+                       or tr.abort and "abort '%s'" % tr.abort
+                       or tr.violations and "%s %r"
+                       % (plan, tr.violations[0]))
+                if bad:
+                    return Verdict(check, False, "%s under secrets %s "
+                                   "(public %s)" % (bad, sv, pub), warnings)
+                if not sig:
+                    continue
+                for addr in top:
+                    top[addr] = max(top[addr], mach.mem.read(addr, 8))
+                cur = sig(tr)
+                if ref is None:
+                    ref, ref_sec = cur, sv
+                elif mismatch is None and cur != ref:
+                    # sweep on: the retry needs every run's growth
+                    mismatch = (ref_sec, sv, pub,
+                                _first_divergence(ref, cur))
+        if not sig:
+            return Verdict(check, True,
+                           "%d runs clean" % (len(pubs) * len(secs)))
         if mismatch is None:
             return Verdict(check, True,
                            "%d secret vectors x %d public vectors"
@@ -188,8 +204,8 @@ def check_pc_security(m, entry: str = "main", pairs: int = 100,
 
     `code` is m decoded as plain code by the caller, as in `Machine`.
     """
-    return _compare_traces(_plain(m, code), entry, _lam_h(m), pairs, seed,
-                           space, budget, "pc-security",
+    return _compare_traces(_decoded(m, code, Decoder), entry, _lam_h(m),
+                           pairs, seed, space, budget, "pc-security",
                            lambda tr: tuple(tr.instrs))
 
 
@@ -202,17 +218,15 @@ def check_obliviousness(m, lam: int | None = None, entry: str = "main",
 
     `code` is m decoded as plain code by the caller, as in `Machine`.
     """
-    lam_h = _lam_h(m)
-    lam_v = lam_h if lam is None else lam
+    lam_v = _lam_h(m) if lam is None else lam
+    bad = quantum_fault(m, lam_v)
     if lam_v <= 0:
-        raise ValueError("verify quantum %d is not positive" % lam_v)
+        raise ValueError(bad)
     check = "obliviousness@%d" % lam_v
-    if lam_v % lam_h:
-        return Verdict(check, False,
-                       "verify quantum %d is not a multiple of hardening "
-                       "quantum %d" % (lam_v, lam_h))
-    return _compare_traces(_plain(m, code), entry, lam_h, pairs, seed, space,
-                           budget, check,
+    if bad:
+        return Verdict(check, False, bad)
+    return _compare_traces(_decoded(m, code, Decoder), entry, _lam_h(m),
+                           pairs, seed, space, budget, check,
                            lambda tr: tuple(tr.requantize(lam_v)))
 
 
@@ -235,7 +249,7 @@ def check_equivalence(orig, hard, entry: str = "main", samples: int = 50,
     for _ in range(samples):
         inputs.append(([rng.randrange(space) for _ in range(npub)],
                        [rng.randrange(space) for _ in range(nsec)]))
-    orig_code, hard_code = Code(orig), _plain(hard, code)
+    orig_code, hard_code = Code(orig), _decoded(hard, code, Decoder)
     for pub, sec in inputs:
         inp = ExecInput(list(pub), list(sec))
         to, go, ho = final_state(orig, inp, entry=entry, budget=budget,
@@ -276,25 +290,9 @@ def check_decoy_invariants(m, entry: str = "main", pairs: int = 100,
     bookkeeping cells.  `code` is m decoded under `DecoyDecoder` by the
     caller.
     """
-    secs = secret_batch(m, entry, pairs, seed, space)
-    pubs = public_batch(m, entry, seed=seed, space=space)
-    code = code or Code(m, DecoyDecoder())
-    if code.m is not m or not isinstance(code.decoder, DecoyDecoder):
-        raise ValueError("code is not m decoded under DecoyDecoder")
-    for pub, sv, _, tr in _sweep(code, entry, _lam_h(m), budget, pubs, secs):
-        where = "under secrets %s (public %s)" % (sv, pub)
-        if tr.decoy_violations:
-            return Verdict("decoy-invariants", False, "%r %s"
-                           % (tr.decoy_violations[0], where))
-        if tr.violations:
-            return Verdict("decoy-invariants", False,
-                           "access outside plan portions %r %s"
-                           % (tr.violations[0], where))
-        if tr.abort is not None:
-            return Verdict("decoy-invariants", False,
-                           "abort '%s' %s" % (tr.abort, where))
-    return Verdict("decoy-invariants", True,
-                   "%d runs clean" % (len(pubs) * len(secs)))
+    return _compare_traces(_decoded(m, code, DecoyDecoder), entry,
+                           _lam_h(m), pairs, seed, space, budget,
+                           "decoy-invariants")
 
 
 def verify_module(orig, hard, entry: str = "main", lams=None,

@@ -418,6 +418,47 @@ join:
 """
 
 
+# @work is threaded and calls @bump before, inside and after a secret
+# branch of its own; @main calls @work the same way
+THREADED_CALLS = """\
+global @acc: [1 x i64]
+func @bump(%x: i64) -> i64 {
+entry:
+  %v = load i64, @acc
+  %w = add i64 %v, %x
+  store i64 %w, @acc
+  ret %w
+}
+func @work(%p: i64, %s: i64) -> i64 {
+entry:
+  %a = call @bump(%p)
+  %b = and i64 %s, 1
+  %c = icmp eq %b, 1
+  condbr %c, t, join
+t:
+  %r = call @bump(3)
+  br join
+join:
+  %q = phi i64 [entry: %a, t: %r]
+  %z = call @bump(%q)
+  ret %z
+}
+func @main(%p: i64, %s: secret i64) -> i64 {
+entry:
+  %a = call @work(%p, %s)
+  %c = icmp gt %s, 7
+  condbr %c, t, join
+t:
+  %r = call @work(%a, %s)
+  br join
+join:
+  %q = phi i64 [entry: %a, t: %r]
+  %z = call @work(%q, 1)
+  ret %z
+}
+"""
+
+
 class TestUntouchedCaller:
     def test_call_from_untouched_code_sets_taken(self):
         cfg = PipelineConfig(cloning=False)
@@ -511,6 +552,10 @@ MERGED_BYTES = {
     "scale11.guarded_bump": "f2f6b5e529f5953d",
     "scale11.nested_branches": "8badf4c8736ff0ef",
     "scale11.secret_loops": "31cfd11068b415c1",
+    # calls into threaded functions, stores of the taken cell and cfl.t0
+    "shared_callee.nocl": "44df11373ba9d77b",
+    "threaded_calls.cl": "c80c430cfcba95b5",
+    "threaded_calls.nocl": "b560a9d015eae588",
 }
 
 
@@ -535,10 +580,15 @@ class TestGuardOnce:
     @pytest.mark.parametrize("name", list(MERGED_BYTES))
     def test_bytes_as_recorded(self, name):
         kind, arg = name.split(".")
+        cfg = PipelineConfig()
         if kind == "nested_chain":
             text = nested_chain(int(arg))
-        else:
+        elif kind.startswith("scale"):
             text = scale_programs(int(kind[5:]))[arg]
-        hard = print_module(harden_module(parse_module(text))[0])
+        else:
+            text = {"shared_callee": SHARED_CALLEE,
+                    "threaded_calls": THREADED_CALLS}[kind]
+            cfg.cloning = arg == "cl"
+        hard = print_module(harden_module(parse_module(text), cfg)[0])
         assert hashlib.sha256(hard.encode()).hexdigest()[:16] \
             == MERGED_BYTES[name]

@@ -349,6 +349,43 @@ class TestErrors:
         assert err == "error: --budget must be positive\n"
 
 
+# each command with a file it cannot use: (argv, the path at fault);
+# {c} is a corpus module, {m} its hardening, {t} a directory, {x} a
+# file that is not UTF-8 text and {s} a suite whose line is not either
+FILE_ERRORS = [
+    (["harden", "{c}", "--emit", "{t}/missing/h.ir"], "{t}/missing/h.ir"),
+    (["harden", "{c}", "--emit", "{t}"], "{t}"),
+    (["harden", "{c}", "--emit", "{t}/h.ir", "--report",
+      "{t}/missing/r.json"], "{t}/missing/r.json"),
+    (["verify", "{c}", "{m}", "--pairs", "2", "--space", "8", "--report",
+      "{t}/missing/r.json"], "{t}/missing/r.json"),
+    (["stats", "{m}", "--report", "{t}/missing/r.json"],
+     "{t}/missing/r.json"),
+    (["harden", "{x}"], "{x}"),
+    (["verify", "{x}", "{m}"], "{x}"),
+    (["verify", "{c}", "{x}"], "{x}"),
+    (["stats", "{x}"], "{x}"),
+    (["harden", "{c}", "--suite", "{s}"], "{s}"),
+]
+
+
+@pytest.mark.parametrize("argv,path", FILE_ERRORS, ids=[
+    "emit-in-missing-dir", "emit-to-dir", "harden-report", "verify-report",
+    "stats-report", "harden-binary", "verify-binary-original",
+    "verify-binary-hardened", "stats-binary", "binary-suite"])
+def test_unusable_file_is_an_input_error(argv, path, hardened_path,
+                                         tmp_path, capsys):
+    names = {"c": corpus_path("nested_branches"), "m": hardened_path,
+             "t": str(tmp_path), "x": str(tmp_path / "bin.ir"),
+             "s": str(tmp_path / "bin.suite")}
+    (tmp_path / "bin.ir").write_bytes(b"func @main() -> i64 {\n\xff\xfe}\n")
+    (tmp_path / "bin.suite").write_bytes(b"pub: ; sec: \xff\n")
+    rc, _, err = run([a.format(**names) for a in argv], capsys)
+    assert rc == EXIT_INPUT
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and path.format(**names) in err, err
+
+
 @pytest.fixture(scope="module")
 def hardened_path(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "h.ir"
@@ -419,6 +456,17 @@ class TestVerifyCommand:
         assert rc == EXIT_INPUT
         assert "PASS" not in out
         assert flags[0] in err
+
+    @pytest.mark.parametrize("lam", ["3", "32"])
+    def test_lambda_finer_than_hardening_is_refused(self, hardened_path, lam,
+                                                    capsys):
+        # hardened at 64: no run can show a view that 64 does not divide
+        rc, out, err = run(["verify", corpus_path("nested_branches"),
+                            hardened_path, "--lambda", lam], capsys)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "error: --lambda %s: verify quantum %s is not a " \
+            "multiple of hardening quantum 64\n" % (lam, lam)
 
     def test_missing_entry_is_an_input_error(self, hardened_path, capsys):
         rc, out, err = run(["verify", corpus_path("nested_branches"),

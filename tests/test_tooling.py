@@ -129,3 +129,15 @@ def test_pair_ab_times_only_named_jobs(capsys):
     with pytest.raises(SystemExit):
         pair_ab.main([ROOT, ROOT, "--workload", "corpus", "--job", "nope"])
     assert "no job nope in workload corpus" in capsys.readouterr().err
+
+
+def test_pair_ab_compares_verdicts(capsys):
+    pair_ab = _pair_ab()
+    assert pair_ab.main([ROOT, ROOT, "--workload", "corpus", "--stage",
+                         "verify", "--rounds", "1", "--job",
+                         "two_context.l64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
+    assert result["same_bytes"] is True and result["same_verdicts"] is True
+    assert result["differing_verdicts"] == []
+    assert "A and B gave the same verdicts for 1 of 1 jobs" in lines

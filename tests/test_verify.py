@@ -186,6 +186,31 @@ class TestFailureVerdicts:
     def test_pointer_outside_portions(self, check, line):
         assert check(shrunk_portion(), pairs=4, space=SPACE).line() == line
 
+    # every grid check fails a run on its first decoy violation, then
+    # on an abort, then on an access outside the plan: here secrets 4-7
+    # miss the plan, load 0 and divide by it
+    PLAN_THEN_ABORT = (
+        "harden scheme=5 lambda=64\n"
+        "global @t: [8 x i64] = " + "01" * 64 + "\n"
+        "func @main(%s: secret i64) -> i64 {\nentry:\n"
+        "  %i = and i64 %s, 7\n  %p = gep i64 @t, %i\n"
+        "  %v = call @ct_load(%p, 0)\n  %q = div i64 64, %v\n"
+        "  ret %q\n}\n"
+        "dflmeta 0 access=3 kind=load lambda=64 ty=i64 natural=0 "
+        "entries=[(site=g:@t, off=0, len=32, stride=8, handler=simple)]\n")
+
+    @pytest.mark.parametrize("check,name", [
+        (check_pc_security, "pc-security"),
+        (check_obliviousness, "obliviousness@64"),
+        (check_decoy_invariants, "decoy-invariants")])
+    def test_abort_after_plan_miss_is_the_witness(self, check, name):
+        m = parse_module(self.PLAN_THEN_ABORT)
+        tr = interpret(m, ExecInput([], [4]))
+        assert (tr.violations, tr.abort) == ([("miss", 0, 65568)],
+                                             "div_zero")
+        assert check(m, pairs=4, space=8).line() == \
+            "FAIL %s: abort 'div_zero' under secrets [4] (public [])" % name
+
     @pytest.mark.parametrize("orig,hard,line", [
         (DIV_BY_SECRET, DIV_BY_SECRET.replace("div", "add"),
          "abort 'div_zero' vs 'None' (public [] secrets [0])"),

@@ -26,7 +26,9 @@ the script prints the median ratio, its quartiles, how many rounds B
 was faster, and each side's median pass time.  The stages that harden
 (all but `taint_profile`) also say whether A and B emitted the same
 bytes for every job, and name the jobs where they did not
-(`same_bytes`, `differing_jobs`).  The last line is JSON.
+(`same_bytes`, `differing_jobs`).  The `verify` stage also says
+whether the last verdict lines of A and B were the same for every job
+(`same_verdicts`, `differing_verdicts`).  The last line is JSON.
 Run it from anywhere; the workloads come from this checkout's
 `perfbench/`.  An A/A run (the same root twice) shows the noise floor.
 """
@@ -69,13 +71,15 @@ def load_ctlin(root: str, name: str) -> dict:
                         "pipeline", "taint")}
 
 
-def _cli(ctlin: dict, argv: list):
+def _cli(ctlin: dict, argv: list) -> str:
+    """What ctlin argv printed on stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = ctlin["cli"].main(argv)
     if rc not in (0, 4):
         raise RuntimeError("ctlin %s exited %s: %s"
                            % (argv[0], rc, err.getvalue().strip()))
+    return out.getvalue()
 
 
 class Side:
@@ -91,6 +95,7 @@ class Side:
                 f.write(job.text)
         self.profiled = {}
         self.hardened = {}
+        self.verdicts = {}      # job name -> its last verify's stdout
 
     def path(self, job, suffix: str) -> str:
         return os.path.join(self.work, job.name + suffix)
@@ -105,8 +110,9 @@ class Side:
                           self.path(job, ".hard.ir")] + job.harden_flags)
 
     def verify(self, job):
-        _cli(self.ctlin, ["verify", self.path(job, ".ir"),
-                          self.path(job, ".hard.ir")] + job.verify_flags)
+        self.verdicts[job.name] = _cli(
+            self.ctlin, ["verify", self.path(job, ".ir"),
+                         self.path(job, ".hard.ir")] + job.verify_flags)
 
     def taint_profile(self, job):
         m, suite, rt = self.profiled[job.name]
@@ -200,6 +206,8 @@ def main(argv=None) -> int:
         hardens = args.stage != "taint_profile"
         differing = [j.name for j in jobs if hardens
                      and sides[0].emitted(j) != sides[1].emitted(j)]
+    verdict_diffs = [j.name for j in jobs if args.stage == "verify"
+              and sides[0].verdicts[j.name] != sides[1].verdicts[j.name]]
 
     ratios = [b / a for a, b in zip(*times)]
     q1, med, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 \
@@ -215,6 +223,9 @@ def main(argv=None) -> int:
     if hardens:
         result["same_bytes"] = not differing
         result["differing_jobs"] = differing
+    if args.stage == "verify":
+        result["same_verdicts"] = not verdict_diffs
+        result["differing_verdicts"] = verdict_diffs
     print("%s %s seed %d, %d rounds: A %.4f s, B %.4f s a pass (median)"
           % (args.workload, args.stage, args.seed, args.rounds,
              result["a_median_s"], result["b_median_s"]))
@@ -225,6 +236,11 @@ def main(argv=None) -> int:
               % (len(jobs) - len(differing), len(jobs),
                  "; they differ for " + ", ".join(differing)
                  if differing else ""))
+    if args.stage == "verify":
+        print("A and B gave the same verdicts for %d of %d jobs%s"
+              % (len(jobs) - len(verdict_diffs), len(jobs),
+                 "; they differ for " + ", ".join(verdict_diffs)
+                 if verdict_diffs else ""))
     print(json.dumps(result))
     return 0
 
