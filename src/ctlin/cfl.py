@@ -13,9 +13,10 @@ count back to the cell.
 The transforms here assume region normal form, that every protected
 access is already wrapped (ct_load/ct_store), and that inner regions are
 processed before outer ones.  Linearizing rewires control flow but keeps
-blocks intact, so an arm that contains an already-linearized loop simply
-threads through it: the loop's own trip padding makes it straight-line
-in trace terms, not in block terms.
+blocks intact.  An enclosing arm visits a linearized region as its entry
+and its tail, the block that takes the join's selects or a loop's latch,
+and goes on from there: a loop's trip padding makes it straight-line in
+trace terms, not in block terms.
 """
 
 from __future__ import annotations
@@ -153,22 +154,14 @@ def _take_children(r, ctx: dict, taken: dict):
             ctx["uses"].replace(_placeholder(c), Reg(taken[c.entry].name))
 
 
-def _guard_blocks(m: Module, fn: Function, blks, tk: Instr, ctx: dict):
-    """Guard each block of blks that is not in ctx["claimed"], the
-    blocks that no merge changed since they were guarded."""
-    for blk in blks:
-        if blk.label not in ctx["claimed"]:
-            _guard_block(m, fn, blk, tk, ctx)
-            ctx["claimed"].add(blk.label)
-
-
 def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
-    """Put every unclaimed instruction of blk under taken register tk.
+    """Put every instruction of blk the takenmap lacks under taken tk.
 
     Pointer arguments of wrapped accesses and frees get a null-select so
     decoy executions touch nothing for real; calls into functions that
     read the taken cell get it stored first.  Instructions already owned
-    by an inner region keep their finer-grained taken.
+    by an inner region keep their finer-grained taken, so guarding a
+    block again changes only what merges added to it since.
     """
     tm, uses = ctx["tm"], ctx["uses"]
     out = []
@@ -201,14 +194,15 @@ def _guard_block(m: Module, fn: Function, blk: Block, tk: Instr, ctx: dict):
     blk.instrs = out
 
 
-def _arm_walk(fn: Function, start: str, join: str):
-    """Blocks from start to join, threading through linearized loops.
+def _arm_walk(fn: Function, start: str, join: str, tails: dict):
+    """The blocks an arm from start to join visits, in order.
 
     Follows the first successor everywhere: for a plain br that is the
     only edge, for a loop latch it is the exit edge, which is the linear
     continuation once trips are padded.  Inner regions merge first, and
     `_merge_loop` writes each latch it merges exit first, so that is the
-    only latch form met here.
+    only latch form met here.  A merged region, a key of tails, is
+    visited as its entry and its tail, the rest being guarded already.
     """
     if start == join:
         return []
@@ -220,12 +214,13 @@ def _arm_walk(fn: Function, start: str, join: str):
             raise LinearizeError(
                 "arm at %s does not reach join %s" % (start, join))
         seen.add(cur)
-        b = fn.blocks[cur]
-        blocks.append(b)
-        t = b.terminator
+        blocks.append(fn.blocks[cur])
+        if tails.get(cur, cur) != cur:      # a merged region: its tail next
+            blocks.append(fn.blocks[tails[cur]])
+        t = blocks[-1].terminator
         if t.op not in ("br", "condbr"):
-            raise LinearizeError(
-                "arm block %s ends in %s, cannot linearize" % (cur, t.op))
+            raise LinearizeError("arm block %s ends in %s, cannot linearize"
+                                 % (blocks[-1].label, t.op))
         cur = t.labels[0]
     return blocks
 
@@ -241,8 +236,8 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
         raise LinearizeError("branch region %s lost its condbr" % r.entry)
     cond = term.args[0]
     join = r.exit
-    twalk = _arm_walk(fn, term.labels[0], join)
-    ewalk = _arm_walk(fn, term.labels[1], join)
+    twalk = _arm_walk(fn, term.labels[0], join, ctx["tails"])
+    ewalk = _arm_walk(fn, term.labels[1], join, ctx["tails"])
 
     ti = m.new_iid()
     tthen = Instr(ti, "and", name="cfl.t%d" % ti, ty=I1, args=[cond, tp])
@@ -256,8 +251,9 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
 
     _take_children(r, ctx, {**{b.label: telse for b in ewalk},
                             **{b.label: tthen for b in twalk}})
-    _guard_blocks(m, fn, twalk, tthen, ctx)
-    _guard_blocks(m, fn, ewalk, telse, ctx)
+    for walk, tk in ((twalk, tthen), (ewalk, telse)):
+        for blk in walk:
+            _guard_block(m, fn, blk, tk, ctx)
 
     # arm-entry phis had a single predecessor; once the else side hangs
     # off the then tail those labels lie, so fold them away
@@ -289,9 +285,10 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
                 if l not in (thenpred, elsepred)]
         ph.incoming = sorted(rest + [(lastb.label, Reg(sel.name))])
         uses.add(sel, ph)
-    if sels:    # the entry, the only other block written, is unguarded
+    if sels:
         lastb.instrs = lastb.instrs[:-1] + sels + [lastb.instrs[-1]]
-        ctx["claimed"].discard(lastb.label)
+    # an enclosing arm steps from the entry to lastb and on to the join
+    ctx["tails"][r.entry] = lastb.label
     for ph in list(jb.phis()):
         if len(ph.incoming) == 1:
             uses.replace(ph.name, ph.incoming[0][1])
@@ -345,8 +342,8 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     uses.add(cidx, tcur)
 
     _take_children(r, ctx, dict.fromkeys(r.blocks, tcur))
-    _guard_blocks(m, fn, [b for lbl, b in fn.blocks.items()
-                          if lbl in r.blocks], tcur, ctx)
+    for blk in [b for lbl, b in fn.blocks.items() if lbl in r.blocks]:
+        _guard_block(m, fn, blk, tcur, ctx)
 
     # live-outs freeze at the last real iteration: while taken, the exit
     # copy follows the body value; during padding it holds
@@ -408,9 +405,9 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     sidx = len(xb.phis())
     st = Instr(m.new_iid(), "store", ty=I64, args=[Reg(cn_n), Sym(cell)])
     xb.instrs.insert(sidx, st)
-    # of the blocks this merge wrote to, only the latch had been guarded
-    ctx["claimed"].discard(L)
     uses.add(st)
+    # an enclosing arm steps from the header to the latch and on to X
+    ctx["tails"][H] = L
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +505,7 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             continue
         tm = m.takenmap.setdefault(fn.name, {})
         ctx = {"tm": tm, "regions": fnregs, "threaded": threaded,
-               "uses": _Uses(fn), "claimed": set()}
+               "uses": _Uses(fn), "tails": {}}
         t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
                    args=[Sym("cfl.taken")]) if fully else None
         root_tp = Reg(t0.name) if fully else Const(1)
@@ -538,7 +535,8 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
                 nl += 1
 
         if fully:
-            _guard_blocks(m, fn, fn.blocks.values(), t0, ctx)
+            for blk in fn.blocks.values():
+                _guard_block(m, fn, blk, t0, ctx)
             fn.entry.instrs.insert(0, t0)
         stats[fn.name] = {"branches": nb, "loops": nl}
 

@@ -16,7 +16,9 @@ work produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .cfl import LinearizeError
@@ -74,6 +76,20 @@ def _write(path: str | None, text: str) -> bool:
               file=sys.stderr)
         return False
     return True
+
+
+def _unwritable(path: str) -> str | None:
+    """Why no file can be written at path, or None.  It only looks, so
+    nothing is created or truncated before the work that fills it."""
+    d = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(d):
+        return os.strerror(errno.ENOTDIR if os.path.exists(d)
+                           else errno.ENOENT)
+    if not os.access(path if os.path.exists(path) else d, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 def _report(report: dict) -> str:
@@ -227,6 +243,12 @@ def main(argv=None) -> int:
     if getattr(args, "budget", 1) < 1:
         print("error: --budget must be positive", file=sys.stderr)
         return EXIT_INPUT
+    # refuse an output file before the work whose result it would hold
+    emit = getattr(args, "emit", None)
+    for path in (emit if emit != "-" else None, args.report):
+        if path and (why := _unwritable(path)):
+            print("error: cannot write %s: %s" % (path, why), file=sys.stderr)
+            return EXIT_INPUT
     return args.fn(args)
 
 

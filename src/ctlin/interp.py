@@ -75,8 +75,9 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .ir import (BINOPS, BUILTIN_FUNCS, TERMINATORS, Const, Module, Reg, Sym,
-                 gep_steps, is_reserved_name, reg_types, site_token, size_of)
+from .ir import (BINOPS, BUILTIN_FUNCS, ICMP_PREDS, TERMINATORS, Const,
+                 Module, Reg, Sym, gep_steps, is_reserved_name, reg_types,
+                 site_token, size_of, to_signed)
 
 MAGIC = 0xD1F1D1F1C0C0C0C0
 
@@ -234,11 +235,6 @@ class Memory:
         off = addr - a.base
         a.data[off:off + size] = (value & ((1 << (8 * size)) - 1)
                                   ).to_bytes(size, "little")
-
-
-def _to_signed(v: int, bits: int) -> int:
-    v &= (1 << bits) - 1
-    return v - (1 << bits) if v >= (1 << (bits - 1)) else v
 
 
 def _mask(ty) -> int:
@@ -635,7 +631,7 @@ class Decoder:
         since x ^ sign orders w-bit values by their signed readings;
         else (x == y) != e (eq, ne)."""
         pred = ins.pred
-        if pred not in ("lt", "le", "gt", "ge", "eq", "ne"):
+        if pred not in ICMP_PREDS:
             return None
         w = self._icmp_bits(ins)
         a, b = self.key(ins.args[0]), self.key(ins.args[1])
@@ -710,7 +706,7 @@ class Decoder:
         def h(mach, regs, aux):
             p = regs[bk] + off
             for ik, scale in terms:
-                p += _to_signed(regs[ik], 64) * scale
+                p += to_signed(regs[ik], 64) * scale
             regs[d] = p & M64
         return h
 

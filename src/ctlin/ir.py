@@ -77,6 +77,12 @@ def field_offset(t: Type, index: int) -> int:
     raise IndexError(index)
 
 
+def to_signed(v: int, bits: int) -> int:
+    """The two's-complement reading of the low `bits` bits of v."""
+    v &= (1 << bits) - 1
+    return v - (1 << bits) if v >= (1 << (bits - 1)) else v
+
+
 def is_scalar(t: Type) -> bool:
     return t.kind in ("int", "addr")
 
@@ -140,7 +146,7 @@ class Sym:
 Operand = Reg | Const | Sym
 
 BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "div", "rem")
-ICMP_PREDS = ("lt", "le", "eq", "ne", "gt", "ge")
+ICMP_PREDS = ("lt", "le", "eq", "ne", "gt", "ge")   # on signed readings
 TERMINATORS = ("br", "condbr", "ret")
 DFL_KINDS = ("load", "store")
 DFL_HANDLERS = ("simple", "gather", "bulk")

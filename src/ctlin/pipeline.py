@@ -114,6 +114,8 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
         raise InputError("%s: the prefixes %s are reserved for hardening"
                          % (bad, " and ".join(RESERVED_PREFIXES)))
     rep = {}
+    # read first, so a bad suite file stops harden before any stage
+    suite = _suite(m, cfg)
 
     unify_exits(m)
     pt = pta.andersen_solve(m)
@@ -123,7 +125,6 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
         promote_indirect_calls(m, targets)
     rt = normalize_regions(m)
 
-    suite = _suite(m, cfg)
     report = taint_profile(m, suite, rt, entry=cfg.entry, budget=cfg.budget)
     ss = close_sensitivity(m, report, rt)
 

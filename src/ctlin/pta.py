@@ -32,9 +32,9 @@ from functools import cached_property, partial
 from math import gcd
 
 from .cfg import build_cfg, reachable
-from .ir import (BINOPS, I64, Block, Const, Function, Instr, Module, Param,
-                 Reg, Sym, gep_steps, reg_types, site_ref, site_token,
-                 size_of)
+from .ir import (BINOPS, I64, ICMP_PREDS, Block, Const, Function, Instr,
+                 Module, Param, Reg, Sym, gep_steps, reg_types, site_ref,
+                 site_token, size_of, to_signed)
 
 _MAX_CLONES = 256
 
@@ -288,14 +288,9 @@ def refine_field_sensitivity(m: Module, pt: PointsTo) -> PointsTo:
 
 _TOP = (-(1 << 63), (1 << 63) - 1)
 _MAX_CHAIN = 32          # definitions followed back from one index
-_PREDS = ("lt", "le", "gt", "ge", "eq", "ne")
-_SWAP = dict(zip(_PREDS, ("gt", "ge", "lt", "le", "eq", "ne")))
-_NEGATE = dict(zip(_PREDS, ("ge", "gt", "le", "lt", "ne", "eq")))
-
-
-def _s64(v: int) -> int:
-    v &= (1 << 64) - 1
-    return v - (1 << 64) if v >> 63 else v
+# each predicate with its operands swapped, and negated
+_SWAP = dict(zip(ICMP_PREDS, ("gt", "ge", "eq", "ne", "lt", "le")))
+_NEGATE = dict(zip(ICMP_PREDS, ("ge", "gt", "ne", "eq", "le", "lt")))
 
 
 class _Ranges:
@@ -336,7 +331,7 @@ class _Ranges:
             if pred not in _SWAP or not isinstance(k, Const) \
                     or not isinstance(a, Reg) or self.types.get(a.name) != I64:
                 continue
-            k = _s64(k.value)
+            k = to_signed(k.value, 64)
             lo, hi = {"lt": (_TOP[0], k - 1), "le": (_TOP[0], k),
                       "gt": (k + 1, _TOP[1]), "ge": (k, _TOP[1]),
                       "eq": (k, k)}.get(
@@ -353,7 +348,7 @@ class _Ranges:
 
         def rng(o, depth=0):
             if isinstance(o, Const):
-                return _s64(o.value), _s64(o.value)
+                return to_signed(o.value, 64), to_signed(o.value, 64)
             if not isinstance(o, Reg) or self.types.get(o.name) != I64:
                 return _TOP
             if o.name not in memo:
@@ -385,7 +380,7 @@ class _Ranges:
             x, y = y, x
         if not isinstance(y, Const):
             return _TOP
-        c = _s64(y.value)
+        c = to_signed(y.value, 64)
         if ins.op == "and":
             return (0, c) if c >= 0 else _TOP
         lo, hi = rng(x)

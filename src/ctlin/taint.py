@@ -380,10 +380,13 @@ def close_sensitivity(m: Module, report: TaintReport,
             regs.add(r.rid)
             seeds.extend(r.children)
 
-    # blocks that may execute as decoys; a branch entry runs either way
+    # blocks that may execute as decoys; a branch entry runs either way.
+    # A region nested in another of regs adds no block its parent lacks
     guarded = defaultdict(set)
     for rid in regs:
         r = rt.by_id[rid]
+        if r.parent.rid in regs:
+            continue
         bs = r.blocks - {r.entry} if r.kind == "branch" else set(r.blocks)
         guarded[r.fn] |= bs
 

@@ -13,7 +13,7 @@ from conftest import hardened, load, scale_programs
 from ctlin import cfl
 from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
-from ctlin.ir import parse_module, print_module, validate
+from ctlin.ir import Block, parse_module, print_module, validate
 from ctlin.normalize import normalize_regions
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.verify import verify_module
@@ -494,6 +494,29 @@ def nested_chain(n: int) -> str:
     return "\n".join(lines + ["j0:", "  ret 0", "}", ""])
 
 
+def sequential_diamonds(n: int) -> str:
+    """@main with n secret branches one after another."""
+    lines = ["func @main(%s: secret i64) -> i64 {", "entry:", "  br e0"]
+    for i in range(n):
+        lines += ["e%d:" % i, "  %%c%d = icmp gt %%s, %d" % (i, i),
+                  "  condbr %%c%d, t%d, e%d" % (i, i, i + 1),
+                  "t%d:" % i, "  br e%d" % (i + 1)]
+    return "\n".join(lines + ["e%d:" % n, "  ret 0", "}", ""])
+
+
+def wide_module(n: int) -> str:
+    """@main calling n functions that each hold one secret branch."""
+    out = []
+    for i in range(n):
+        out += ["func @f%d(%%s: i64) -> i64 {" % i, "entry:",
+                "  %%c = icmp gt %%s, %d" % i, "  condbr %c, t, j", "t:",
+                "  br j", "j:", "  %r = phi i64 [entry: 0, t: 1]",
+                "  ret %r", "}"]
+    out += ["func @main(%s: secret i64) -> i64 {", "entry:"]
+    out += ["  %%r%d = call @f%d(%%s)" % (i, i) for i in range(n)]
+    return "\n".join(out + ["  ret 0", "}", ""])
+
+
 def _stack_depth() -> int:
     f, n = sys._getframe(), 0
     while f is not None:
@@ -533,6 +556,175 @@ def test_region_tree_of_a_deep_nest_builds_in_bounded_time():
     assert depth == 1000
 
 
+# the shapes where a parent's arm walk steps over a merged region, from
+# its entry to its tail, and must go on where the whole region would
+MERGE_SHAPES = {
+    "shared_callee": SHARED_CALLEE,
+    "threaded_calls": THREADED_CALLS,
+    # a merged loop whose exit is its parent branch's join
+    "loop_exit_join": """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %m = and i64 %s, 7
+  %c = icmp gt %s, 5
+  condbr %c, pre, join
+pre:
+  br h
+h:
+  %i = phi i64 [pre: 0, l: %i1]
+  %x = mul i64 %i, 3
+  br l
+l:
+  %i1 = add i64 %i, 1
+  %d = icmp lt %i1, %m
+  condbr %d, h, join
+join:
+  %r = phi i64 [entry: 0, l: %x]
+  ret %r
+}
+""",
+    # a then arm that is exactly a nested branch, with the same join
+    "arm_is_branch": """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %c = icmp gt %s, 5
+  condbr %c, inner, join
+inner:
+  %d = icmp gt %s, 9
+  condbr %d, a, join
+a:
+  %x = add i64 %s, 1
+  br join
+join:
+  %r = phi i64 [entry: 0, inner: 1, a: %x]
+  ret %r
+}
+""",
+    # two sibling branches in sequence in one arm
+    "sibling_branches": """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %c = icmp gt %s, 5
+  condbr %c, t0, join
+t0:
+  %d = icmp gt %s, 9
+  condbr %d, t1, j1
+t1:
+  %x = add i64 %s, 1
+  br j1
+j1:
+  %y = phi i64 [t0: 1, t1: %x]
+  %e = icmp lt %s, 20
+  condbr %e, t2, j2
+t2:
+  %w = mul i64 %y, 5
+  br j2
+j2:
+  %z = phi i64 [j1: %y, t2: %w]
+  br join
+join:
+  %r = phi i64 [entry: 0, j2: %z]
+  ret %r
+}
+""",
+    # a single-block loop, its header its latch, inside an arm
+    "one_block_loop": """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %m = and i64 %s, 7
+  %c = icmp gt %s, 5
+  condbr %c, pre, join
+pre:
+  %a = add i64 %s, 2
+  br h
+h:
+  %i = phi i64 [pre: 0, h: %i1]
+  %acc = phi i64 [pre: %a, h: %acc1]
+  %acc1 = add i64 %acc, %i
+  %i1 = add i64 %i, 1
+  %d = icmp lt %i1, %m
+  condbr %d, h, post
+post:
+  %b = mul i64 %acc1, 2
+  br join
+join:
+  %r = phi i64 [entry: 0, post: %b]
+  ret %r
+}
+""",
+    # a branch whose entry is the header of the loop around it, inside
+    # an arm: the walk must step from h to the loop's latch, not to the
+    # branch's tail
+    "branch_at_header": """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %m = and i64 %s, 7
+  %c = icmp gt %s, 5
+  condbr %c, pre, join
+pre:
+  br h
+h:
+  %i = phi i64 [pre: 0, l: %i1]
+  %acc = phi i64 [pre: 0, l: %acc1]
+  %b = and i64 %s, %i
+  %e = icmp eq %b, 0
+  condbr %e, t, l
+t:
+  %x = add i64 %acc, %i
+  br l
+l:
+  %acc1 = phi i64 [h: %acc, t: %x]
+  %i1 = add i64 %i, 1
+  %d = icmp lt %i1, %m
+  condbr %d, h, exit
+exit:
+  br join
+join:
+  %r = phi i64 [entry: 0, exit: %acc1]
+  ret %r
+}
+""",
+}
+
+
+# a loop in an arm whose body block b has a phi with one incoming value
+LOOP_BODY_PHI = """\
+func @main(%s: secret i64) -> i64 {
+entry:
+  %c = icmp gt %s, 5
+  condbr %c, pre, join
+pre:
+  %m = and i64 %s, 7
+  br h
+h:
+  %i = phi i64 [pre: 0, l: %i1]
+  br b
+b:
+  %x = phi i64 [h: %i]
+  br l
+l:
+  %i1 = add i64 %x, 1
+  %d = icmp lt %i1, %m
+  condbr %d, h, exit
+exit:
+  br join
+join:
+  %r = phi i64 [entry: 0, exit: %i1]
+  ret %r
+}
+"""
+
+
+def test_arm_walk_leaves_a_merged_loop_body_alone():
+    # the parent's walk steps from h to the latch l, so b's phi stays:
+    # its one predecessor is still h
+    hm, rep = harden_module(parse_module(LOOP_BODY_PHI))
+    assert (rep["branches_linearized"], rep["loops_linearized"]) == (1, 1)
+    assert [i.name for i in hm.funcs["main"].blocks["b"].phis()] == ["x"]
+    verdicts = verify_module(parse_module(LOOP_BODY_PHI), hm, pairs=8)
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+
+
 # sha256 of the hardened bytes, recorded when every merge guarded every
 # block of its arms again; secret_loops re-recorded when linearized loops
 # began exiting at max(bound, trips) and writing the count back
@@ -556,12 +748,19 @@ MERGED_BYTES = {
     "shared_callee.nocl": "44df11373ba9d77b",
     "threaded_calls.cl": "c80c430cfcba95b5",
     "threaded_calls.nocl": "b560a9d015eae588",
+    # recorded before a parent's walk stepped over merged regions
+    "loop_exit_join.cl": "47041953aee63656",
+    "arm_is_branch.cl": "ffe3174a08d67e08",
+    "sibling_branches.cl": "872863a8b1b31a21",
+    "one_block_loop.cl": "178d044417ec7fc1",
+    "branch_at_header.cl": "ff44820b07dc5d86",
 }
 
 
 class TestGuardOnce:
-    """Each merge guards only the blocks that hold unclaimed
-    instructions, so a nest of n branches guards O(n) blocks."""
+    """Each merge guards the blocks its arm walks visit: the arm's own,
+    and of each merged child only its entry and its tail, so a nest of
+    n branches guards O(n) blocks."""
 
     def test_deep_nest_guards_each_block_once(self, monkeypatch):
         n = 800
@@ -586,9 +785,46 @@ class TestGuardOnce:
         elif kind.startswith("scale"):
             text = scale_programs(int(kind[5:]))[arg]
         else:
-            text = {"shared_callee": SHARED_CALLEE,
-                    "threaded_calls": THREADED_CALLS}[kind]
+            text = MERGE_SHAPES[kind]
             cfg.cloning = arg == "cl"
         hard = print_module(harden_module(parse_module(text), cfg)[0])
         assert hashlib.sha256(hard.encode()).hexdigest()[:16] \
             == MERGED_BYTES[name]
+
+
+class TestLinearScaling:
+    """Harden's work grows linearly in the size of its input, counted in
+    deterministic steps rather than seconds: blocks the arm walks
+    return and `Block.phis` calls, at n and 2n."""
+
+    @staticmethod
+    def _work(monkeypatch, text: str) -> tuple:
+        walked, phis = [0], [0]
+        real_walk, real_phis = cfl._arm_walk, Block.phis
+
+        def walk(*a):
+            blocks = real_walk(*a)
+            walked[0] += len(blocks)
+            return blocks
+
+        def count_phis(self):
+            phis[0] += 1
+            return real_phis(self)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cfl, "_arm_walk", walk)
+            mp.setattr(Block, "phis", count_phis)
+            harden_module(parse_module(text))
+        return walked[0], phis[0]
+
+    @pytest.mark.parametrize("shape,n", [(nested_chain, 60),
+                                         (sequential_diamonds, 60),
+                                         (wide_module, 40)])
+    def test_work_grows_linearly(self, monkeypatch, shape, n):
+        small = self._work(monkeypatch, shape(n))
+        large = self._work(monkeypatch, shape(2 * n))
+        assert all(small)
+        for what, a, b in zip(("arm walk blocks", "Block.phis calls"),
+                              small, large):
+            assert b <= 2.3 * a, "%s: %d at n=%d, %d at 2n" % (what, a,
+                                                               n, b)

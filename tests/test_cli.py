@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ctlin
+from ctlin import cli, pipeline
 from conftest import RECURSIVE, corpus_path, scale_programs
 from ctlin.cli import (EXIT_INPUT, EXIT_OK, EXIT_PIPELINE, EXIT_VERIFY,
                        main)
@@ -374,16 +375,31 @@ FILE_ERRORS = [
     "stats-report", "harden-binary", "verify-binary-original",
     "verify-binary-hardened", "stats-binary", "binary-suite"])
 def test_unusable_file_is_an_input_error(argv, path, hardened_path,
-                                         tmp_path, capsys):
+                                         tmp_path, capsys, monkeypatch):
     names = {"c": corpus_path("nested_branches"), "m": hardened_path,
              "t": str(tmp_path), "x": str(tmp_path / "bin.ir"),
              "s": str(tmp_path / "bin.suite")}
     (tmp_path / "bin.ir").write_bytes(b"func @main() -> i64 {\n\xff\xfe}\n")
     (tmp_path / "bin.suite").write_bytes(b"pub: ; sec: \xff\n")
-    rc, _, err = run([a.format(**names) for a in argv], capsys)
+    (tmp_path / "h.ir").write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+
+    def never(*a, **kw):
+        raise AssertionError("work ran before the file was refused")
+
+    # the suite is read inside harden_module, before its first stage
+    monkeypatch.setattr(pipeline, "unify_exits", never)
+    if "--suite" not in argv:
+        monkeypatch.setattr(cli, "harden_module", never)
+    monkeypatch.setattr(cli, "verify_module", never)
+    rc, out, err = run([a.format(**names) for a in argv], capsys)
     assert rc == EXIT_INPUT
+    assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1 and path.format(**names) in err, err
+    # no file was created, and an existing one is not truncated
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "h.ir").read_text() == "kept\n"
 
 
 @pytest.fixture(scope="module")
