@@ -12,16 +12,16 @@ count back to the cell.
 
 The transforms here assume region normal form, that every protected
 access is already wrapped (ct_load/ct_store), and that inner regions are
-processed before outer ones.  Linearizing rewires control flow but keeps
-blocks intact.  An enclosing arm visits a linearized region as its entry
-and its tail, the block that takes the join's selects or a loop's latch,
-and goes on from there: a loop's trip padding makes it straight-line in
-trace terms, not in block terms.
+processed before outer ones.  An enclosing arm visits a merged region
+as its entry and its tail, the block that takes the join's selects or a
+loop's latch.  Last, each block whose only predecessor ends in br to it
+folds into it: a linearized branch is straight-line code, a padded loop
+one block that branches to itself under its header's label.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from .ir import (Block, Const, Function, Global, HardenInfo, I1, I64, Instr,
                  Module, Reg, Sym, parse_module, reg_types)
@@ -225,6 +225,32 @@ def _arm_walk(fn: Function, start: str, join: str, tails: dict):
     return blocks
 
 
+def _fold_phis(blk: Block, uses: _Uses):
+    for ph in [p for p in blk.phis() if len(p.incoming) == 1]:
+        uses.replace(ph.name, ph.incoming[0][1])
+        blk.instrs.remove(ph)
+
+
+def _straighten(fn: Function, uses: _Uses) -> int:
+    """Fold every block whose only predecessor ends in br to it into that
+    predecessor, its phis into their one value; returns how many blocks
+    went.  A fold keeps every other block's predecessor count."""
+    npreds = Counter(lbl for i in fn.instructions() for lbl in i.labels)
+    before = len(fn.blocks)
+    for b in list(fn.blocks.values()):
+        while b.label in fn.blocks and b.terminator.op == "br" \
+                and npreds[b.terminator.labels[0]] == 1 \
+                and b.terminator.labels[0] not in (fn.entry.label, b.label):
+            s = fn.blocks.pop(b.terminator.labels[0])
+            _fold_phis(s, uses)
+            b.instrs[-1:] = s.instrs
+            for lbl in b.terminator.labels:
+                for ph in fn.blocks[lbl].phis():
+                    ph.incoming = [(b.label if l == s.label else l, v)
+                                   for l, v in ph.incoming]
+    return before - len(fn.blocks)
+
+
 # ---------------------------------------------------------------------------
 # branch regions
 
@@ -239,15 +265,22 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
     twalk = _arm_walk(fn, term.labels[0], join, ctx["tails"])
     ewalk = _arm_walk(fn, term.labels[1], join, ctx["tails"])
 
-    ti = m.new_iid()
-    tthen = Instr(ti, "and", name="cfl.t%d" % ti, ty=I1, args=[cond, tp])
-    ni = m.new_iid()
-    notc = Instr(ni, "xor", name="cfl.n%d" % ni, ty=I1,
-                 args=[cond, Const(1)])
-    ei = m.new_iid()
-    telse = Instr(ei, "and", name="cfl.t%d" % ei, ty=I1,
-                  args=[Reg(notc.name), tp])
-    uses.add(tthen, notc, telse)
+    # one instruction per taken: at the root, the condition's own i1
+    # definition and c xor 1; under a taken register tp, c and tp, and
+    # tp xor then (tp and not c); an empty else arm needs no taken
+    tthen, telse = ctx["defs"].get(cond) if tp == Const(1) else None, None
+    new = []
+    if tthen is None:
+        ti = m.new_iid()
+        tthen = Instr(ti, "and", name="cfl.t%d" % ti, ty=I1, args=[cond, tp])
+        new.append(tthen)
+    if ewalk:
+        ei = m.new_iid()
+        telse = Instr(ei, "xor", name="cfl.t%d" % ei, ty=I1,
+                      args=[cond, Const(1)] if tp == Const(1)
+                      else [tp, Reg(tthen.name)])
+        new.append(telse)
+    uses.add(*new)
 
     _take_children(r, ctx, {**{b.label: telse for b in ewalk},
                             **{b.label: tthen for b in twalk}})
@@ -258,10 +291,7 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
     # arm-entry phis had a single predecessor; once the else side hangs
     # off the then tail those labels lie, so fold them away
     for blk in twalk + ewalk:
-        for ph in list(blk.phis()):
-            if len(ph.incoming) == 1:
-                uses.replace(ph.name, ph.incoming[0][1])
-                blk.instrs.remove(ph)
+        _fold_phis(blk, uses)
 
     thenpred = twalk[-1].label if twalk else r.entry
     elsepred = ewalk[-1].label if ewalk else r.entry
@@ -289,14 +319,11 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
         lastb.instrs = lastb.instrs[:-1] + sels + [lastb.instrs[-1]]
     # an enclosing arm steps from the entry to lastb and on to the join
     ctx["tails"][r.entry] = lastb.label
-    for ph in list(jb.phis()):
-        if len(ph.incoming) == 1:
-            uses.replace(ph.name, ph.incoming[0][1])
-            jb.instrs.remove(ph)
+    _fold_phis(jb, uses)
 
     # rewire: entry -> then chain -> else chain -> join
     first = twalk[0].label if twalk else (ewalk[0].label if ewalk else join)
-    entry_b.instrs = entry_b.instrs[:-1] + [tthen, notc, telse] + [term]
+    entry_b.instrs = entry_b.instrs[:-1] + new + [term]
     term.op = "br"
     term.args = []
     term.labels = [first]
@@ -356,7 +383,7 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
         for i in b.instrs:
             used.update(a.name for a in i.args if isinstance(a, Reg))
             used.update(v.name for _, v in i.incoming if isinstance(v, Reg))
-    flanks, outs, sub = [], [], {}
+    flanks, outs, sub, moved = [], [], {}, {}
     for d in defs:
         if d.name not in used:
             continue
@@ -369,8 +396,13 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
                           callee="ct_select",
                           args=[Reg(tcur.name), Reg(d.name), Reg(fname)]))
         sub[d.name] = Reg(oname)
+        if Reg(d.name) in ctx["defs"]:  # a root branch after r may take d
+            ctx["defs"][sub[d.name]] = outs[-1]
+            moved[d.iid] = outs[-1].iid
     for b in outside:
         _subst_block(b, sub, uses)
+    for g, t in ctx["tm"].items() if moved else ():  # one that already did
+        ctx["tm"][g] = moved.get(t, t)
 
     def gen(op, name, ty, args, pred=None):
         return Instr(m.new_iid(), op, name=name, ty=ty, pred=pred, args=args)
@@ -490,8 +522,8 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
               lam: int = 64) -> dict:
     """Linearize every sensitive region and thread the taken predicate.
 
-    Returns per-function counts of linearized branches and loops.  Sets
-    the module harden directive so later runs know scheme and lambda.
+    Returns per-function counts of linearized branches, loops and blocks
+    folded away, and sets the module harden directive (scheme, lambda).
     """
     threaded = set(ss.functions)
     if threaded and "cfl.taken" not in m.globals:
@@ -504,8 +536,13 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
         if not fnregs and not fully:
             continue
         tm = m.takenmap.setdefault(fn.name, {})
+        # i1 definitions a root branch may take as its then taken (a
+        # threaded function's root is cfl.t0); not phis, which may fold
+        env = {} if fully else reg_types(m, fn)
         ctx = {"tm": tm, "regions": fnregs, "threaded": threaded,
-               "uses": _Uses(fn), "tails": {}}
+               "uses": _Uses(fn), "tails": {},
+               "defs": {Reg(i.name): i for i in fn.instructions()
+                        if i.op != "phi" and env.get(i.name) == I1}}
         t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
                    args=[Sym("cfl.taken")]) if fully else None
         root_tp = Reg(t0.name) if fully else Const(1)
@@ -538,7 +575,8 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             for blk in fn.blocks.values():
                 _guard_block(m, fn, blk, t0, ctx)
             fn.entry.instrs.insert(0, t0)
-        stats[fn.name] = {"branches": nb, "loops": nl}
+        stats[fn.name] = {"branches": nb, "loops": nl,
+                          "merged": _straighten(fn, ctx["uses"])}
 
     # calls into taken-reading functions that no taken register guards
     # run for real; say so explicitly since the cell may hold a stale

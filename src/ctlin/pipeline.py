@@ -156,6 +156,7 @@ def harden_module(m: Module, cfg: PipelineConfig | None = None):
     stats = cfl.linearize(m, ss, rt, scheme=cfg.scheme, lam=cfg.lam)
     rep["branches_linearized"] = sum(s["branches"] for s in stats.values())
     rep["loops_linearized"] = sum(s["loops"] for s in stats.values())
+    rep["blocks_merged"] = sum(s["merged"] for s in stats.values())
 
     m.renumber()
     diags = validate(m)
@@ -175,6 +176,7 @@ def module_stats(m: Module) -> dict:
             handlers[e.handler] = handlers.get(e.handler, 0) + 1
     out = {
         "functions": len(m.funcs),
+        "blocks": sum(len(fn.blocks) for fn in m.funcs.values()),
         "globals": len(m.globals),
         "instructions": sum(1 for _ in m.instructions()),
         "plans": len(plans),

@@ -13,7 +13,8 @@ from conftest import hardened, load, scale_programs
 from ctlin import cfl
 from ctlin.cfl import ct_select, encode_taken
 from ctlin.interp import Code, DecoyDecoder, ExecInput, Machine, interpret
-from ctlin.ir import Block, parse_module, print_module, validate
+from ctlin.ir import (I1, Block, Const, parse_module, print_module,
+                      reg_types, validate)
 from ctlin.normalize import normalize_regions
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.verify import verify_module
@@ -377,9 +378,12 @@ class TestTakenMap:
         arm_loads = [i.iid for i in fn.instructions()
                      if i.op == "call" and i.callee == "ct_load_nat"]
         assert arm_loads and set(arm_loads) <= set(tm)
+        # typed as validate types them: a root then-guard is the
+        # branch's own icmp, whose Instr.ty is None
+        types = reg_types(hm, fn)
         for guarded, tk in tm.items():
             assert guarded in by_iid
-            assert by_iid[tk].ty is not None and by_iid[tk].ty.bits == 1
+            assert types[by_iid[tk].name] == I1
 
     def test_decoy_checks_clean(self):
         hm, _ = hardened("nested_branches")
@@ -716,44 +720,52 @@ join:
 
 
 def test_arm_walk_leaves_a_merged_loop_body_alone():
-    # the parent's walk steps from h to the latch l, so b's phi stays:
-    # its one predecessor is still h
+    # the parent's walk steps from h to the latch l, so b's phi stays
+    # until the loop straightens into h, which then reads its one value
     hm, rep = harden_module(parse_module(LOOP_BODY_PHI))
     assert (rep["branches_linearized"], rep["loops_linearized"]) == (1, 1)
-    assert [i.name for i in hm.funcs["main"].blocks["b"].phis()] == ["x"]
+    fn = hm.funcs["main"]
+    assert list(fn.blocks) == ["entry", "h", "exit"]
+    assert fn.blocks["h"].terminator.labels == ["exit", "h"]
+    (inc,) = [i for i in fn.blocks["h"].instrs if i.name == "i1"]
+    assert [str(a) for a in inc.args] == ["%i", "1"]
     verdicts = verify_module(parse_module(LOOP_BODY_PHI), hm, pairs=8)
     assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
 
 
 # sha256 of the hardened bytes, recorded when every merge guarded every
 # block of its arms again; secret_loops re-recorded when linearized loops
-# began exiting at max(bound, trips) and writing the count back
+# began exiting at max(bound, trips) and writing the count back; all but
+# secret_loops re-recorded when linearized regions became straight-line
+# code, each block whose only predecessor ends in br to it folded into
+# that predecessor, and each taken became one instruction, none for an
+# empty else arm
 MERGED_BYTES = {
-    "nested_chain.1": "1c6c3fa50d0a0f2c",
-    "nested_chain.2": "28efedad2fd031b6",
-    "nested_chain.3": "d3c56d422ee7c766",
-    "nested_chain.7": "c72e618e3db2bcdf",
-    "nested_chain.20": "e513e2dbb4b416a9",
-    "nested_chain.50": "6626ec30a325061c",
-    "nested_chain.200": "0a54cdf9ebde5967",
-    "scale7.call_tree": "4e4c1e7fab5c94b6",
-    "scale7.guarded_bump": "f2f6b5e529f5953d",
-    "scale7.nested_branches": "52bddac8476fdbfa",
+    "nested_chain.1": "fede2f5397ecbdbe",
+    "nested_chain.2": "19ab03e34afc826a",
+    "nested_chain.3": "3a7a5e4e4b077b3a",
+    "nested_chain.7": "93f5ef0a3c2bf7e0",
+    "nested_chain.20": "b6864f6e0d29c92c",
+    "nested_chain.50": "0a984bfa902a84bf",
+    "nested_chain.200": "31073b14c19403ab",
+    "scale7.call_tree": "951ac0829707f175",
+    "scale7.guarded_bump": "544fb7fb1fcba093",
+    "scale7.nested_branches": "98acd4bfd6fb06a1",
     "scale7.secret_loops": "34b7d6032a682932",
-    "scale11.call_tree": "115e9338fd6e4080",
-    "scale11.guarded_bump": "f2f6b5e529f5953d",
-    "scale11.nested_branches": "8badf4c8736ff0ef",
+    "scale11.call_tree": "7f48fb6d52aeb5d4",
+    "scale11.guarded_bump": "544fb7fb1fcba093",
+    "scale11.nested_branches": "750881b0591655e4",
     "scale11.secret_loops": "31cfd11068b415c1",
     # calls into threaded functions, stores of the taken cell and cfl.t0
-    "shared_callee.nocl": "44df11373ba9d77b",
-    "threaded_calls.cl": "c80c430cfcba95b5",
-    "threaded_calls.nocl": "b560a9d015eae588",
+    "shared_callee.nocl": "2f5354fb59067875",
+    "threaded_calls.cl": "b67dbfdc018d500e",
+    "threaded_calls.nocl": "b5e560f6c4743a4f",
     # recorded before a parent's walk stepped over merged regions
-    "loop_exit_join.cl": "47041953aee63656",
-    "arm_is_branch.cl": "ffe3174a08d67e08",
-    "sibling_branches.cl": "872863a8b1b31a21",
-    "one_block_loop.cl": "178d044417ec7fc1",
-    "branch_at_header.cl": "ff44820b07dc5d86",
+    "loop_exit_join.cl": "96a6e3e5b6576452",
+    "arm_is_branch.cl": "7ad03cff3c09287d",
+    "sibling_branches.cl": "8d7ad20e86705706",
+    "one_block_loop.cl": "11f6fce6eff4a3fc",
+    "branch_at_header.cl": "ab4c5cdf4da8838f",
 }
 
 
@@ -828,3 +840,244 @@ class TestLinearScaling:
                               small, large):
             assert b <= 2.3 * a, "%s: %d at n=%d, %d at 2n" % (what, a,
                                                                n, b)
+
+
+def layout_faults(hm) -> list:
+    """Where hardened hm is not straight-line code: a block of a
+    linearized function, one the takenmap names, whose only predecessor
+    ends in br to it, a taken predicate computed as and i1 %x, 1, or a
+    guard select reading another register than the taken its takenmap
+    entry names."""
+    faults = []
+    for name, tm in hm.takenmap.items():
+        fn = hm.funcs[name]
+        names = {i.iid: i.name for i in fn.instructions()}
+        preds = {}
+        for b in fn.blocks.values():
+            for lbl in b.terminator.labels:
+                preds.setdefault(lbl, {})[b.label] = b
+        for lbl, ps in preds.items():
+            p = next(iter(ps.values()))
+            if len(ps) == 1 and p.terminator.op == "br" and p.label != lbl:
+                faults.append("@%s: %s only follows br in %s"
+                              % (name, lbl, p.label))
+        takens = set(tm.values())
+        for i in fn.instructions():
+            if (i.iid in takens or (i.name or "").startswith("cfl.t")) \
+                    and i.op == "and" and Const(1) in i.args:
+                faults.append("@%s: taken %%%s is an and with 1"
+                              % (name, i.name))
+            if (i.name or "").startswith("cfl.p") and i.iid in tm \
+                    and str(i.args[0]) != "%" + names[tm[i.iid]]:
+                faults.append("@%s: guard %%%s reads %s, its entry names "
+                              "%%%s" % (name, i.name, i.args[0],
+                                        names[tm[i.iid]]))
+    return faults
+
+
+@pytest.mark.parametrize("lam", (1, 4, 64))
+def test_corpus_layout_is_straight_line(corpus_names, lam):
+    for name in corpus_names:
+        for scheme in SCHEMES:
+            hm, _ = harden_module(load(name), PipelineConfig(lam=lam,
+                                                             scheme=scheme))
+            assert layout_faults(hm) == [], (name, scheme)
+            verdicts = verify_module(load(name), hm, pairs=8)
+            assert all(v.passed for v in verdicts), \
+                (name, scheme, [v.line() for v in verdicts])
+
+
+# a root branch after a secret loop that defines its condition: the
+# branch reads the loop's frozen live-out of %c whichever region merges
+# first, and the two merge in the order of their entry labels
+COND_FROM_LOOP = """\
+global @out: [4 x i64]
+func @main(%s: secret i64) -> i64 {
+entry:
+  %m = and i64 %s, 3
+  br LOOP
+LOOP:
+  %i = phi i64 [entry: 0, LOOP: %i1]
+  %i1 = add i64 %i, 1
+  %b = and i64 %i1, %s
+  %c = icmp ne %b, 0
+  %d = icmp le %i1, %m
+  condbr %d, LOOP, br
+br:
+  condbr %c, t, j
+t:
+  %x = and i64 %s, 3
+  %g = gep i64 @out, %x
+  store i64 %i1, %g
+  br j
+j:
+  %o = load i64, @out
+  ret %o
+}
+"""
+
+
+@pytest.mark.parametrize("loop", ["a", "z"], ids=["loop-first",
+                                                  "branch-first"])
+def test_root_branch_takes_the_live_out_of_its_condition(loop):
+    src = COND_FROM_LOOP.replace("LOOP", loop)
+    hm, _ = harden_module(parse_module(src))
+    assert layout_faults(hm) == []
+    fn = hm.funcs["main"]
+    names = {i.iid: i.name for i in fn.instructions()}
+    assert set(names[t] for t in hm.takenmap["main"].values()) \
+        == {"cfl.tl." + loop, "cfl.o.c"}
+    verdicts = verify_module(parse_module(src), hm, pairs=8)
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]
+
+
+OPS = ("add", "xor", "mul", "sub")
+
+
+def _body(draw, depth: int) -> list:
+    """Statements over the accumulator, nesting at most three deep."""
+    kinds = ["step", "load", "store"] + (["if", "loop"] if depth < 3 else [])
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "step":
+            out.append((kind, draw(st.sampled_from(OPS)),
+                        draw(st.sampled_from(["%s", "%p", "3"]))))
+        elif kind == "if":
+            # a condition on %p is a public guard of what it holds
+            out.append((kind, draw(st.sampled_from("sp")),
+                        draw(st.integers(0, 3)), _body(draw, depth + 1),
+                        _body(draw, depth + 1) if draw(st.booleans())
+                        else []))
+        elif kind == "loop":
+            out.append((kind, draw(st.sampled_from("sp")),
+                        draw(st.integers(0, 4)), _body(draw, depth + 1)))
+        else:
+            out.append((kind,))
+    return out
+
+
+class _Emitter:
+    """Renders a statement tree as one function's blocks."""
+
+    def __init__(self):
+        self.blocks, self.n = [], 0
+
+    def fresh(self, stem: str) -> str:
+        self.n += 1
+        return "%s%d" % (stem, self.n)
+
+    def open(self, label: str):
+        self.blocks.append((label, []))
+
+    @property
+    def cur(self) -> str:
+        return self.blocks[-1][0]
+
+    def line(self, text: str):
+        self.blocks[-1][1].append("  " + text)
+
+    def body(self, stmts, acc: str) -> str:
+        for st_ in stmts:
+            acc = getattr(self, "_" + st_[0])(acc, *st_[1:])
+        return acc
+
+    def _step(self, acc, op, operand):
+        a = self.fresh("%a")
+        self.line("%s = %s i64 %s, %s" % (a, op, acc, operand))
+        return a
+
+    def _load(self, acc):
+        x, g, v, a = (self.fresh(s) for s in ("%x", "%g", "%v", "%a"))
+        self.line("%s = and i64 %s, 7" % (x, acc))
+        self.line("%s = gep i64 @tab, %s" % (g, x))
+        self.line("%s = load i64, %s" % (v, g))
+        self.line("%s = add i64 %s, %s" % (a, acc, v))
+        return a
+
+    def _store(self, acc):
+        x, g = self.fresh("%x"), self.fresh("%g")
+        self.line("%s = and i64 %%s, 3" % x)
+        self.line("%s = gep i64 @out, %s" % (g, x))
+        self.line("store i64 %s, %s" % (acc, g))
+        return acc
+
+    def _if(self, acc, src, bit, then, other):
+        b, c = self.fresh("%b"), self.fresh("%c")
+        t, e, j = self.fresh("t"), self.fresh("e"), self.fresh("j")
+        self.line("%s = and i64 %%%s, %d" % (b, src, 1 << bit))
+        self.line("%s = icmp ne %s, 0" % (c, b))
+        self.line("condbr %s, %s, %s" % (c, t, e if other else j))
+        incoming = [] if other else [(self.cur, acc)]
+        for label, stmts in ((t, then), (e, other)):
+            if stmts:
+                self.open(label)
+                out = self.body(stmts, acc)
+                incoming.append((self.cur, out))
+                self.line("br " + j)
+        self.open(j)
+        a = self.fresh("%a")
+        self.line("%s = phi i64 [%s]" % (a, ", ".join(
+            "%s: %s" % lv for lv in incoming)))
+        return a
+
+    def _loop(self, acc, src, shift, stmts):
+        # a do-while of ((src >> shift) & 3) + 1 trips
+        n, m = self.fresh("%n"), self.fresh("%m")
+        h, x = self.fresh("h"), self.fresh("x")
+        i, i1, d, a = (self.fresh(s) for s in ("%i", "%i", "%d", "%a"))
+        self.line("%s = lshr i64 %%%s, %d" % (n, src, shift))
+        self.line("%s = and i64 %s, 3" % (m, n))
+        pre = self.cur
+        self.line("br " + h)
+        self.open(h)
+        at = len(self.blocks) - 1
+        out = self.body(stmts, a)
+        self.line("%s = add i64 %s, 1" % (i1, i))
+        self.line("%s = icmp le %s, %s" % (d, i1, m))
+        self.line("condbr %s, %s, %s" % (d, h, x))
+        self.blocks[at][1][:0] = [
+            "  %s = phi i64 [%s: 0, %s: %s]" % (i, pre, self.cur, i1),
+            "  %s = phi i64 [%s: %s, %s: %s]" % (a, pre, acc, self.cur, out)]
+        self.open(x)
+        return out
+
+
+@st.composite
+def structured_programs(draw) -> str:
+    """@main(%p, secret %s) folding an accumulator through steps, loads
+    at an accumulator-derived index, stores at a secret index, and
+    branches and counted loops on bits of %s or %p, nested three deep."""
+    e = _Emitter()
+    e.open("entry")
+    acc = e.body(_body(draw, 0), "%p")
+    e.line("%o = load i64, @out")
+    e.line("%r = add i64 " + acc + ", %o")
+    e.line("ret %r")
+    tab = b"".join((k * 37 + 5).to_bytes(8, "little") for k in range(8))
+    lines = ["global @tab: [8 x i64] = " + tab.hex(),
+             "global @out: [4 x i64]",
+             "func @main(%p: i64, %s: secret i64) -> i64 {"]
+    for label, body in e.blocks:
+        lines += [label + ":"] + body
+    return "\n".join(lines + ["}", ""])
+
+
+STRUCTURED_INPUTS = ((0, 0), (1, 5), (6, 255), (3, 65535), (12345, 40000))
+
+
+# tier-1 runs a fixed 40 examples
+@settings(max_examples=40, deadline=None)
+@given(structured_programs())
+def test_structured_programs_harden_straight_and_verify(src):
+    hm, _ = harden_module(parse_module(src), PipelineConfig())
+    assert layout_faults(hm) == []
+    ref = parse_module(src)
+    for p, s in STRUCTURED_INPUTS:
+        want = interpret(ref, ExecInput([p], [s]))
+        got = interpret(hm, ExecInput([p], [s]))
+        assert want.abort is None and got.abort is None
+        assert got.output == want.output, (p, s)
+    verdicts = verify_module(parse_module(src), hm, pairs=2)
+    assert len(verdicts) == 4
+    assert all(v.passed for v in verdicts), [v.line() for v in verdicts]

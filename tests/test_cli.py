@@ -577,22 +577,37 @@ def table_lookup_pair(tmp_path_factory):
     return corpus_path("table_lookup"), out
 
 
-@pytest.mark.parametrize("old,new,diag", [
-    ("takenmap @main {", "takenmap @nosuch {",
-     "@?: takenmap names unknown function @nosuch"),
-    (" 5:1 ", " 5:999 ",
-     "@main: takenmap entry 5:999 names no i1 guard here"),
-    # iid 5 defines the addr register %pb
-    (" 5:1 ", " 5:5 ", "@main: takenmap entry 5:5 names no i1 guard here"),
-    (" 13:1 }", " 13:1 999:1 }",
-     "@main: takenmap entry 999:1 keys no instruction here")],
-    ids=["unknown-function", "unknown-guard", "non-i1-guard", "unknown-key"])
+def takenmap_edit(text: str, kind: str) -> tuple:
+    """(old, new, diagnostic) of one corruption of the takenmap of
+    hardened table_lookup text, with the iids read from the module."""
+    hm = parse_module(text)
+    entries = list(hm.takenmap["main"].items())
+    (k, t), (lk, lt) = entries[0], entries[-1]
+    # the gep defining the address register %pb is no i1 guard
+    pb = next(i.iid for i in hm.funcs["main"].instructions()
+              if i.name == "pb")
+    first = " %d:%d " % (k, t)
+    return {
+        "unknown-function": ("takenmap @main {", "takenmap @nosuch {",
+                             "@?: takenmap names unknown function @nosuch"),
+        "unknown-guard": (first, " %d:999 " % k, "@main: takenmap entry "
+                          "%d:999 names no i1 guard here" % k),
+        "non-i1-guard": (first, " %d:%d " % (k, pb), "@main: takenmap "
+                         "entry %d:%d names no i1 guard here" % (k, pb)),
+        "unknown-key": (" %d:%d }" % (lk, lt), " %d:%d 999:%d }"
+                        % (lk, lt, lt), "@main: takenmap entry 999:%d "
+                        "keys no instruction here" % lt)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["unknown-function", "unknown-guard",
+                                  "non-i1-guard", "unknown-key"])
 def test_bad_takenmap_entry_is_an_input_error(table_lookup_pair, tmp_path,
-                                             old, new, diag, capsys):
+                                             kind, capsys):
     # the decoy check tracked no guard for such an entry, so verify
     # printed four PASS lines and exited 0
     orig, hard = table_lookup_pair
     text = hard.read_text()
+    old, new, diag = takenmap_edit(text, kind)
     assert text.count(old) == 1
     bad = tmp_path / "bad.ir"
     bad.write_text(text.replace(old, new))
@@ -631,6 +646,19 @@ class TestStats:
         for key in ("functions", "instructions", "plans", "handlers",
                     "portions_mean", "lambda", "scheme"):
             assert key in data, key
+
+    def test_straightened_blocks(self, tmp_path, capsys):
+        # both linearized branches of nested_branches straighten into
+        # its entry: the five blocks after it fold away
+        out, rep = tmp_path / "h.ir", tmp_path / "r.json"
+        assert main(["harden", corpus_path("nested_branches"), "--emit",
+                     str(out), "--report", str(rep)]) == EXIT_OK
+        assert json.loads(rep.read_text())["blocks_merged"] == 5
+        for path, blocks in ((corpus_path("nested_branches"), 6),
+                             (str(out), 1)):
+            rc, text, _ = run(["stats", path], capsys)
+            assert rc == EXIT_OK
+            assert json.loads(text)["blocks"] == blocks
 
     @pytest.mark.parametrize("flag", ["--entry", "--seed", "--budget"])
     def test_only_report_flag(self, flag, capsys):

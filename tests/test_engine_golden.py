@@ -29,7 +29,12 @@ Re-recorded since: `bytes` and `traces` of covering_loop, exp_loop_pair
 and jit_trip at every lambda, when linearized loops began exiting at
 max(bound, trips) with the count written back, in place of growing the
 bound by one per extra trip.  Their `taint` and `verdicts` digests did
-not move.
+not move.  Then `bytes` and `traces` of covering_loop,
+fn_table_dispatch, nested_branches, store_sweep and table_lookup at
+every lambda, when linearized regions became straight-line code (each
+block whose only predecessor ends in `br` to it folded into that
+predecessor) and each taken predicate one instruction, none for an
+empty else arm.  Their `taint` and `verdicts` digests did not move.
 """
 
 import hashlib
