@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 
 from .ir import (Block, Const, Function, Global, HardenInfo, I1, I64, Instr,
-                 Module, Reg, Sym, parse_module, reg_types)
+                 Module, Reg, Sym, parse_module, reg_types, result_type)
 from .normalize import RegionTree
 
 M64 = (1 << 64) - 1
@@ -87,55 +87,55 @@ def ct_select(scheme: int, t: int, a: int, b: int) -> int:
 # shared rewriting helpers
 
 class _Uses:
-    """Register name -> the instructions of one function that read it.
+    """Register name -> the instructions of one function that read it,
+    and -> its type; cfl's only way to rewrite a register's readers.
 
-    Built once per linearized function.  Every instruction the merges
-    create, or point at a register, is added as it is made, so a
-    replacement rewrites only the readers of the name it replaces, and
-    never an instruction made after it.  An entry goes stale when its
-    instruction stops reading the name or leaves the function;
-    rewriting one changes nothing the function still holds.
+    Built once per linearized function, its types by `reg_types`.  Each
+    instruction a merge creates, or points at a register, is added and
+    typed as it is made, so a replacement rewrites only the readers of
+    the name it replaces, and never an instruction made after it.  An
+    entry goes stale when its instruction stops reading the name or
+    leaves the function, as a folded phi (in gone) does; rewriting one
+    changes nothing the function still holds.
     """
 
-    def __init__(self, fn: Function):
-        self.readers = defaultdict(list)
-        self.add(*fn.instructions())
+    def __init__(self, m: Module, fn: Function):
+        self.m, self.readers, self.gone = m, defaultdict(list), set()
+        self.types = reg_types(m, fn)
+        self._index(fn.instructions())
+
+    def _index(self, instrs):
+        for i in instrs:
+            for v in i.args + [v for _, v in i.incoming]:
+                if isinstance(v, Reg):
+                    self.readers[v.name].append(i)
 
     def add(self, *instrs):
-        readers = self.readers
         for i in instrs:
-            for a in i.args:
-                if isinstance(a, Reg):
-                    readers[a.name].append(i)
-            for _, v in i.incoming:
-                if isinstance(v, Reg):
-                    readers[v.name].append(i)
+            if i.name is not None:
+                self.types[i.name] = result_type(self.m, i, self.types)
+        self._index(instrs)
 
-    def replace(self, old: str, new):
-        """Every read of register old reads operand new from now on."""
+    def replace(self, old: str, new, inside=frozenset()) -> bool:
+        """Every read of register old, but by an instruction whose iid is
+        in inside, reads operand new from now on; whether one of the
+        function's instructions was such a read."""
         users = self.readers.pop(old, [])
+        if kept := [i for i in users if i.iid in inside]:
+            self.readers[old] = kept
+            users = [i for i in users if i.iid not in inside]
+        read = False
         for i in users:
-            i.args = [new if isinstance(a, Reg) and a.name == old else a
-                      for a in i.args]
-            if i.incoming:
-                i.incoming = [
-                    (l, new if isinstance(v, Reg) and v.name == old else v)
-                    for l, v in i.incoming]
+            args = [new if isinstance(a, Reg) and a.name == old else a
+                    for a in i.args]
+            incoming = [(l, new if isinstance(v, Reg) and v.name == old
+                         else v) for l, v in i.incoming]
+            read |= i.iid not in self.gone \
+                and (args, incoming) != (i.args, i.incoming)
+            i.args, i.incoming = args, incoming
         if isinstance(new, Reg):
             self.readers[new.name].extend(users)
-
-
-def _subst_block(b: Block, sub: dict, uses: _Uses):
-    for i in b.instrs:
-        args = [sub.get(a.name, a) if isinstance(a, Reg) else a
-                for a in i.args]
-        incoming = [(l, sub.get(v.name, v) if isinstance(v, Reg) else v)
-                    for l, v in i.incoming]
-        if args != i.args or incoming != i.incoming:
-            uses.add(i)
-        i.args = args
-        if i.incoming:
-            i.incoming = incoming
+        return read
 
 
 def _placeholder(r) -> str:
@@ -229,6 +229,7 @@ def _fold_phis(blk: Block, uses: _Uses):
     for ph in [p for p in blk.phis() if len(p.incoming) == 1]:
         uses.replace(ph.name, ph.incoming[0][1])
         blk.instrs.remove(ph)
+        uses.gone.add(ph.iid)
 
 
 def _straighten(fn: Function, uses: _Uses) -> int:
@@ -339,19 +340,16 @@ def _merge_branch(m: Module, fn: Function, r, tp, ctx: dict):
 def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
     """Pad loop r to its bound k.  The latch may be written either way
     round; it is read here and rewritten as condbr %ex, exit, header,
-    the one place that knows which way a latch branches."""
-    H, L, X = r.entry, r.latch, r.exit
+    the one place that knows which way a latch branches.  Costs the
+    size of r: the bound loads in `r.preheader`, and `_Uses.replace`
+    finds and rewrites the readers outside r of each definition in r."""
+    H, L, X, P = r.entry, r.latch, r.exit, r.preheader
     hb, lb = fn.blocks[H], fn.blocks[L]
     term = lb.terminator
     if term.op != "condbr" or set(term.labels) != {X, H}:
         raise LinearizeError("loop %s: latch %s does not branch between "
                              "the header and exit %s" % (H, L, X))
     c_cont = term.args[0]
-    preds = [lbl for lbl, b in fn.blocks.items()
-             if lbl not in r.blocks and H in b.terminator.labels]
-    if len(preds) != 1:
-        raise LinearizeError("loop %s lacks a unique preheader" % H)
-    P = preds[0]
 
     uses = ctx["uses"]
     cell = "%s%s.%s" % (BOUND_CELL, fn.name, H)
@@ -366,41 +364,31 @@ def _merge_loop(m: Module, fn: Function, r, tp, ctx: dict, k: int):
                  incoming=sorted([(P, Const(0)), (L, Reg(cn_n))]))
     tcur = Instr(m.new_iid(), "phi", name="cfl.tl." + H, ty=I1,
                  incoming=sorted([(P, tp), (L, Reg(g0_n))]))
-    uses.add(cidx, tcur)
+    uses.add(kld, cidx, tcur)
 
     _take_children(r, ctx, dict.fromkeys(r.blocks, tcur))
-    for blk in [b for lbl, b in fn.blocks.items() if lbl in r.blocks]:
+    body = [fn.blocks[lbl] for lbl in sorted(r.blocks, key=ctx["pos"].get)]
+    for blk in body:
         _guard_block(m, fn, blk, tcur, ctx)
 
     # live-outs freeze at the last real iteration: while taken, the exit
     # copy follows the body value; during padding it holds
-    env = reg_types(m, fn)
-    defs = [i for lbl, b in fn.blocks.items() if lbl in r.blocks
-            for i in b.instrs if i.name]
-    outside = [b for lbl, b in fn.blocks.items() if lbl not in r.blocks]
-    used = set()
-    for b in outside:
-        for i in b.instrs:
-            used.update(a.name for a in i.args if isinstance(a, Reg))
-            used.update(v.name for _, v in i.incoming if isinstance(v, Reg))
-    flanks, outs, sub, moved = [], [], {}, {}
-    for d in defs:
-        if d.name not in used:
-            continue
+    inside = {i.iid for b in body for i in b.instrs}
+    flanks, outs, moved = [], [], {}
+    for d in [i for b in body for i in b.instrs if i.name]:
         fname, oname = "cfl.fl." + d.name, "cfl.o." + d.name
+        if not uses.replace(d.name, Reg(oname), inside):
+            continue
         flanks.append(Instr(m.new_iid(), "phi", name=fname,
-                            ty=env.get(d.name) or I64,
+                            ty=uses.types.get(d.name) or I64,
                             incoming=sorted([(P, Const(0)),
                                              (L, Reg(oname))])))
         outs.append(Instr(m.new_iid(), "call", name=oname,
                           callee="ct_select",
                           args=[Reg(tcur.name), Reg(d.name), Reg(fname)]))
-        sub[d.name] = Reg(oname)
         if Reg(d.name) in ctx["defs"]:  # a root branch after r may take d
-            ctx["defs"][sub[d.name]] = outs[-1]
+            ctx["defs"][Reg(oname)] = outs[-1]
             moved[d.iid] = outs[-1].iid
-    for b in outside:
-        _subst_block(b, sub, uses)
     for g, t in ctx["tm"].items() if moved else ():  # one that already did
         ctx["tm"][g] = moved.get(t, t)
 
@@ -537,12 +525,15 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
             continue
         tm = m.takenmap.setdefault(fn.name, {})
         # i1 definitions a root branch may take as its then taken (a
-        # threaded function's root is cfl.t0); not phis, which may fold
-        env = {} if fully else reg_types(m, fn)
+        # threaded function's root is cfl.t0); not phis, which may fold.
+        # Merges add and drop no block, so pos holds until _straighten
+        uses = _Uses(m, fn)
         ctx = {"tm": tm, "regions": fnregs, "threaded": threaded,
-               "uses": _Uses(fn), "tails": {},
-               "defs": {Reg(i.name): i for i in fn.instructions()
-                        if i.op != "phi" and env.get(i.name) == I1}}
+               "uses": uses, "tails": {},
+               "pos": {lbl: k for k, lbl in enumerate(fn.blocks)},
+               "defs": {} if fully else {
+                   Reg(i.name): i for i in fn.instructions()
+                   if i.op != "phi" and uses.types.get(i.name) == I1}}
         t0 = Instr(m.new_iid(), "load", name="cfl.t0", ty=I1,
                    args=[Sym("cfl.taken")]) if fully else None
         root_tp = Reg(t0.name) if fully else Const(1)
@@ -576,7 +567,7 @@ def linearize(m: Module, ss, rt: RegionTree, scheme: int = 5,
                 _guard_block(m, fn, blk, t0, ctx)
             fn.entry.instrs.insert(0, t0)
         stats[fn.name] = {"branches": nb, "loops": nl,
-                          "merged": _straighten(fn, ctx["uses"])}
+                          "merged": _straighten(fn, uses)}
 
     # calls into taken-reading functions that no taken register guards
     # run for real; say so explicitly since the cell may hold a stale

@@ -1,14 +1,14 @@
 """Command line front end: harden, verify, stats.
 
-Exit codes are part of the contract: 0 success, 2 unusable input
-(a module, suite, `--emit` or `--report` file that cannot be read as
-UTF-8 or written, parse or validation, a missing entry point, a
-`--budget` below 1, a malformed or empty suite or one with an input
-shorter than the entry's public or secret inputs, verify flags under
-which no check could show anything, a `--lambda` among them that is not
-a multiple of the hardened quantum, a verify pair whose entry point is
-missing or takes different inputs in the two modules), 3 hardening
-pipeline failure, 4 verification found a difference.
+Exit codes are part of the contract: 0 success, 2 unusable input (a
+module, suite, `--emit` or `--report` file that cannot be read as UTF-8
+or written, an unwritable stdout, parse or validation, a missing entry
+point, a `--budget` below 1, a malformed or empty suite or one with an
+input shorter than the entry's public or secret inputs, verify flags
+under which no check could show anything, a `--lambda` among them that
+is not a multiple of the hardened quantum, a verify pair whose entry
+point is missing or takes different inputs in the two modules), 3
+hardening pipeline failure, 4 verification found a difference.
 Reports are JSON with sorted keys and carry no timestamps, so identical
 work produces identical bytes.
 """
@@ -65,14 +65,18 @@ def _load(path: str):
 def _write(path: str | None, text: str) -> bool:
     """Write text to the file at path, or to stdout for no path; False
     once stderr says why it could not."""
-    if not path:
-        sys.stdout.write(text)
-        return True
     try:
-        with open(path, "w") as f:
-            f.write(text)
+        if not path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as f:
+                f.write(text)
     except OSError as e:
-        print("error: cannot write %s: %s" % (path, e.strerror or e),
+        if not path:    # a closed pipe: the flush at exit goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write %s: %s" % (path or "stdout",
+                                              e.strerror or e),
               file=sys.stderr)
         return False
     return True
@@ -172,17 +176,17 @@ def cmd_verify(args) -> int:
     verdicts = verify_module(orig, hard, entry=args.entry, lams=args.lam,
                              pairs=args.pairs, seed=args.seed,
                              space=args.space, budget=args.budget)
+    lines = []
     for v in verdicts:
-        print(v.line())
-        for w in v.warnings:
-            print("  warning: %s" % w)
+        lines += [v.line()] + ["  warning: %s" % w for w in v.warnings]
     rep = {
         "passed": all(v.passed for v in verdicts),
         "checks": [{"check": v.check, "passed": v.passed,
                     "detail": v.detail, "warnings": v.warnings}
                    for v in verdicts],
     }
-    if args.report and not _write(args.report, _report(rep)):
+    if not _write(None, "".join(line + "\n" for line in lines)) \
+            or args.report and not _write(args.report, _report(rep)):
         return EXIT_INPUT
     return EXIT_OK if rep["passed"] else EXIT_VERIFY
 

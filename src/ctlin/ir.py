@@ -899,7 +899,7 @@ def reg_types(m: Module, fn: Function) -> dict:
     for lbl in order:
         for ins in fn.blocks[lbl].instrs:
             if ins.name is not None:
-                env[ins.name] = _result_type(m, ins, env)
+                env[ins.name] = result_type(m, ins, env)
     return env
 
 
@@ -1056,7 +1056,8 @@ def validate(m: Module) -> list:
     return dups + diags + unknown
 
 
-def _result_type(m: Module, ins: Instr, env) -> Type | None:
+def result_type(m: Module, ins: Instr, env) -> Type | None:
+    """The type of ins's result, its operands typed by env."""
     op, callee = ins.op, ins.callee
     if op in BINOPS or op in ("phi", "load", "secret"):
         return ins.ty

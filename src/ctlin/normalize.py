@@ -39,6 +39,7 @@ class Region:
     children: list = field(default_factory=list)
     parent: "Region | None" = None
     latch: str | None = None
+    preheader: str | None = None    # loop: its one predecessor outside it
 
     @property
     def rid(self):
@@ -281,19 +282,21 @@ def normalize_regions(m: Module) -> RegionTree:
                 raise NormalizeError(
                     "@%s: latch '%s' must branch between header and one exit"
                     % (fn.name, latch))
-            loops.append((header, latch, body, outside[0]))
+            loops.append((header, latch, body))
 
-        for header, latch, body, _ in loops:
+        for header, latch, body in loops:
             _ensure_preheader(m, fn, g, header, body)
 
-        # recompute after edits
+        # recompute after edits, which may move a latch's exit edge
         g = cfglib.build_cfg(fn)
         regions = []
-        latch_set = {latch for _, latch, _, _ in loops}
-        for header, latch, _, exit_t in loops:
+        latch_set = {latch for _, latch, _ in loops}
+        for header, latch, _ in loops:
             body = cfglib.natural_loop(g, latch, header)
+            (exit_t,) = [s for s in g.succs[latch] if s not in body]
+            (pre,) = [p for p in g.preds[header] if p not in body]
             regions.append(Region("loop", fn.name, header, exit_t, set(body),
-                                  latch=latch))
+                                  latch=latch, preheader=pre))
         joins = {b.label: g.ipdom.get(b.label) for b in fn.blocks.values()
                  if b.terminator.op == "condbr" and b.label not in latch_set}
         spans = _branch_spans(fn, g, joins)

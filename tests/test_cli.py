@@ -668,14 +668,38 @@ class TestStats:
         assert e.value.code == EXIT_INPUT
 
 
-def test_module_entry_point():
-    # the installed script and python -m dispatch share main(); the
-    # child imports the package this process imported
+def child(argv, **kw) -> subprocess.CompletedProcess:
+    """`python -m ctlin.cli argv` in a child that imports the package
+    this process imported."""
     src = os.path.dirname(os.path.dirname(ctlin.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ctlin.cli", "stats",
-         corpus_path("jit_trip")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, "-m", "ctlin.cli"] + argv,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          **kw)
+
+
+def test_module_entry_point():
+    # the installed script and python -m dispatch share main()
+    proc = child(["stats", corpus_path("jit_trip")], capture_output=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["functions"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["harden", "{c}"],
+    ["verify", "{c}", "{m}", "--pairs", "2", "--space", "8"],
+    ["stats", "{m}"]], ids=["harden", "verify", "stats"])
+def test_closed_stdout_is_an_input_error(argv, hardened_path):
+    # stdout a pipe whose read end is closed, as a reader that quit
+    # early leaves it: one line on stderr, no traceback
+    names = {"c": corpus_path("nested_branches"), "m": hardened_path}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = child([a.format(**names) for a in argv], stdout=w,
+                     stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr

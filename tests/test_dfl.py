@@ -12,6 +12,7 @@ from ctlin.interp import ExecInput, Machine, final_state, interpret
 from ctlin.ir import parse_module, print_module, validate
 from ctlin.pipeline import PipelineConfig, harden_module
 from ctlin.pta import andersen_solve, refine_field_sensitivity
+from ctlin.verify import verify_module
 
 
 class TestHandlerChoice:
@@ -209,7 +210,50 @@ class TestWrappedAccesses:
             assert after[lo + 8:] == before[lo + 8:]
 
 
+# the arm of a secret branch loads @tab at a public index, then at an
+# index taken from the word it loaded
+LOADED_INDEX = """\
+global @tab: [8 x i64] = %s
+func @main(%%p: i64, %%s: secret i64) -> i64 {
+entry:
+  %%b = and i64 %%s, 1
+  %%c = icmp ne %%b, 0
+  condbr %%c, t, j
+t:
+  %%i = and i64 %%p, 7
+  %%g = gep i64 @tab, %%i
+  %%v = load i64, %%g
+  %%x = and i64 %%v, 7
+  %%g2 = gep i64 @tab, %%x
+  %%w = load i64, %%g2
+  br j
+j:
+  %%r = phi i64 [entry: 0, t: %%w]
+  ret %%r
+}
+""" % b"".join((k * 37 + 5).to_bytes(8, "little") for k in range(8)).hex()
+
+
+def loaded_index_verdicts(natural: bool) -> list:
+    hm, _ = harden_module(parse_module(LOADED_INDEX),
+                          PipelineConfig(lam=1, natural=natural))
+    return [v.line() for v in verify_module(parse_module(LOADED_INDEX), hm)]
+
+
 class TestNaturalStriding:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the decoy's raw address comes from a value it loaded: a decoy "
+        "load returns 0, so the second load touches @tab[0] where the "
+        "real run touches @tab[%x] (ROADMAP item 1)"))
+    def test_address_from_a_loaded_value_is_oblivious(self):
+        lines = loaded_index_verdicts(natural=True)
+        assert all(line.startswith("PASS") for line in lines), lines
+
+    def test_address_from_a_loaded_value_without_natural_striding(self):
+        lines = loaded_index_verdicts(natural=False)
+        assert len(lines) == 4
+        assert all(line.startswith("PASS") for line in lines), lines
+
     def test_covering_loop_touch_counts(self):
         plain, _ = hardened("covering_loop", lam=4, natural=False)
         nat, rep = hardened("covering_loop", lam=4)
